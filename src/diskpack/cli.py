@@ -186,7 +186,7 @@ def _cmd_prove(args) -> int:
                 resume=args.resume,
                 certificate=cert_stream,
             )
-            print(report.summary_line())
+            print(f"{report.summary_line()} wall={report.wall_time:.3f}s")
             if report.failures:
                 any_failures = True
                 print(

@@ -32,6 +32,12 @@ MIN_RADIUS = 1e-9
 # Threshold below which Phase 1 stops recursing, relative to the container.
 RECURSION_RATIO = 0.495
 
+# Widening of a ring's band when collecting the disks its placements must
+# avoid. A disk this far outside it has |anchor - d| >= gap + 1e-6, so the
+# kernel's cosine numerator (anchor - d)^2 - gap^2 is >= 1e-12, far above its
+# rounding: the kernel skips the disk, and dropping it changes no constraint.
+RING_BAND_SLACK = 1e-6
+
 
 class InstanceError(ValueError):
     """Invalid instance data (nonpositive or sub-resolution radii)."""
@@ -78,7 +84,6 @@ class RingRecord:
 @dataclass
 class PackingState:
     container: ContainerDisk
-    threshold: float
     r_min: float
     rings: List[RingRecord] = field(default_factory=list)
     placed: List[PlacedDisk] = field(default_factory=list)
@@ -105,9 +110,9 @@ def _overlaps_disk_region(q: PlacedDisk, c: ContainerDisk) -> bool:
     return d < c.radius + q.radius - 1e-12
 
 
-def _overlaps_ring_region(q: PlacedDisk, ring: RingShape) -> bool:
+def _overlaps_ring_region(q: PlacedDisk, ring: RingShape, slack: float = -1e-12) -> bool:
     d = math.hypot(q.center.x - ring.center.x, q.center.y - ring.center.y)
-    return d - q.radius < ring.r_out - 1e-12 and d + q.radius > ring.r_in + 1e-12
+    return d - q.radius < ring.r_out + slack and d + q.radius > ring.r_in - slack
 
 
 def _max_overlapping_angle(center: Point, region_filter, placed) -> float:
@@ -147,12 +152,15 @@ def boundary_packing(state: PackingState, c: ContainerDisk, threshold: float) ->
 def ring_packing(state: PackingState, ring: RingRecord) -> int:
     """Pack pending disks into the ring, alternating outer/inner anchoring,
     until a disk does not fit (ring becomes FULL) or two consecutive disks
-    could pass each other (ring becomes CLOSED). Returns disks placed."""
+    could pass each other (ring becomes CLOSED). Returns disks placed.
+
+    Placements check only the disks near the ring's band, and the ring's own
+    disks: nothing else is placed while the ring is packed."""
+    shape = ring.shape
+    near = [q for q in state.placed if _overlaps_ring_region(q, shape, RING_BAND_SLACK)]
     if not ring.started:
         ring.last_angle = _max_overlapping_angle(
-            ring.shape.center,
-            lambda q: _overlaps_ring_region(q, ring.shape),
-            state.placed,
+            shape.center, lambda q: _overlaps_ring_region(q, shape), near
         )
         ring.started = True
     count = 0
@@ -172,7 +180,7 @@ def ring_packing(state: PackingState, ring: RingRecord) -> int:
                 return count
         side = Side.OUTER if ring.last_side is Side.INNER else Side.INNER
         disk = place_in_ring(
-            ring.shape, side, r, angle_floor=ring.last_angle, prev=state.placed
+            ring.shape, side, r, angle_floor=ring.last_angle, prev=near
         )
         if disk is None:
             ring.state = RingState.FULL
@@ -184,6 +192,7 @@ def ring_packing(state: PackingState, ring: RingRecord) -> int:
             )
             return count
         state.placed.append(disk)
+        near.append(disk)
         ring.placed.append(len(state.placed) - 1)
         state.pending.pop(0)
         ring.last_side = side
@@ -242,7 +251,6 @@ def _phase1_recursion(state: PackingState) -> None:
         state.pending.pop(0)
         new_c = inscribed_disk_after_two(c, first, second)
         state.container = new_c
-        state.threshold = new_c.radius
         state.r_min = new_c.radius
         state.log(
             "recursion",
@@ -257,7 +265,6 @@ def pack(instance: InstanceSpec) -> PackingResult:
     """Run the five-phase algorithm on a radius multiset (unit container)."""
     state = PackingState(
         container=unit_container(),
-        threshold=0.5,
         r_min=1.0,
         pending=sorted(instance.radii, reverse=True),
     )
@@ -270,7 +277,6 @@ def pack(instance: InstanceSpec) -> PackingResult:
         # Phase 2: boundary packing with threshold (r - d)/4.
         d = center_penetration(state.container, state.placed)
         threshold = (state.container.radius - d) / 4.0
-        state.threshold = threshold
         state.log(
             "phase2",
             radius=state.container.radius,
@@ -294,7 +300,6 @@ def pack(instance: InstanceSpec) -> PackingResult:
                     state.container = ContainerDisk(
                         state.container.center, state.r_min
                     )
-                    state.threshold = state.r_min
                     state.log("central_container", radius=state.r_min)
                     break
             ring_packing(state, ring)
@@ -325,14 +330,13 @@ def pack(instance: InstanceSpec) -> PackingResult:
             if any(rg.state is RingState.OPEN for rg in state.rings):
                 continue
             state.container = ContainerDisk(state.container.center, state.r_min)
-            state.threshold = state.r_min
             state.log("central_container", radius=state.r_min)
             break
 
         if state.pending and (len(state.placed), len(state.rings)) == progress_marker:
+            # The head disk fits nowhere; give it up and go on with the rest.
             state.log("no_progress", pending=len(state.pending))
-            state.unplaced = list(state.pending)
-            state.pending = []
+            state.unplaced.append(state.pending.pop(0))
 
     placements = tuple(
         (p.radius, (p.center.x, p.center.y)) for p in state.placed

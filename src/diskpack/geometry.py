@@ -4,6 +4,16 @@ All functions are pure and operate on immutable values in hardware doubles;
 they are safe to call concurrently. Angles are polar angles measured
 counterclockwise from the positive x-axis and normalized to [0, 2*pi) unless
 stated otherwise.
+
+Placement kernel: each disk near the circle of candidate centers yields a
+keep-out arc (theta_q, sep_q) (`_blocking_constraints`), and
+`_smallest_feasible_angle` picks the smallest free angle >= the floor from k
+arcs in O(k log k), by one sweep over the sorted candidates and arcs. The
+sweep only skips a candidate lying deeper than SWEEP_MARGIN inside an arc; a
+candidate is returned only once the exact test (circular distance to every
+theta_q >= sep_q - ANGLE_EPS) passes, so the angle is bit-identical to
+checking every candidate against every arc, whatever the arcs' order. Each
+exact test costs O(k); random packings make fewer than one per placement.
 """
 
 from __future__ import annotations
@@ -22,13 +32,13 @@ CLAMP_SLACK = 1e-12
 # Angular slack so that an exactly-tangent candidate passes its own constraint.
 ANGLE_EPS = 1e-12
 
+# Depth inside a keep-out arc beyond which the sweep skips a candidate without
+# the exact test; it dwarfs ANGLE_EPS plus the rounding of an arc's edges.
+SWEEP_MARGIN = 1e-9
+
 
 class GeometryDomainError(ValueError):
     """A precondition on radii or distances was violated."""
-
-
-class InfeasibleTriangleError(ValueError):
-    """Triangle inequality violated beyond roundoff slack."""
 
 
 class RingWidthError(ValueError):
@@ -85,40 +95,6 @@ def polar_angle(center: Point, p: Point) -> float:
     return normalize_angle(math.atan2(p.y - center.y, p.x - center.x))
 
 
-def tangent_half_angle(d: float, r: float) -> float:
-    """Half the angular width of the cone subtended by a disk of radius r at distance d.
-
-    Returns asin(r/d) in (0, pi/2]; requires 0 < r <= d.
-    """
-    if d <= 0.0 or r <= 0.0:
-        raise GeometryDomainError(f"need d > 0 and r > 0, got d={d}, r={r}")
-    if r > d:
-        raise GeometryDomainError(f"disk radius {r} exceeds center distance {d}")
-    return math.asin(r / d)
-
-
-def _clamped_acos(c: float) -> float:
-    if c > 1.0:
-        if c > 1.0 + CLAMP_SLACK:
-            raise InfeasibleTriangleError(f"cosine argument {c} > 1 beyond slack")
-        c = 1.0
-    elif c < -1.0:
-        if c < -1.0 - CLAMP_SLACK:
-            raise InfeasibleTriangleError(f"cosine argument {c} < -1 beyond slack")
-        c = -1.0
-    return math.acos(c)
-
-
-def angular_separation(d1: float, d2: float, gap: float) -> float:
-    """Angle at the origin between two points at distances d1, d2 that are gap apart.
-
-    Law of cosines, solved for the included angle.
-    """
-    if d1 <= 0.0 or d2 <= 0.0:
-        raise GeometryDomainError(f"center distances must be positive: {d1}, {d2}")
-    return _clamped_acos((d1 * d1 + d2 * d2 - gap * gap) / (2.0 * d1 * d2))
-
-
 def _blocking_constraints(
     center: Point, anchor: float, r: float, prev: Sequence[PlacedDisk]
 ):
@@ -129,38 +105,44 @@ def _blocking_constraints(
     theta_q; blocked is True when some disk overlaps the placement circle at
     every angle.
     """
+    cx, cy = center
+    a2 = anchor * anchor
+    two_a = 2.0 * anchor
+    hypot, atan2, acos = math.hypot, math.atan2, math.acos
     cons = []
     for q in prev:
-        dx = q.center.x - center.x
-        dy = q.center.y - center.y
-        dq = math.hypot(dx, dy)
+        qx, qy = q.center
+        dx = qx - cx
+        dy = qy - cy
+        dq = hypot(dx, dy)
         gap = r + q.radius
         if dq == 0.0:
             if anchor >= gap:
                 continue
             return [], True
-        den = 2.0 * anchor * dq
-        c = (anchor * anchor + dq * dq - gap * gap) / den
+        c = (a2 + dq * dq - gap * gap) / (two_a * dq)
         if c >= 1.0:
             continue  # |anchor - dq| >= gap: no angle can overlap q
         if c < -1.0:
             if c < -1.0 - CLAMP_SLACK:
                 return [], True  # anchor + dq < gap: q overlaps at every angle
             c = -1.0
-        cons.append((normalize_angle(math.atan2(dy, dx)), math.acos(c)))
+        theta = atan2(dy, dx)  # in [-pi, pi], so one wrap normalizes it
+        if theta < 0.0:
+            theta += TWO_PI
+        cons.append((theta, acos(c)))
     return cons, False
-
-
-def _circular_distance(a: float, b: float) -> float:
-    d = abs(math.fmod(a - b, TWO_PI))
-    return min(d, TWO_PI - d)
 
 
 def _smallest_feasible_angle(angle_floor: float, cons) -> Optional[float]:
     """Smallest beta >= angle_floor whose circular distance from every theta_q
-    is at least sep_q. Candidates are the floor itself and each constraint's
-    upper edge shifted into [floor, floor + 2*pi)."""
+    is at least sep_q - ANGLE_EPS. Candidates are the floor itself and each
+    constraint's upper edge shifted into [floor, floor + 2*pi). The sweep
+    keeps `reach`, the furthest end of the arcs started so far (an arc that
+    starts below the floor also has a copy 2*pi up)."""
+    top = angle_floor + TWO_PI
     cands = [angle_floor]
+    arcs = []
     for theta, sep in cons:
         base = theta + sep
         k = math.ceil((angle_floor - base) / TWO_PI)
@@ -168,16 +150,29 @@ def _smallest_feasible_angle(angle_floor: float, cons) -> Optional[float]:
         if cand < angle_floor:
             cand += TWO_PI
         cands.append(cand)
+        start = cand - 2.0 * sep
+        arcs.append((start, cand))
+        if start < angle_floor:
+            arcs.append((start + TWO_PI, cand + TWO_PI))
     cands.sort()
+    arcs.sort()
+    i, n_arcs, reach = 0, len(arcs), -math.inf
     for beta in cands:
-        if beta >= angle_floor + TWO_PI:
+        if beta >= top:
+            break
+        lo = beta - SWEEP_MARGIN
+        while i < n_arcs and arcs[i][0] < lo:
+            end = arcs[i][1]
+            if end > reach:
+                reach = end
+            i += 1
+        if reach > beta + SWEEP_MARGIN:
             continue
-        ok = True
         for theta, sep in cons:
-            if _circular_distance(beta, theta) < sep - ANGLE_EPS:
-                ok = False
+            d = abs(math.fmod(beta - theta, TWO_PI))
+            if min(d, TWO_PI - d) < sep - ANGLE_EPS:
                 break
-        if ok:
+        else:
             return beta
     return None
 

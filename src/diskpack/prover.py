@@ -164,7 +164,7 @@ class ProofReport:
             f"SUMMARY case={self.config.tag.value} orient={self.config.orientation.value} "
             f"proven={self.boxes_proven} pruned={self.boxes_pruned_infeasible} "
             f"failed={len(self.failures)} max_depth={self.max_depth} "
-            f"bound={self.bound!r} wall={self.wall_time:.3f}s"
+            f"bound={self.bound!r}"
         )
 
 

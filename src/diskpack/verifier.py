@@ -58,21 +58,17 @@ def verify(
             )
 
     if n > 1:
-        dx = x[:, None] - x[None, :]
+        dist = x[:, None] - x[None, :]
         dy = y[:, None] - y[None, :]
-        dist = np.hypot(dx, dy)
+        np.hypot(dist, dy, out=dist)
+        del dy
         need = r[:, None] + r[None, :]
-        bad = dist < need - epsilon
-        iu = np.triu_indices(n, k=1)
-        for i, j in zip(*iu):
-            if bad[i, j]:
-                violations.append(
-                    Violation(
-                        ViolationKind.OVERLAP,
-                        (int(i), int(j)),
-                        float(need[i, j] - dist[i, j]),
-                    )
-                )
+        ii, jj = np.nonzero(dist < need - epsilon)  # row-major: sorted by (i, j)
+        upper = ii < jj
+        ii, jj = ii[upper], jj[upper]
+        mags = need[ii, jj] - dist[ii, jj]
+        for i, j, m in zip(ii.tolist(), jj.tolist(), mags.tolist()):
+            violations.append(Violation(ViolationKind.OVERLAP, (i, j), m))
 
     if instance_radii is not None:
         available = sorted(float(v) for v in instance_radii)

@@ -3,6 +3,7 @@
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
+import hashlib
 import math
 import os
 import random
@@ -129,6 +130,23 @@ def test_criterion_2_guarantee_property():
         assert n_complete == 200, f"only {n_complete}/200 complete"
         assert n_valid == 200, f"only {n_valid}/200 verifier-valid"
         assert elapsed < 60.0, f"suite took {elapsed:.1f} s"
+
+
+# SHA-256 over the 200 criterion-2 packing documents (UTF-8, in seed order),
+# as the quadratic placement kernel produced them at commit 64b5f6c. A faster
+# engine must reproduce them byte for byte.
+C2_PACKINGS_SHA256 = "053d1577b25420e055bf7fb91a5a02e0b3edc29bb75136c23947a18e679f1b24"
+
+
+def test_criterion_2_packings_pinned_across_commits():
+    with criterion("2b", "200 packings byte-identical to the pinned digest"):
+        if "c2" not in _cache:
+            _cache["c2"] = guarantee_suite_run()
+        results, _ = _cache["c2"]
+        h = hashlib.sha256()
+        for _, _, doc in results:
+            h.update(doc.encode("utf-8"))
+        assert h.hexdigest() == C2_PACKINGS_SHA256
 
 
 def test_criterion_3_oracle_constants():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from diskpack import engine
 from diskpack.engine import (
     InstanceError,
     InstanceSpec,
@@ -18,10 +19,9 @@ from diskpack.instances import gen_near_threshold, gen_random_area, ThresholdEdg
 from diskpack.verifier import verify
 
 
-def fresh_state(pending, threshold=0.25):
+def fresh_state(pending):
     return PackingState(
         container=unit_container(),
-        threshold=threshold,
         r_min=1.0,
         pending=list(pending),
     )
@@ -146,6 +146,44 @@ def test_pack_overfull_is_best_effort():
     assert res.unplaced == (0.5005,)
     report = verify(res.placements, [0.5005, 0.5005], epsilon=1e-7)
     assert report.valid  # even incomplete packings must verify
+
+
+@pytest.mark.parametrize(
+    "radii,placed,unplaced",
+    [([1.5, 0.1], 1, (1.5,)), ([0.6, 0.6, 0.1, 0.05], 3, (0.6,))],
+)
+def test_pack_skips_a_disk_that_fits_nowhere(radii, placed, unplaced):
+    # A disk that fits nowhere is given up alone; the smaller ones still go in.
+    res = pack(InstanceSpec.of(radii))
+    assert not res.complete
+    assert len(res.placements) == placed
+    assert res.unplaced == unplaced
+    assert verify(res.placements, radii, epsilon=1e-7).valid
+
+
+def test_ring_placement_sees_only_its_neighbours(monkeypatch):
+    """Placing against the per-ring neighbour list gives the same packing as
+    placing against every disk placed so far."""
+    insts = [
+        gen_random_area(250, math.pi / 2, seed, min_radius_ratio=10.0 ** -(1 + seed % 3))
+        for seed in range(4, 10)
+    ]
+    prev_sizes = []
+    place = engine.place_in_ring
+
+    def counted(*args, prev, **kwargs):
+        prev_sizes.append(len(prev))
+        return place(*args, prev=prev, **kwargs)
+
+    monkeypatch.setattr(engine, "place_in_ring", counted)
+    near = [pack(inst) for inst in insts]
+    near_sizes, prev_sizes = prev_sizes, []
+
+    monkeypatch.setattr(engine, "RING_BAND_SLACK", math.inf)  # every disk is near
+    full = [pack(inst) for inst in insts]
+    assert near == full
+    assert len(near_sizes) == len(prev_sizes)
+    assert sum(near_sizes) < 0.8 * sum(prev_sizes)
 
 
 def test_pack_recursion_then_rest():

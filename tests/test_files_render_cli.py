@@ -289,6 +289,9 @@ def test_cli_prove_small_run_and_exit_codes(tmp_path, capsys, monkeypatch):
     line2 = [l for l in out2.splitlines() if l.startswith("SUMMARY")][0]
     strip = lambda s: s.split(" wall=")[0]
     assert strip(line) == strip(line2)
+    # Only stdout reports the wall time; the certificate stays canonical.
+    assert line != strip(line)
+    assert cert_text.splitlines()[-1] == strip(line)
 
 
 def test_cli_prove_unproven_exit_3(capsys, monkeypatch):

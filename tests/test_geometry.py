@@ -4,23 +4,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diskpack import geometry
+from diskpack.engine import InstanceSpec, pack
 from diskpack.geometry import (
+    TWO_PI,
     GeometryDomainError,
-    InfeasibleTriangleError,
     PlacedDisk,
     Point,
     RingShape,
     RingWidthError,
     Side,
-    angular_separation,
+    _blocking_constraints,
+    _smallest_feasible_angle,
     center_penetration,
     inscribed_disk_after_two,
     place_in_ring,
     place_tangent,
     polar_angle,
-    tangent_half_angle,
     unit_container,
 )
+from diskpack.instances import gen_random_area
+
+from oracle_kernel import smallest_feasible_angle as quadratic_feasible_angle
 
 UNIT = unit_container()
 
@@ -34,30 +39,22 @@ def dist(p, q):
 
 
 # ---------------------------------------------------------------------------
-# tangent_half_angle
+# angular separation: the keep-out half-width from _blocking_constraints
 
 
-def test_tangent_half_angle_full_quarter():
-    assert tangent_half_angle(0.5, 0.5) == pytest.approx(math.pi / 2, abs=1e-15)
-
-
-def test_tangent_half_angle_third():
-    # asin(1/3), the angle behind the rho constant.
-    assert tangent_half_angle(0.75, 0.25) == pytest.approx(0.3398369094541219, abs=1e-12)
-
-
-def test_tangent_half_angle_pi_sixth():
-    assert tangent_half_angle(1.0, 0.5) == pytest.approx(math.pi / 6, abs=1e-15)
-
-
-@pytest.mark.parametrize("d,r", [(0.5, 0.6), (0.0, 0.1), (-1.0, 0.5), (1.0, 0.0)])
-def test_tangent_half_angle_domain(d, r):
-    with pytest.raises(GeometryDomainError):
-        tangent_half_angle(d, r)
-
-
-# ---------------------------------------------------------------------------
-# angular_separation
+def separation(anchor, dq, gap):
+    """Half-width of the arc that a disk at distance dq blocks for a center
+    circling at `anchor`, the two disks' radii summing to gap: 0.0 when the
+    disk is out of reach, None when it overlaps the circle at every angle."""
+    q = disk(gap / 2.0, dq, 0.0)
+    cons, blocked = _blocking_constraints(Point(0.0, 0.0), anchor, gap / 2.0, [q])
+    if blocked:
+        return None
+    if not cons:
+        return 0.0
+    ((theta, sep),) = cons
+    assert theta == 0.0
+    return sep
 
 
 def bisect_separation(d1, d2, gap):
@@ -79,21 +76,23 @@ def bisect_separation(d1, d2, gap):
 
 def test_angular_separation_two_quarters():
     # Two r=1/4 disks tangent to the unit boundary and each other.
-    got = angular_separation(0.75, 0.75, 0.5)
+    got = separation(0.75, 0.75, 0.5)
     assert got == pytest.approx(0.6796738189082441, abs=1e-12)  # 2*asin(1/3)
     assert got == pytest.approx(bisect_separation(0.75, 0.75, 0.5), abs=1e-9)
 
 
 def test_angular_separation_degenerate():
-    assert angular_separation(1.0, 1.0, 0.0) == 0.0
-    assert angular_separation(0.5, 0.5, 1.0) == pytest.approx(math.pi, abs=1e-15)
+    # Tangent from outside (|anchor - dq| == gap): no angle overlaps.
+    assert separation(1.0, 0.5, 0.5) == 0.0
+    # anchor + dq == gap: every angle but the antipode overlaps.
+    assert separation(0.5, 0.5, 1.0) == math.pi
 
 
 def test_angular_separation_infeasible():
-    with pytest.raises(InfeasibleTriangleError):
-        angular_separation(0.5, 0.5, 1.1)
-    with pytest.raises(InfeasibleTriangleError):
-        angular_separation(1.0, 0.2, 0.1)
+    # anchor + dq < gap: the disk overlaps the circle at every angle.
+    assert separation(0.5, 0.5, 1.1) is None
+    # |anchor - dq| > gap: the disk is out of reach.
+    assert separation(1.0, 0.2, 0.1) == 0.0
 
 
 @given(
@@ -105,10 +104,10 @@ def test_angular_separation_infeasible():
 def test_angular_separation_symmetric_and_monotone(d1, d2, f):
     lo, hi = abs(d1 - d2), d1 + d2
     gap = lo + f * (hi - lo)
-    a = angular_separation(d1, d2, gap)
-    assert a == angular_separation(d2, d1, gap)
+    a = separation(d1, d2, gap)
+    assert a == separation(d2, d1, gap)
     gap2 = lo + min(1.0, f + 0.1) * (hi - lo)
-    assert angular_separation(d1, d2, gap2) >= a - 1e-12
+    assert separation(d1, d2, gap2) >= a - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -308,3 +307,99 @@ def test_placement_invariants(radii, floor):
         for q in placed:
             assert dist(p.center, q.center) >= p.radius + q.radius - 1e-9
         placed.append(p)
+
+
+# ---------------------------------------------------------------------------
+# the sorted-sweep kernel against the quadratic oracle
+
+
+def same_angle(a, b):
+    """Bit-identical results: equal floats of equal sign, or both None."""
+    return repr(a) == repr(b)
+
+
+THETAS = st.one_of(
+    st.floats(0.0, TWO_PI),
+    st.sampled_from([0.0, -0.0, math.pi, TWO_PI]),
+    st.floats(0.0, 1e-9),
+    st.floats(TWO_PI - 1e-9, TWO_PI),
+)
+SEPS = st.one_of(
+    st.floats(0.0, math.pi),
+    st.floats(0.0, 1e-9),
+    st.floats(math.pi - 1e-9, math.pi),
+    st.sampled_from([0.0, 1e-12, math.pi / 2, math.pi]),
+)
+FLOORS = st.one_of(
+    st.floats(0.0, TWO_PI),
+    st.floats(0.0, 1e-9),
+    st.floats(TWO_PI - 1e-9, TWO_PI),
+    st.sampled_from([0.0, -0.0, math.pi, TWO_PI]),
+)
+
+
+@st.composite
+def constraint_sets(draw):
+    """Random arcs; duplicated arcs and duplicate thetas; and chains of arcs
+    whose edges touch exactly, which may cover the whole circle."""
+    kind = draw(st.sampled_from(["random", "duplicates", "chain"]))
+    n = draw(st.integers(0, 24))
+    if kind == "random":
+        return [(draw(THETAS), draw(SEPS)) for _ in range(n)]
+    if kind == "duplicates":
+        thetas = draw(st.lists(THETAS, min_size=1, max_size=3))
+        seps = draw(st.lists(SEPS, min_size=1, max_size=3))
+        return [
+            (draw(st.sampled_from(thetas)), draw(st.sampled_from(seps)))
+            for _ in range(n)
+        ]
+    theta = draw(THETAS)
+    sep = draw(st.floats(1e-3, 1.0))
+    cons = [(theta, sep)]
+    for _ in range(n):
+        nxt = draw(st.floats(1e-3, 1.0))
+        theta = math.fmod(theta + sep + nxt, TWO_PI)
+        sep = nxt
+        cons.append((theta, sep))
+    return cons
+
+
+@given(floor=FLOORS, cons=constraint_sets())
+@settings(max_examples=800, derandomize=True)
+def test_kernel_sweep_matches_quadratic_oracle(floor, cons):
+    got = _smallest_feasible_angle(floor, cons)
+    assert same_angle(got, quadratic_feasible_angle(floor, cons))
+    # The answer does not depend on the order of the constraints.
+    assert same_angle(got, _smallest_feasible_angle(floor, cons[::-1]))
+
+
+def test_kernel_tangent_edges_and_blocked_circle():
+    # Edges touching exactly: the upper edge of one arc is the lower edge of
+    # the next, so the first arc's edge is blocked only by the slack.
+    cons = [(1.0, 0.5), (2.0, 0.5)]
+    got = _smallest_feasible_angle(0.5, cons)
+    assert same_angle(got, quadratic_feasible_angle(0.5, cons))
+    # Four overlapping arcs cover the circle: no angle is feasible.
+    full = [(k * math.pi / 2, 0.8) for k in range(4)]
+    assert _smallest_feasible_angle(0.3, full) is None
+    assert quadratic_feasible_angle(0.3, full) is None
+    # A half-width of pi leaves only the antipode.
+    assert _smallest_feasible_angle(0.0, [(1.0, math.pi)]) == 1.0 + math.pi
+
+
+def test_kernel_matches_oracle_on_packing_traffic(monkeypatch):
+    """Every angle choice that real packings make agrees with the oracle."""
+    sweep = geometry._smallest_feasible_angle
+    calls = []
+
+    def checked(floor, cons):
+        got = sweep(floor, cons)
+        assert same_angle(got, quadratic_feasible_angle(floor, cons))
+        calls.append(len(cons))
+        return got
+
+    monkeypatch.setattr(geometry, "_smallest_feasible_angle", checked)
+    for seed in range(4):
+        ratio = 10.0 ** -(1 + seed % 3)
+        pack(gen_random_area(300, math.pi / 2, seed, min_radius_ratio=ratio))
+    assert len(calls) > 1000 and max(calls) > 50

@@ -323,6 +323,7 @@ def test_certificate_log_format():
     )
     lines = buf.getvalue().splitlines()
     assert lines[-1].startswith("SUMMARY ")
+    assert "wall=" not in lines[-1]
     body = lines[:-1]
     assert body
     for line in body:
