@@ -149,10 +149,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_prove(args) -> int:
     tags = list(ConfigTag) if args.case == "all" else [ConfigTag(args.case)]
     budget = ProverBudget(
-        max_depth=args.max_depth,
-        max_boxes=args.max_boxes,
-        cells=args.cells,
-        wall_cap=args.wall_cap,
+        max_depth=args.max_depth, max_boxes=args.max_boxes, cells=args.cells
     )
     configs: List[ConfigType] = []
     for tag in tags:
@@ -282,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--max-boxes", type=int, default=20_000_000)
     pr.add_argument("--cells", type=int, default=256)
     pr.add_argument("--threads", type=int, default=1)
-    pr.add_argument("--wall-cap", type=float, default=None)
     pr.add_argument("--checkpoint", default=None)
     pr.add_argument("--resume", action="store_true")
     pr.add_argument("--certificate", default=None)

@@ -203,6 +203,20 @@ def ring_packing(state: PackingState, ring: RingRecord) -> int:
     return count  # pending exhausted; ring stays OPEN
 
 
+def _open_ring(
+    state: PackingState, center: Point, r_out: float, r_in: float, **extra
+) -> RingRecord:
+    """Record the ring R[r_out, r_in] around center, lower r_min to its inner
+    radius and log its creation (`extra` marks a split)."""
+    ring = RingRecord(RingShape(center, r_out, r_in))
+    state.rings.append(ring)
+    state.r_min = min(state.r_min, r_in)
+    state.log(
+        "ring_created", r_out=r_out, r_in=r_in, cx=center.x, cy=center.y, **extra
+    )
+    return ring
+
+
 def create_ring(state: PackingState, r_i: float) -> Optional[RingRecord]:
     """Open a new ring R[r_min, r_min - 2*r_i] concentric with the container.
 
@@ -211,17 +225,7 @@ def create_ring(state: PackingState, r_i: float) -> Optional[RingRecord]:
     r_in = state.r_min - 2.0 * r_i
     if r_in <= 0.0:
         return None
-    ring = RingRecord(RingShape(state.container.center, state.r_min, r_in))
-    state.rings.append(ring)
-    state.r_min = min(state.r_min, r_in)
-    state.log(
-        "ring_created",
-        r_out=ring.shape.r_out,
-        r_in=ring.shape.r_in,
-        cx=ring.shape.center.x,
-        cy=ring.shape.center.y,
-    )
-    return ring
+    return _open_ring(state, state.container.center, state.r_min, r_in)
 
 
 def _phase1_recursion(state: PackingState) -> None:
@@ -314,17 +318,7 @@ def pack(instance: InstanceSpec) -> PackingResult:
                 if 2.0 * r_i + 2.0 * r_next <= shape.width:
                     mid = shape.r_out - 2.0 * r_i
                     for r_out, r_in in ((shape.r_out, mid), (mid, shape.r_in)):
-                        rec = RingRecord(RingShape(shape.center, r_out, r_in))
-                        state.rings.append(rec)
-                        state.r_min = min(state.r_min, r_in)
-                        state.log(
-                            "ring_created",
-                            r_out=r_out,
-                            r_in=r_in,
-                            cx=shape.center.x,
-                            cy=shape.center.y,
-                            split=True,
-                        )
+                        _open_ring(state, shape.center, r_out, r_in, split=True)
 
             # Phase 5: continue on an open ring, else move to the central disk.
             if any(rg.state is RingState.OPEN for rg in state.rings):

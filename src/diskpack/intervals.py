@@ -87,29 +87,6 @@ class Interval:
     def encloses(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    # Operator sugar; the iv_* functions are the primitive implementations.
-    def __add__(self, other):
-        return iv_add(self, _coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return iv_sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return iv_sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return iv_mul(self, _coerce(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return iv_div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return iv_div(_coerce(other), self)
-
     def __neg__(self):
         return _mk(-self.hi, -self.lo)
 
@@ -125,12 +102,6 @@ def _mk(lo: float, hi: float) -> Interval:
     iv.lo = lo
     iv.hi = hi
     return iv
-
-
-def _coerce(x) -> Interval:
-    if isinstance(x, Interval):
-        return x
-    return iv_point(float(x))
 
 
 def _widen(x: float, ulps: int, direction: float) -> float:

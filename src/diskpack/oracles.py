@@ -8,15 +8,13 @@ from __future__ import annotations
 
 import math
 
-from .geometry import GeometryDomainError, RingShape
+from .geometry import GeometryDomainError
 
 __all__ = [
     "rho",
     "cone_density",
-    "two_disk_area_bound",
     "zipper_one_density",
     "gap_excess",
-    "unit_sector_volume",
 ]
 
 
@@ -36,16 +34,6 @@ def cone_density(r: float) -> float:
     return math.pi * r * r / math.asin(r / (1.0 - r))
 
 
-def two_disk_area_bound(r1: float, r2: float) -> float:
-    """Slack of the two-disk area bound: pi*(r1^2 + r2^2) - (pi/2)*(r1+r2)^2.
-
-    Nonnegative everywhere; zero exactly at r1 == r2.
-    """
-    if r1 <= 0.0 or r2 <= 0.0:
-        raise GeometryDomainError("radii must be positive")
-    return math.pi * (r1 * r1 + r2 * r2) - 0.5 * math.pi * (r1 + r2) ** 2
-
-
 def zipper_one_density() -> float:
     """Density of the sector of a single-disk zipper: pi / (12*asin(1/3))."""
     return math.pi / (12.0 * math.asin(1.0 / 3.0))
@@ -63,24 +51,3 @@ def gap_excess(lambda_: float) -> float:
     return math.asin(lambda_ / (0.5 + lambda_)) * (
         1.75 - (0.5 + 2.0 * lambda_) ** 2
     ) - 0.75 * math.asin(1.0 / 3.0)
-
-
-def unit_sector_volume(ring: RingShape) -> float:
-    """Area of the ring sector between the tangents of a disk spanning the ring.
-
-    The spanning disk has radius width/2 and center distance r_in + width/2;
-    the sector area is 2*asin((w/2)/(r_in + w/2)) * (r_out^2 - r_in^2)/2.
-    Requires width <= r_in (the ring proportion under which rings are created).
-    """
-    w = ring.width
-    if w <= 0.0 or w > ring.r_in:
-        raise GeometryDomainError(
-            f"unit sector needs 0 < width <= r_in, got width={w}, r_in={ring.r_in}"
-        )
-    half = 0.5 * w
-    return (
-        2.0
-        * math.asin(half / (ring.r_in + half))
-        * (ring.r_out * ring.r_out - ring.r_in * ring.r_in)
-        / 2.0
-    )

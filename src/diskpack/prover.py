@@ -53,7 +53,6 @@ __all__ = [
     "make_root_box",
     "certified_configs",
     "prove_case",
-    "prove_all",
     "DENSITY_BOUND",
     "LAMBDA_MAX",
 ]
@@ -141,7 +140,6 @@ class ProverBudget:
     max_depth: int = 60
     max_boxes: int = 20_000_000
     cells: int = 256
-    wall_cap: Optional[float] = None
 
 
 @dataclass
@@ -351,17 +349,6 @@ def eval_density(box: CaseBox) -> Interval:
     return iv_div(pot, area)
 
 
-def _proves_bound(box: CaseBox, b_d: float) -> Optional[bool]:
-    """True when the box provably satisfies density >= b_d; None when the box
-    is infeasible everywhere (tangency impossible)."""
-    terms = _sector_terms(box)
-    if terms is None:
-        return None
-    area, pot = terms
-    margin = iv_sub(pot, iv_mul(iv_point(b_d), area))
-    return margin.lo >= 0.0
-
-
 # ---------------------------------------------------------------------------
 # Branch and bound
 
@@ -418,42 +405,24 @@ def _partition_cells(root: CaseBox, n_cells: int) -> List[CaseBox]:
     return cells
 
 
-@dataclass
-class _CellResult:
-    index: int
-    proven: int
-    pruned: int
-    processed: int
-    max_depth: int
-    failures: List[tuple]
+def _density(pot: Interval, area: Interval) -> Optional[Interval]:
+    try:
+        return iv_div(pot, area)
+    except UndefinedIntervalError:
+        return None
 
 
-def _run_cell(args) -> _CellResult:
-    (
-        index,
-        tag_name,
-        orient_name,
-        bounds,
-        b_d,
-        max_depth,
-        max_boxes,
-        norms,
-        deadline,
-        cert_path,
-    ) = args
-    config = ConfigType(ConfigTag(tag_name), Orientation(orient_name))
-    arity = config.arity
-    lam = Interval(bounds[0], bounds[1])
-    rs = tuple(
-        Interval(bounds[2 + 2 * i], bounds[3 + 2 * i]) for i in range(arity)
-    )
-    root = CaseBox(lam, rs, config, depth=0)
-
+def _run_cell(task) -> dict:
+    """Depth-first branch and bound over one cell; returns the cell's
+    checkpoint record. `task` is (index, cell, b_d, max_depth, max_boxes,
+    norms, cert_path); each box's terms are evaluated once and give both the
+    verdict and the certificate's DENSITY."""
+    index, cell, b_d, max_depth, max_boxes, norms, cert_path = task
+    config = cell.config
+    bound = iv_point(b_d)
     cert = open(cert_path, "w", encoding="utf-8") if cert_path else None
 
     def emit(box: CaseBox, verdict: str, density: Optional[Interval]) -> None:
-        if cert is None:
-            return
         parts = [
             f"CASE {config.tag.value}",
             f"ORIENT {config.orientation.value}",
@@ -469,43 +438,32 @@ def _run_cell(args) -> _CellResult:
 
     proven = pruned = processed = 0
     max_depth_seen = 0
-    failures: List[tuple] = []
-    stack = [root]
+    failures: List[list] = []
+    stack = [cell]
     try:
         while stack:
             box = stack.pop()
             processed += 1
             if box.depth > max_depth_seen:
                 max_depth_seen = box.depth
-            if admissible(box) is Feasibility.INFEASIBLE:
+            terms = None
+            if admissible(box) is not Feasibility.INFEASIBLE:
+                terms = _sector_terms(box)
+            if terms is None:
                 pruned += 1
-                emit(box, "pruned", None)
+                if cert is not None:
+                    emit(box, "pruned", None)
                 continue
-            verdict = _proves_bound(box, b_d)
-            if verdict is None:
-                pruned += 1
-                emit(box, "pruned", None)
-                continue
-            if verdict:
+            area, pot = terms
+            if iv_sub(pot, iv_mul(bound, area)).lo >= 0.0:
                 proven += 1
                 if cert is not None:
-                    try:
-                        emit(box, "proven", eval_density(box))
-                    except UndefinedIntervalError:
-                        emit(box, "proven", None)
+                    emit(box, "proven", _density(pot, area))
                 continue
-            out_of_budget = (
-                box.depth >= max_depth
-                or processed >= max_boxes
-                or (deadline is not None and time.monotonic() > deadline)
-            )
-            if out_of_budget:
-                failures.append(box.as_tuple())
+            if box.depth >= max_depth or processed >= max_boxes:
+                failures.append(list(box.as_tuple()))
                 if cert is not None:
-                    try:
-                        emit(box, "failed", eval_density(box))
-                    except UndefinedIntervalError:
-                        emit(box, "failed", None)
+                    emit(box, "failed", _density(pot, area))
                 continue
             a, b = _split_box(box, norms)
             stack.append(b)
@@ -513,7 +471,14 @@ def _run_cell(args) -> _CellResult:
     finally:
         if cert is not None:
             cert.close()
-    return _CellResult(index, proven, pruned, processed, max_depth_seen, failures)
+    return {
+        "cell": index,
+        "proven": proven,
+        "pruned": pruned,
+        "processed": processed,
+        "max_depth": max_depth_seen,
+        "failures": failures,
+    }
 
 
 def _pool_context():
@@ -533,13 +498,35 @@ def _checkpoint_header(config, b_d, lambda_range, budget) -> dict:
     }
 
 
+def _read_checkpoint(path: str, header: dict) -> dict:
+    """Records of the finished cells in a checkpoint, by cell index.
+
+    A last line without its newline is the tail of a write that was cut off:
+    it is dropped, and the file is cut back to its last complete line so that
+    appended records start on a line of their own. Any other malformed line
+    raises."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    complete = data.rfind(b"\n") + 1
+    done: dict = {}
+    for line in data[:complete].decode("utf-8").splitlines():
+        rec = json.loads(line)
+        if "header" in rec:
+            if rec["header"] != header:
+                raise ValueError("checkpoint header does not match current parameters")
+            continue
+        done[rec["cell"]] = rec
+    if complete < len(data):
+        os.truncate(path, complete)
+    return done
+
+
 def prove_case(
     config: ConfigType,
     lambda_range: Tuple[float, float] = (0.5, LAMBDA_MAX),
     b_d: float = DENSITY_BOUND,
     budget: Optional[ProverBudget] = None,
     workers: int = 1,
-    domain: Optional[CaseBox] = None,
     checkpoint: Optional[str] = None,
     resume: bool = False,
     certificate=None,
@@ -549,33 +536,27 @@ def prove_case(
     The verdict set is deterministic and independent of `workers`. With
     `checkpoint`, completed cells are appended to a JSONL file that `resume`
     reads back to skip finished work. `certificate`, when given a writable
-    text stream, receives one line per processed leaf box plus a summary."""
+    text stream, receives one line per processed leaf box plus a summary; it
+    needs a fresh run, since skipped cells would write no box lines."""
     budget = budget or ProverBudget()
     start = time.monotonic()
-    root = domain if domain is not None else make_root_box(config, lambda_range)
-    if domain is not None and domain.config != config:
-        raise ValueError("domain box config does not match requested config")
+    root = make_root_box(config, lambda_range)
     norms = _normalizers(root)
     cells = _partition_cells(root, budget.cells)
     per_cell_budget = max(1, math.ceil(budget.max_boxes / len(cells)))
-    deadline = None if budget.wall_cap is None else start + budget.wall_cap
 
     header = _checkpoint_header(config, b_d, lambda_range, budget)
     done: dict = {}
     if resume and checkpoint and os.path.exists(checkpoint):
-        with open(checkpoint, "r", encoding="utf-8") as fh:
-            for line in fh:
-                rec = json.loads(line)
-                if "header" in rec:
-                    if rec["header"] != header:
-                        raise ValueError(
-                            "checkpoint header does not match current parameters"
-                        )
-                    continue
-                done[rec["cell"]] = rec
+        done = _read_checkpoint(checkpoint, header)
+    if done and certificate is not None:
+        raise ValueError(
+            f"checkpoint {checkpoint} already holds {len(done)} finished cell(s); "
+            "a certificate needs a fresh run"
+        )
     ck = None
     if checkpoint:
-        mode = "a" if (resume and done) else "w"
+        mode = "a" if done else "w"
         ck = open(checkpoint, mode, encoding="utf-8")
         if mode == "w":
             ck.write(json.dumps({"header": header}) + "\n")
@@ -585,52 +566,40 @@ def prove_case(
     if certificate is not None:
         cert_dir = tempfile.mkdtemp(prefix="diskpack-cert-")
 
-    tasks = []
-    for i, cell in enumerate(cells):
-        if i in done:
-            continue
-        cert_path = (
-            os.path.join(cert_dir, f"cell{i:06d}.log") if cert_dir else None
+    tasks = [
+        (
+            i,
+            cell,
+            b_d,
+            budget.max_depth,
+            per_cell_budget,
+            norms,
+            os.path.join(cert_dir, f"cell{i:06d}.log") if cert_dir else None,
         )
-        tasks.append(
-            (
-                i,
-                config.tag.value,
-                config.orientation.value,
-                cell.as_tuple(),
-                b_d,
-                budget.max_depth,
-                per_cell_budget,
-                norms,
-                deadline,
-                cert_path,
-            )
-        )
+        for i, cell in enumerate(cells)
+        if i not in done
+    ]
 
-    results: List[_CellResult] = []
+    def record(rec: dict) -> None:
+        done[rec["cell"]] = rec
+        if ck:
+            ck.write(json.dumps(rec) + "\n")
+            ck.flush()
+
     if workers <= 1 or len(tasks) <= 1:
         for t in tasks:
-            res = _run_cell(t)
-            results.append(res)
-            if ck:
-                ck.write(json.dumps(_cell_record(res)) + "\n")
-                ck.flush()
+            record(_run_cell(t))
     else:
         ctx = _pool_context()
         with ctx.Pool(processes=workers) as pool:
-            for res in pool.imap_unordered(_run_cell, tasks):
-                results.append(res)
-                if ck:
-                    ck.write(json.dumps(_cell_record(res)) + "\n")
-                    ck.flush()
+            for rec in pool.imap_unordered(_run_cell, tasks):
+                record(rec)
     if ck:
         ck.close()
 
     report = ProofReport(config=config, bound=b_d)
-    merged = {r.index: _cell_record(r) for r in results}
-    merged.update(done)
-    for idx in sorted(merged):
-        rec = merged[idx]
+    for idx in sorted(done):
+        rec = done[idx]
         report.boxes_proven += rec["proven"]
         report.boxes_pruned_infeasible += rec["pruned"]
         report.boxes_processed += rec["processed"]
@@ -639,27 +608,15 @@ def prove_case(
             report.failures.append(_box_from_tuple(config, tup))
     report.wall_time = time.monotonic() - start
 
-    if certificate is not None and cert_dir is not None:
+    if cert_dir is not None:
         for i in range(len(cells)):
             path = os.path.join(cert_dir, f"cell{i:06d}.log")
-            if os.path.exists(path):
-                with open(path, "r", encoding="utf-8") as fh:
-                    certificate.write(fh.read())
-                os.unlink(path)
+            with open(path, "r", encoding="utf-8") as fh:
+                certificate.write(fh.read())
+            os.unlink(path)
         os.rmdir(cert_dir)
         certificate.write(report.summary_line() + "\n")
     return report
-
-
-def _cell_record(res: _CellResult) -> dict:
-    return {
-        "cell": res.index,
-        "proven": res.proven,
-        "pruned": res.pruned,
-        "processed": res.processed,
-        "max_depth": res.max_depth,
-        "failures": [list(t) for t in res.failures],
-    }
 
 
 def _box_from_tuple(config: ConfigType, tup: Sequence[float]) -> CaseBox:
@@ -668,35 +625,3 @@ def _box_from_tuple(config: ConfigType, tup: Sequence[float]) -> CaseBox:
         Interval(tup[2 + 2 * i], tup[3 + 2 * i]) for i in range(config.arity)
     )
     return CaseBox(lam, rs, config)
-
-
-def prove_all(
-    b_d: float = DENSITY_BOUND,
-    lambda_max: float = LAMBDA_MAX,
-    budget: Optional[ProverBudget] = None,
-    workers: int = 1,
-    tags: Optional[Sequence[ConfigTag]] = None,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
-    certificate=None,
-) -> List[ProofReport]:
-    """Run prove_case for every certified (tag, orientation) configuration."""
-    reports = []
-    for tag in tags if tags is not None else list(ConfigTag):
-        for config in certified_configs(tag):
-            ck = None
-            if checkpoint:
-                ck = f"{checkpoint}.{tag.value}.{config.orientation.value}"
-            reports.append(
-                prove_case(
-                    config,
-                    lambda_range=(0.5, lambda_max),
-                    b_d=b_d,
-                    budget=budget,
-                    workers=workers,
-                    checkpoint=ck,
-                    resume=resume,
-                    certificate=certificate,
-                )
-            )
-    return reports

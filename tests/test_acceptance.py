@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
 import hashlib
+import json
 import math
 import os
 import random
@@ -62,16 +63,21 @@ def criterion(num, name):
 _cache = {}
 
 
+def c2_instance(seed):
+    """The criterion-2 instance of a seed: total area exactly pi/2."""
+    rng = random.Random(seed * 7919 + 13)
+    n = rng.randint(1, 500)
+    ratio = 10.0 ** rng.uniform(-3, -0.3) if seed % 5 else 1e-3
+    return gen_random_area(n, math.pi / 2, seed, min_radius_ratio=ratio)
+
+
 def guarantee_suite_run():
     """200 seeded instances with total area exactly pi/2; returns serialized
     packings, validity flags, and the wall time of pack+verify."""
     results = []
     t0 = time.perf_counter()
     for seed in range(200):
-        rng = random.Random(seed * 7919 + 13)
-        n = rng.randint(1, 500)
-        ratio = 10.0 ** rng.uniform(-3, -0.3) if seed % 5 else 1e-3
-        inst = gen_random_area(n, math.pi / 2, seed, min_radius_ratio=ratio)
+        inst = c2_instance(seed)
         res = pack(inst)
         rep = verify(res.placements, inst.radii, epsilon=1e-7)
         doc = packing_from_result(res, InstanceFile(radii=inst.radii))
@@ -147,6 +153,28 @@ def test_criterion_2_packings_pinned_across_commits():
         for _, _, doc in results:
             h.update(doc.encode("utf-8"))
         assert h.hexdigest() == C2_PACKINGS_SHA256
+
+
+# SHA-256 over json.dumps of the phase traces of the 200 criterion-2
+# instances (seed order), as commit e987089 produced them: 2,229 ring_created
+# events, 1,608 of them splits. Both ways of opening a ring must log the same
+# events with the same key order.
+C2_TRACES_SHA256 = "1ddc742e7f490300d2b4c14f29cfbc2b80b1145038c23709233fc6890cf75d79"
+
+
+def test_criterion_2_traces_pinned_across_commits():
+    with criterion("2c", "200 phase traces byte-identical to the pinned digest"):
+        h = hashlib.sha256()
+        created = split = 0
+        for seed in range(200):
+            trace = pack(c2_instance(seed)).phase_trace
+            h.update(json.dumps(trace).encode("utf-8"))
+            for event in trace:
+                if event["event"] == "ring_created":
+                    created += 1
+                    split += bool(event.get("split"))
+        assert (created, split) == (2229, 1608)
+        assert h.hexdigest() == C2_TRACES_SHA256
 
 
 def test_criterion_3_oracle_constants():

@@ -309,3 +309,39 @@ def test_cli_prove_unproven_exit_3(capsys, monkeypatch):
     )
     assert code == 3
     assert "UNPROVEN" in err
+
+
+def test_cli_prove_names_a_checkpoint_per_configuration(tmp_path, capsys):
+    ck = os.fspath(tmp_path / "ck")
+    code, out, _ = run_cli(
+        [
+            "prove",
+            "--case", "T6",
+            "--lambda-max", "0.505",
+            "--cells", "4",
+            "--max-boxes", "400000",
+            "--checkpoint", ck,
+        ],
+        capsys=capsys,
+    )
+    assert code == 0
+    summaries = [l for l in out.splitlines() if l.startswith("SUMMARY")]
+    assert len(summaries) == 2
+    assert all("case=T6" in l and "failed=0" in l for l in summaries)
+    assert os.path.exists(ck + ".T6.outer") and os.path.exists(ck + ".T6.inner")
+    assert not os.path.exists(ck)
+
+
+def test_cli_prove_certificate_needs_a_fresh_run(tmp_path, capsys):
+    ck = os.fspath(tmp_path / "ck.jsonl")
+    cert = os.fspath(tmp_path / "cert.log")
+    args = ["prove", "--case", "T1", "--bound", "0.3", "--lambda-max", "0.6",
+            "--cells", "8", "--checkpoint", ck]
+    code, _, _ = run_cli(args, capsys=capsys)
+    assert code == 0
+    code, out, err = run_cli(
+        args + ["--resume", "--certificate", cert], capsys=capsys
+    )
+    assert code == 1
+    assert "error:" in err and "fresh run" in err
+    assert "SUMMARY" not in out

@@ -2,16 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from diskpack.geometry import GeometryDomainError, Point, RingShape
+from diskpack.geometry import GeometryDomainError
 from diskpack.oracles import (
     cone_density,
     gap_excess,
     rho,
-    two_disk_area_bound,
-    unit_sector_volume,
 )
 
 
@@ -55,21 +51,6 @@ def test_cone_density_extrema_by_dense_sampling():
     assert rs2[int(np.argmin(vals2))] == pytest.approx(0.5, abs=2e-4)
 
 
-def test_two_disk_area_bound_examples():
-    assert two_disk_area_bound(0.5, 0.5) == pytest.approx(0.0, abs=1e-15)
-    assert two_disk_area_bound(0.6, 0.4) == pytest.approx(0.02 * math.pi, abs=1e-12)
-    assert two_disk_area_bound(1.0, 1e-9) == pytest.approx(math.pi / 2, abs=1e-7)
-
-
-@given(st.floats(1e-6, 10.0), st.floats(1e-6, 10.0))
-@settings(max_examples=300, derandomize=True)
-def test_two_disk_area_bound_nonnegative(r1, r2):
-    v = two_disk_area_bound(r1, r2)
-    assert v >= -1e-12
-    # equals (pi/2)(r1-r2)^2
-    assert v == pytest.approx(0.5 * math.pi * (r1 - r2) ** 2, rel=1e-9, abs=1e-12)
-
-
 def test_zipper_one_density_value():
     from diskpack.oracles import zipper_one_density
 
@@ -94,40 +75,6 @@ def test_gap_excess_domain_and_max():
     lams = np.linspace(0.125, 0.25, 12501)  # 1e-5 step
     vals = np.array([gap_excess(float(x)) for x in lams])
     assert vals.max() <= 0.01756 + 1e-5
-
-
-def polygonal_ring_sector_area(r_out, r_in, half_angle, steps=20000):
-    """Shoelace area of the ring sector between polar angles [-h, h],
-    with both arcs sampled finely. Independent of the closed form."""
-    ang = np.linspace(-half_angle, half_angle, steps)
-    outer = np.stack([r_out * np.cos(ang), r_out * np.sin(ang)], axis=1)
-    inner = np.stack([r_in * np.cos(ang[::-1]), r_in * np.sin(ang[::-1])], axis=1)
-    poly = np.vstack([outer, inner])
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def test_unit_sector_volume_halfring():
-    ring = RingShape(Point(0, 0), 1.0, 0.5)
-    v = unit_sector_volume(ring)
-    assert v == pytest.approx(0.75 * math.asin(1 / 3), abs=1e-15)
-    assert v == pytest.approx(0.2548776820905914, abs=1e-12)
-    assert v >= 0.25
-    half = math.asin((0.25) / 0.75)
-    assert v == pytest.approx(
-        polygonal_ring_sector_area(1.0, 0.5, half), abs=1e-6
-    )
-
-
-def test_unit_sector_volume_scaling():
-    base = unit_sector_volume(RingShape(Point(0, 0), 1.0, 0.5))
-    scaled = unit_sector_volume(RingShape(Point(0, 0), 2.0, 1.0))
-    assert scaled == pytest.approx(4 * base, rel=1e-12)
-
-
-def test_unit_sector_volume_domain():
-    with pytest.raises(GeometryDomainError):
-        unit_sector_volume(RingShape(Point(0, 0), 1.0, 0.4))  # width > r_in
 
 
 def test_oracles_are_pure():

@@ -1,11 +1,13 @@
+import hashlib
 import io
+import json
 import os
 import random
 
 import numpy as np
 import pytest
 
-from diskpack.intervals import Interval, UndefinedIntervalError
+from diskpack.intervals import Interval, UndefinedIntervalError, iv_mul, iv_point, iv_sub
 from diskpack.prover import (
     CaseBox,
     ConfigTag,
@@ -17,10 +19,10 @@ from diskpack.prover import (
     certified_configs,
     eval_density,
     make_root_box,
-    prove_all,
     prove_case,
     _split_box,
     _normalizers,
+    _run_cell,
     _sector_terms,
 )
 
@@ -228,13 +230,14 @@ def test_prove_case_canary_never_proves_a_falsehood():
 
 
 def test_prove_case_empty_domain_all_pruned():
-    domain = CaseBox(
+    cell = CaseBox(
         Interval(0.5, 0.5), (Interval(0.3, 0.31), Interval(0.0, 0.1)), T2_OUT
     )
-    rep = prove_case(T2_OUT, domain=domain, budget=ProverBudget(cells=4))
-    assert rep.boxes_proven == 0
-    assert not rep.failures
-    assert rep.boxes_pruned_infeasible > 0
+    rec = _run_cell((0, cell, 0.5642, 60, 1000, _normalizers(cell), None))
+    assert rec["proven"] == 0
+    assert not rec["failures"]
+    assert rec["pruned"] > 0
+    assert rec["processed"] == rec["pruned"]
 
 
 def test_prove_case_worker_count_invariance():
@@ -257,19 +260,27 @@ def test_prove_case_worker_count_invariance():
     assert results[0] == results[1] == results[2]
 
 
+def _proves(box, b_d):
+    """The prover's margin test; None when the box is infeasible everywhere."""
+    terms = _sector_terms(box)
+    if terms is None:
+        return None
+    area, pot = terms
+    return iv_sub(pot, iv_mul(iv_point(b_d), area)).lo >= 0.0
+
+
 def test_prove_monotone_children_of_proven_box():
     rng = random.Random(7)
     root = make_root_box(T2_OUT, (0.5, 0.6))
     norms = _normalizers(root)
-    from diskpack.prover import _proves_bound
 
     checked = 0
     for _ in range(200):
         box = _random_feasible_box(rng, T2_OUT, max_width=2e-3)
-        if _proves_bound(box, 0.5642):
+        if _proves(box, 0.5642):
             a, b = _split_box(box, norms)
-            assert _proves_bound(a, 0.5642) in (True, None)
-            assert _proves_bound(b, 0.5642) in (True, None)
+            assert _proves(a, 0.5642) in (True, None)
+            assert _proves(b, 0.5642) in (True, None)
             checked += 1
     assert checked > 50
 
@@ -313,6 +324,89 @@ def test_checkpoint_header_mismatch(tmp_path):
         )
 
 
+# A bound far below the true one certifies in a few hundred boxes, which is
+# all the checkpoint tests below need.
+WEAK = {"lambda_range": (0.5, 0.6), "b_d": 0.3}
+
+
+def test_checkpoint_resume_after_torn_last_line(tmp_path):
+    ck = os.fspath(tmp_path / "t1.jsonl")
+    budget = ProverBudget(cells=8)
+    full = prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck)
+    with open(ck, encoding="utf-8") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    # A run killed while writing its fourth cell record.
+    with open(ck, "w", encoding="utf-8") as fh:
+        fh.write("".join(lines[:4]) + lines[4][: len(lines[4]) // 2])
+    resumed = prove_case(
+        T1_OUT, **WEAK, budget=budget, checkpoint=ck, resume=True
+    )
+    assert (
+        resumed.boxes_proven,
+        resumed.boxes_pruned_infeasible,
+        resumed.boxes_processed,
+        len(resumed.failures),
+    ) == (
+        full.boxes_proven,
+        full.boxes_pruned_infeasible,
+        full.boxes_processed,
+        len(full.failures),
+    )
+    with open(ck, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    assert len(records) == 1 + budget.cells
+    assert sorted(r["cell"] for r in records[1:]) == list(range(budget.cells))
+
+
+def test_checkpoint_malformed_inner_line_raises(tmp_path):
+    ck = os.fspath(tmp_path / "t1.jsonl")
+    budget = ProverBudget(cells=4)
+    prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck)
+    with open(ck, encoding="utf-8") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    lines[2] = lines[2][:10] + "\n"
+    with open(ck, "w", encoding="utf-8") as fh:
+        fh.write("".join(lines))
+    with pytest.raises(json.JSONDecodeError):
+        prove_case(
+            T1_OUT, **WEAK, budget=budget, checkpoint=ck, resume=True
+        )
+
+
+def test_certificate_refuses_a_resumed_run(tmp_path):
+    ck = os.fspath(tmp_path / "t1.jsonl")
+    budget = ProverBudget(cells=8)
+    prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck)
+    with open(ck, encoding="utf-8") as fh:
+        head = fh.readlines()[:4]
+    with open(ck, "w", encoding="utf-8") as fh:
+        fh.writelines(head)
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="fresh run"):
+        prove_case(
+            T1_OUT,
+            **WEAK,
+            budget=budget,
+            checkpoint=ck,
+            resume=True,
+            certificate=buf,
+        )
+    assert buf.getvalue() == ""
+    # A resume over a checkpoint with no finished cell is a fresh run.
+    with open(ck, "w", encoding="utf-8") as fh:
+        fh.writelines(head[:1])
+    rep = prove_case(
+        T1_OUT,
+        **WEAK,
+        budget=budget,
+        checkpoint=ck,
+        resume=True,
+        certificate=buf,
+    )
+    leaves = rep.boxes_proven + rep.boxes_pruned_infeasible + len(rep.failures)
+    assert buf.getvalue().count("\n") == leaves + 1
+
+
 def test_certificate_log_format():
     buf = io.StringIO()
     rep = prove_case(
@@ -336,6 +430,32 @@ def test_certificate_log_format():
     assert len(body) == leaves
 
 
+# SHA-256 of the certificate that T1/outer on lambda in [0.98, 0.99] with
+# ProverBudget(cells=4, max_boxes=2000) wrote at commit e987089 (1,026 lines:
+# 617 proven, 363 pruned, 45 failed, and the SUMMARY line).
+CERT_T1_098_SHA256 = "7d6224306bbec525f0288465cb9cdbea322c17cd44d8129b83eadcfd48d96704"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_certificate_pinned_across_commits(workers):
+    buf = io.StringIO()
+    rep = prove_case(
+        T1_OUT,
+        lambda_range=(0.98, 0.99),
+        budget=ProverBudget(cells=4, max_boxes=2000),
+        workers=workers,
+        certificate=buf,
+    )
+    text = buf.getvalue()
+    assert (rep.boxes_proven, rep.boxes_pruned_infeasible, len(rep.failures)) == (
+        617,
+        363,
+        45,
+    )
+    assert text.count("\n") == 1026
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CERT_T1_098_SHA256
+
+
 def test_budget_exhaustion_reports_failures():
     rep = prove_case(
         T1_OUT,
@@ -355,14 +475,3 @@ def test_certified_configs_orientations():
     for tag in (ConfigTag.T2, ConfigTag.T3, ConfigTag.T4, ConfigTag.T6,
                 ConfigTag.T7, ConfigTag.T8):
         assert len(certified_configs(tag)) == 2
-
-
-def test_prove_all_single_tag_filter():
-    reports = prove_all(
-        lambda_max=0.505,
-        budget=ProverBudget(cells=4, max_boxes=400_000),
-        tags=[ConfigTag.T6],
-    )
-    assert len(reports) == 2
-    assert all(r.config.tag is ConfigTag.T6 for r in reports)
-    assert all(r.certified for r in reports)
