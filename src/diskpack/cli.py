@@ -146,6 +146,26 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+class _CertificateFile:
+    """The --certificate stream. The file is opened for appending at once, so
+    that a path that cannot be written fails before any work, and emptied at
+    the first write. prove_case writes only after its checkpoint checks, so a
+    refused run leaves an existing certificate as it was."""
+
+    def __init__(self, path: str):
+        self._fh = open(path, "a", encoding="utf-8")
+        self._emptied = False
+
+    def write(self, text: str) -> None:
+        if not self._emptied:
+            self._fh.truncate(0)
+            self._emptied = True
+        self._fh.write(text)
+
+    def close(self) -> None:
+        self._fh.close()
+
+
 def _cmd_prove(args) -> int:
     tags = list(ConfigTag) if args.case == "all" else [ConfigTag(args.case)]
     budget = ProverBudget(
@@ -162,7 +182,7 @@ def _cmd_prove(args) -> int:
         return EXIT_ERROR
     cert_stream = None
     if args.certificate:
-        cert_stream = open(args.certificate, "w", encoding="utf-8")
+        cert_stream = _CertificateFile(args.certificate)
     any_failures = False
     try:
         for cfg in configs:

@@ -20,6 +20,8 @@ from math import asin as _asin
 from math import nextafter as _nextafter
 from math import sqrt as _sqrt
 
+import numpy as np
+
 __all__ = [
     "Interval",
     "UndefinedIntervalError",
@@ -35,6 +37,15 @@ __all__ = [
     "iv_hull",
     "iv_min",
     "iv_max",
+    "av_add",
+    "av_sub",
+    "av_mul",
+    "av_div",
+    "av_asin",
+    "av_acos",
+    "av_min",
+    "av_max",
+    "av_neg",
 ]
 
 _INF = math.inf
@@ -208,4 +219,114 @@ def iv_acos(a: Interval) -> Interval:
     return _mk(
         max(0.0, _widen(_acos(a.hi), _LIBM_ULPS, -_INF)),
         _widen(_acos(a.lo), _LIBM_ULPS, _INF),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Interval arrays
+#
+# The operations above on arrays of intervals, each held as a (lo, hi) pair of
+# float64 arrays; either side of an operand may be a float constant. Lane by
+# lane, every result has the same bits as the scalar operation: the same IEEE
+# operation followed by the same np.nextafter steps, and np.minimum/np.maximum
+# where the scalar code uses min/max. These two may return the other zero on a
+# tie between 0.0 and -0.0, which changes no later result, since np.nextafter
+# takes both zeros to the same neighbour. asin and acos call math.asin and
+# math.acos once per element: numpy's arcsin and arccos take another libm path
+# and differ from them in the last bits on many inputs. A lane outside a real
+# domain raises UndefinedIntervalError for the whole array.
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=x.size)
+
+
+def _awiden(x: np.ndarray, ulps: int, direction: float) -> np.ndarray:
+    for _ in range(ulps):
+        x = np.nextafter(x, direction)
+    return x
+
+
+def av_neg(a):
+    return -a[1], -a[0]
+
+
+def av_min(a, b):
+    return np.minimum(a[0], b[0]), np.minimum(a[1], b[1])
+
+
+def av_max(a, b):
+    return np.maximum(a[0], b[0]), np.maximum(a[1], b[1])
+
+
+def av_add(a, b):
+    return np.nextafter(a[0] + b[0], -_INF), np.nextafter(a[1] + b[1], _INF)
+
+
+def av_sub(a, b):
+    return np.nextafter(a[0] - b[1], -_INF), np.nextafter(a[1] - b[0], _INF)
+
+
+def av_mul(a, b):
+    alo, ahi = a
+    blo, bhi = b
+    p1 = alo * blo
+    p2 = alo * bhi
+    p3 = ahi * blo
+    p4 = ahi * bhi
+    return (
+        np.nextafter(np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)), -_INF),
+        np.nextafter(np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)), _INF),
+    )
+
+
+def av_div(a, b):
+    alo, ahi = a
+    blo, bhi = b
+    if np.any((blo <= 0.0) & (0.0 <= bhi)):
+        raise UndefinedIntervalError("division by an interval containing zero")
+    q1 = alo / blo
+    q2 = alo / bhi
+    q3 = ahi / blo
+    q4 = ahi / bhi
+    return (
+        np.nextafter(np.minimum(np.minimum(q1, q2), np.minimum(q3, q4)), -_INF),
+        np.nextafter(np.maximum(np.maximum(q1, q2), np.maximum(q3, q4)), _INF),
+    )
+
+
+def _check_unit(a, name: str) -> None:
+    if np.any(a[0] < -1.0) or np.any(a[1] > 1.0):
+        raise UndefinedIntervalError(f"{name} of an interval outside [-1, 1]")
+
+
+def av_asin(a):
+    _check_unit(a, "asin")
+    alo, ahi = a
+    lo = _awiden(_libm(_asin, alo), _LIBM_ULPS, -_INF)
+    hi = _awiden(_libm(_asin, ahi), _LIBM_ULPS, _INF)
+    near = np.flatnonzero((ahi > 0.9) | (alo < -0.9))
+    if near.size:
+        # iv_asin's acos complement, on the lanes near +-1 only.
+        half_pi_lo = _nextafter(0.5 * math.pi, -_INF)
+        half_pi_hi = _nextafter(0.5 * math.pi, _INF)
+        lo_c = np.nextafter(
+            half_pi_lo - _awiden(_libm(_acos, alo[near]), _LIBM_ULPS, _INF), -_INF
+        )
+        hi_c = np.nextafter(
+            half_pi_hi - _awiden(_libm(_acos, ahi[near]), _LIBM_ULPS, -_INF), _INF
+        )
+        new_lo = np.maximum(lo[near], lo_c)
+        new_hi = np.minimum(hi[near], hi_c)
+        take = (lo_c <= hi_c) & (new_lo <= new_hi)
+        lo[near[take]] = new_lo[take]
+        hi[near[take]] = new_hi[take]
+    return lo, hi
+
+
+def av_acos(a):
+    _check_unit(a, "acos")
+    return (
+        np.maximum(0.0, _awiden(_libm(_acos, a[1]), _LIBM_ULPS, -_INF)),
+        _awiden(_libm(_acos, a[0]), _LIBM_ULPS, _INF),
     )

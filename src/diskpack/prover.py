@@ -10,7 +10,9 @@ the prover can therefore never certify a false bound, only fail to certify.
 
 Parallel runs pre-split the domain into a fixed number of cells independent of
 the worker count; each cell is processed by a deterministic depth-first search,
-so verdict counts are identical for any number of workers.
+so verdict counts are identical for any number of workers. A cell's boxes are
+evaluated in numpy batches, one level of its search tree at a time, and a walk
+over the stored levels replays the depth-first order.
 """
 
 from __future__ import annotations
@@ -23,21 +25,24 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .intervals import (
     Interval,
     UndefinedIntervalError,
-    iv_add,
-    iv_acos,
-    iv_asin,
+    av_acos,
+    av_add,
+    av_asin,
+    av_div,
+    av_max,
+    av_min,
+    av_mul,
+    av_neg,
+    av_sub,
     iv_div,
-    iv_max,
-    iv_min,
-    iv_mul,
     iv_pi,
-    iv_point,
-    iv_sub,
 )
 
 __all__ = [
@@ -59,13 +64,10 @@ __all__ = [
 
 DENSITY_BOUND = 0.5642
 LAMBDA_MAX = 0.99
-
-_ZERO = Interval(0.0, 0.0)
-_ONE = Interval(1.0, 1.0)
-_HALF = Interval(0.5, 0.5)
-_TWO = Interval(2.0, 2.0)
-_PI = iv_pi()
-
+# Version of the box evaluation, written into checkpoint headers so that a
+# resume never mixes verdicts of two evaluators. Change it with any change
+# to the evaluation that could move a verdict.
+EVALUATOR_VERSION = "levels-1"
 
 class ConfigTag(Enum):
     T1 = "T1"
@@ -167,6 +169,28 @@ class ProofReport:
 
 
 # ---------------------------------------------------------------------------
+# Box rows
+#
+# The prover evaluates boxes in batches: row i of the (n, 1 + arity) arrays
+# `lo` and `hi` holds the bounds of box i, lambda in column 0 and r1, r2 (, r3)
+# after it. The one-box functions below (admissible, _sector_terms,
+# _split_box) are views of the batch functions on a single row.
+
+
+def _box_rows(boxes: Sequence[CaseBox]) -> Tuple[np.ndarray, np.ndarray]:
+    lo = np.array([[b.lambda_.lo] + [iv.lo for iv in b.r] for b in boxes])
+    hi = np.array([[b.lambda_.hi] + [iv.hi for iv in b.r] for b in boxes])
+    return lo, hi
+
+
+def _row_boxes(config: ConfigType, lo, hi, depth: int) -> List[CaseBox]:
+    return [
+        CaseBox(Interval(a[0], b[0]), tuple(map(Interval, a[1:], b[1:])), config, depth)
+        for a, b in zip(lo.tolist(), hi.tolist())
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Admissibility
 #
 # Constraint system (all must hold for a point to be admissible):
@@ -177,164 +201,191 @@ class ProofReport:
 # Every constraint is affine, so box extrema sit at corners.
 
 
-def _constraint_corners(box: CaseBox):
-    lam, r = box.lambda_, box.r
+def _constraint_corners(lo: np.ndarray, hi: np.ndarray):
+    """(g_min, g_max) arrays over the rows for each constraint g <= 0."""
+    lam_lo, lam_hi = lo[:, 0], hi[:, 0]
+    r_lo = [lo[:, k] for k in range(1, lo.shape[1])]
+    r_hi = [hi[:, k] for k in range(1, hi.shape[1])]
     cons = []
     # g = 2*r1 + lambda - 1 <= 0
-    cons.append((2.0 * r[0].lo + lam.lo - 1.0, 2.0 * r[0].hi + lam.hi - 1.0))
+    cons.append((2.0 * r_lo[0] + lam_lo - 1.0, 2.0 * r_hi[0] + lam_hi - 1.0))
     # g = (1 - lambda)/2 - r1 - r2 <= 0
     cons.append(
         (
-            (1.0 - lam.hi) / 2.0 - r[0].hi - r[1].hi,
-            (1.0 - lam.lo) / 2.0 - r[0].lo - r[1].lo,
+            (1.0 - lam_hi) / 2.0 - r_hi[0] - r_hi[1],
+            (1.0 - lam_lo) / 2.0 - r_lo[0] - r_lo[1],
         )
     )
     # g = r2 - r1 <= 0
-    cons.append((r[1].lo - r[0].hi, r[1].hi - r[0].lo))
-    if len(r) == 3:
+    cons.append((r_lo[1] - r_hi[0], r_hi[1] - r_lo[0]))
+    if len(r_lo) == 3:
         cons.append(
             (
-                (1.0 - lam.hi) / 2.0 - r[1].hi - r[2].hi,
-                (1.0 - lam.lo) / 2.0 - r[1].lo - r[2].lo,
+                (1.0 - lam_hi) / 2.0 - r_hi[1] - r_hi[2],
+                (1.0 - lam_lo) / 2.0 - r_lo[1] - r_lo[2],
             )
         )
-        cons.append((r[2].lo - r[1].hi, r[2].hi - r[1].lo))
+        cons.append((r_lo[2] - r_hi[1], r_hi[2] - r_lo[1]))
     return cons
+
+
+def _infeasible(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Rows on which some constraint fails at every point of the box."""
+    out = np.zeros(len(lo), dtype=bool)
+    for g_min, _ in _constraint_corners(lo, hi):
+        out |= g_min > 0.0
+    return out
 
 
 def admissible(box: CaseBox) -> Feasibility:
     """Interval verdict for the admissibility constraint system on a box."""
-    all_satisfied = True
-    for g_min, g_max in _constraint_corners(box):
-        if g_min > 0.0:
-            return Feasibility.INFEASIBLE
-        if g_max > 0.0:
-            all_satisfied = False
-    return Feasibility.FEASIBLE if all_satisfied else Feasibility.UNDECIDED
+    cons = _constraint_corners(*_box_rows([box]))
+    if any(g_min[0] > 0.0 for g_min, _ in cons):
+        return Feasibility.INFEASIBLE
+    if any(g_max[0] > 0.0 for _, g_max in cons):
+        return Feasibility.UNDECIDED
+    return Feasibility.FEASIBLE
 
 
 # ---------------------------------------------------------------------------
-# Configuration geometry (interval arithmetic)
+# Configuration geometry (interval arithmetic on rows)
+
+_ZERO = (0.0, 0.0)
+_ONE = (1.0, 1.0)
+_HALF = (0.5, 0.5)
+_TWO = (2.0, 2.0)
+_PI = (iv_pi().lo, iv_pi().hi)
 
 
-def _cos_tangency(d1: Interval, d2: Interval, gap: Interval) -> Optional[Interval]:
-    """Enclosure of the law-of-cosines cosine for the tangency angle,
-    intersected with [-1, 1]. Points with cosine outside [-1, 1] violate the
-    admissibility constraints, so they lie outside the quantified domain; an
-    empty intersection means the whole box is infeasible (returns None)."""
-    num = iv_sub(iv_add(iv_mul(d1, d1), iv_mul(d2, d2)), iv_mul(gap, gap))
-    den = iv_mul(_TWO, iv_mul(d1, d2))
-    c = iv_div(num, den)
-    lo = max(c.lo, -1.0)
-    hi = min(c.hi, 1.0)
-    if lo > hi:
-        return None
-    return Interval(lo, hi)
+def _cos_tangency(d1, d2, gap):
+    """Enclosures of the law-of-cosines cosine for the tangency angle,
+    intersected with [-1, 1], and the rows where that intersection is not
+    empty. Points with cosine outside [-1, 1] violate the admissibility
+    constraints, so they lie outside the quantified domain; an empty
+    intersection means the whole box is infeasible. Such rows get the cosine
+    [0, 0], so that the rest of the batch evaluates without error."""
+    num = av_sub(av_add(av_mul(d1, d1), av_mul(d2, d2)), av_mul(gap, gap))
+    den = av_mul(_TWO, av_mul(d1, d2))
+    c_lo, c_hi = av_div(num, den)
+    lo = np.maximum(c_lo, -1.0)
+    hi = np.minimum(c_hi, 1.0)
+    ok = lo <= hi
+    return (np.where(ok, lo, 0.0), np.where(ok, hi, 0.0)), ok
+
+
+def _sector_terms_rows(config: ConfigType, lo: np.ndarray, hi: np.ndarray):
+    """(ok, area, potential) for each row: `ok` is False on the rows where the
+    tangency system is infeasible over the entire box, and area and potential
+    are (lo, hi) array enclosures, meaningful where `ok` holds."""
+    outer_first = config.orientation is Orientation.OUTER_FIRST
+    lam = (lo[:, 0], hi[:, 0])
+    r1 = (lo[:, 1], hi[:, 1])
+
+    k_ring = av_mul(av_sub(_ONE, av_mul(lam, lam)), _HALF)
+    d_j = av_sub(_ONE, r1) if outer_first else av_add(lam, r1)
+    h_j = av_asin(av_div(r1, d_j))
+    tag = config.tag
+
+    if config.arity == 2:
+        rm = (lo[:, 2], hi[:, 2])
+        d_m = av_add(lam, rm) if outer_first else av_sub(_ONE, rm)
+        cos_m, ok = _cos_tangency(d_j, d_m, av_add(r1, rm))
+        th_m = av_acos(cos_m)
+        h_m = av_asin(av_div(rm, d_m))
+        k_m = av_mul(_TWO, av_mul(d_m, rm))
+        if tag is ConfigTag.T1:
+            span = av_max(av_add(th_m, h_j), h_m)
+            area = av_mul(span, k_ring)
+            pot = av_mul(_PI, av_add(av_mul(r1, r1), av_mul(av_mul(rm, rm), _HALF)))
+        elif tag is ConfigTag.T2:
+            area = av_mul(th_m, k_ring)
+            pot = av_mul(_PI, av_mul(av_add(av_mul(r1, r1), av_mul(rm, rm)), _HALF))
+        elif tag is ConfigTag.T3:
+            # Exposed part of the R_m band: max(th+h_m, 2h_m) - min(h_j, th+h_m),
+            # expanded so each angle enters each min/max argument once.
+            s = av_sub(h_m, h_j)
+            exposed = av_max(
+                av_max(av_add(th_m, s), _ZERO),
+                av_max(av_add(h_m, s), av_sub(h_m, th_m)),
+            )
+            area = av_add(av_mul(h_j, k_ring), av_mul(exposed, k_m))
+            pot = av_mul(_PI, av_add(av_mul(av_mul(r1, r1), _HALF), av_mul(rm, rm)))
+        else:  # T4
+            # Exposed part of the R_m band:
+            # 2h_m - max(0, min(h_j, th+h_m) - max(-h_j, th-h_m))
+            #   = min(2h_m, max(0, 2(h_m-h_j), (h_m-h_j)+th))
+            s = av_sub(h_m, h_j)
+            exposed = av_min(
+                av_mul(_TWO, h_m),
+                av_max(av_max(_ZERO, av_mul(_TWO, s)), av_add(s, th_m)),
+            )
+            area = av_add(
+                av_mul(av_mul(_TWO, h_j), k_ring), av_mul(exposed, k_m)
+            )
+            pot = av_mul(_PI, av_add(av_mul(r1, r1), av_mul(rm, rm)))
+        return ok, area, pot
+
+    rp = (lo[:, 2], hi[:, 2])
+    rm = (lo[:, 3], hi[:, 3])
+    d_p = av_add(lam, rp) if outer_first else av_sub(_ONE, rp)
+    d_m = av_sub(_ONE, rm) if outer_first else av_add(lam, rm)
+    cos_p, ok_p = _cos_tangency(d_j, d_p, av_add(r1, rp))
+    cos_m, ok_m = _cos_tangency(d_j, d_m, av_add(r1, rm))
+    ok = ok_p & ok_m
+    th_p = av_acos(cos_p)
+    th_m = av_acos(cos_m)
+    h_p = av_asin(av_div(rp, d_p))
+    h_m = av_asin(av_div(rm, d_m))
+    k_m = av_mul(_TWO, av_mul(d_m, rm))
+    sq1, sq2, sq3 = av_mul(r1, r1), av_mul(rp, rp), av_mul(rm, rm)
+
+    if tag is ConfigTag.T5:
+        span = av_max(av_add(th_m, h_j), av_add(av_sub(th_m, th_p), h_p))
+        area = av_mul(span, k_ring)
+        pot = av_mul(_PI, av_add(av_add(sq1, sq2), av_mul(sq3, _HALF)))
+    elif tag is ConfigTag.T6:
+        area = av_mul(th_m, k_ring)
+        pot = av_mul(_PI, av_add(sq2, av_mul(av_add(sq1, sq3), _HALF)))
+    elif tag is ConfigTag.T7:
+        end_p = av_add(th_p, h_p)
+        end_m = av_add(th_m, h_m)
+        area = av_add(
+            av_mul(end_p, k_ring),
+            av_mul(av_max(_ZERO, av_sub(end_m, end_p)), k_m),
+        )
+        pot = av_mul(_PI, av_add(av_add(av_mul(sq1, _HALF), sq2), sq3))
+    else:  # T8
+        end1 = av_max(h_j, av_add(th_p, h_p))
+        start1 = av_neg(av_max(h_j, av_sub(h_p, th_p)))
+        span1 = av_sub(end1, start1)
+        # Exposed part of the R_m band:
+        # 2h_m - max(0, min(end1, th+h_m) - max(start1, th-h_m))
+        #   = min(2h_m, max(0, 2h_m - span1, (th+h_m) - end1, start1 - (th-h_m)))
+        exposed = av_min(
+            av_mul(_TWO, h_m),
+            av_max(
+                av_max(_ZERO, av_sub(av_mul(_TWO, h_m), span1)),
+                av_max(
+                    av_sub(av_add(th_m, h_m), end1),
+                    av_sub(start1, av_sub(th_m, h_m)),
+                ),
+            ),
+        )
+        area = av_add(av_mul(span1, k_ring), av_mul(exposed, k_m))
+        pot = av_mul(_PI, av_add(av_add(sq1, sq2), sq3))
+    return ok, area, pot
 
 
 def _sector_terms(box: CaseBox) -> Optional[Tuple[Interval, Interval]]:
     """(area, potential) enclosures for the box's configuration, or None when
     the tangency system is infeasible over the entire box."""
-    cfg = box.config
-    lam = box.lambda_
-    outer_first = cfg.orientation is Orientation.OUTER_FIRST
-    r1 = box.r[0]
-
-    k_ring = iv_mul(iv_sub(_ONE, iv_mul(lam, lam)), _HALF)
-    d_j = iv_sub(_ONE, r1) if outer_first else iv_add(lam, r1)
-    h_j = iv_asin(iv_div(r1, d_j))
-    tag = cfg.tag
-
-    if cfg.arity == 2:
-        rm = box.r[1]
-        d_m = iv_add(lam, rm) if outer_first else iv_sub(_ONE, rm)
-        cos_m = _cos_tangency(d_j, d_m, iv_add(r1, rm))
-        if cos_m is None:
-            return None
-        th_m = iv_acos(cos_m)
-        h_m = iv_asin(iv_div(rm, d_m))
-        k_m = iv_mul(_TWO, iv_mul(d_m, rm))
-        if tag is ConfigTag.T1:
-            span = iv_max(iv_add(th_m, h_j), h_m)
-            area = iv_mul(span, k_ring)
-            pot = iv_mul(_PI, iv_add(iv_mul(r1, r1), iv_mul(iv_mul(rm, rm), _HALF)))
-        elif tag is ConfigTag.T2:
-            area = iv_mul(th_m, k_ring)
-            pot = iv_mul(_PI, iv_mul(iv_add(iv_mul(r1, r1), iv_mul(rm, rm)), _HALF))
-        elif tag is ConfigTag.T3:
-            # Exposed part of the R_m band: max(th+h_m, 2h_m) - min(h_j, th+h_m),
-            # expanded so each angle enters each min/max argument once.
-            s = iv_sub(h_m, h_j)
-            exposed = iv_max(
-                iv_max(iv_add(th_m, s), _ZERO),
-                iv_max(iv_add(h_m, s), iv_sub(h_m, th_m)),
-            )
-            area = iv_add(iv_mul(h_j, k_ring), iv_mul(exposed, k_m))
-            pot = iv_mul(_PI, iv_add(iv_mul(iv_mul(r1, r1), _HALF), iv_mul(rm, rm)))
-        else:  # T4
-            # Exposed part of the R_m band:
-            # 2h_m - max(0, min(h_j, th+h_m) - max(-h_j, th-h_m))
-            #   = min(2h_m, max(0, 2(h_m-h_j), (h_m-h_j)+th))
-            s = iv_sub(h_m, h_j)
-            exposed = iv_min(
-                iv_mul(_TWO, h_m),
-                iv_max(iv_max(_ZERO, iv_mul(_TWO, s)), iv_add(s, th_m)),
-            )
-            area = iv_add(
-                iv_mul(iv_mul(_TWO, h_j), k_ring), iv_mul(exposed, k_m)
-            )
-            pot = iv_mul(_PI, iv_add(iv_mul(r1, r1), iv_mul(rm, rm)))
-        return area, pot
-
-    rp, rm = box.r[1], box.r[2]
-    d_p = iv_add(lam, rp) if outer_first else iv_sub(_ONE, rp)
-    d_m = iv_sub(_ONE, rm) if outer_first else iv_add(lam, rm)
-    cos_p = _cos_tangency(d_j, d_p, iv_add(r1, rp))
-    cos_m = _cos_tangency(d_j, d_m, iv_add(r1, rm))
-    if cos_p is None or cos_m is None:
+    ok, area, pot = _sector_terms_rows(box.config, *_box_rows([box]))
+    if not ok[0]:
         return None
-    th_p = iv_acos(cos_p)
-    th_m = iv_acos(cos_m)
-    h_p = iv_asin(iv_div(rp, d_p))
-    h_m = iv_asin(iv_div(rm, d_m))
-    k_m = iv_mul(_TWO, iv_mul(d_m, rm))
-    sq1, sq2, sq3 = iv_mul(r1, r1), iv_mul(rp, rp), iv_mul(rm, rm)
-
-    if tag is ConfigTag.T5:
-        span = iv_max(iv_add(th_m, h_j), iv_add(iv_sub(th_m, th_p), h_p))
-        area = iv_mul(span, k_ring)
-        pot = iv_mul(_PI, iv_add(iv_add(sq1, sq2), iv_mul(sq3, _HALF)))
-    elif tag is ConfigTag.T6:
-        area = iv_mul(th_m, k_ring)
-        pot = iv_mul(_PI, iv_add(sq2, iv_mul(iv_add(sq1, sq3), _HALF)))
-    elif tag is ConfigTag.T7:
-        end_p = iv_add(th_p, h_p)
-        end_m = iv_add(th_m, h_m)
-        area = iv_add(
-            iv_mul(end_p, k_ring),
-            iv_mul(iv_max(_ZERO, iv_sub(end_m, end_p)), k_m),
-        )
-        pot = iv_mul(_PI, iv_add(iv_add(iv_mul(sq1, _HALF), sq2), sq3))
-    else:  # T8
-        end1 = iv_max(h_j, iv_add(th_p, h_p))
-        start1 = -iv_max(h_j, iv_sub(h_p, th_p))
-        span1 = iv_sub(end1, start1)
-        # Exposed part of the R_m band:
-        # 2h_m - max(0, min(end1, th+h_m) - max(start1, th-h_m))
-        #   = min(2h_m, max(0, 2h_m - span1, (th+h_m) - end1, start1 - (th-h_m)))
-        exposed = iv_min(
-            iv_mul(_TWO, h_m),
-            iv_max(
-                iv_max(_ZERO, iv_sub(iv_mul(_TWO, h_m), span1)),
-                iv_max(
-                    iv_sub(iv_add(th_m, h_m), end1),
-                    iv_sub(start1, iv_sub(th_m, h_m)),
-                ),
-            ),
-        )
-        area = iv_add(iv_mul(span1, k_ring), iv_mul(exposed, k_m))
-        pot = iv_mul(_PI, iv_add(iv_add(sq1, sq2), sq3))
-    return area, pot
+    return (
+        Interval(float(area[0][0]), float(area[1][0])),
+        Interval(float(pot[0][0]), float(pot[1][0])),
+    )
 
 
 def eval_density(box: CaseBox) -> Interval:
@@ -371,103 +422,188 @@ def _normalizers(root: CaseBox) -> Tuple[float, ...]:
     return tuple(w if w > 0.0 else 1.0 for w in widths)
 
 
+def _split_rows(lo: np.ndarray, hi: np.ndarray, norms: Sequence[float]):
+    """Bisect every row along its widest normalized dimension (the first one
+    on a tie) at its midpoint. Returns the rows of the halves, each lower half
+    followed by its upper half (lower 0, upper 0, lower 1, upper 1, ...), and
+    for each input row the dimension split and the midpoint."""
+    rows = np.arange(len(lo))
+    k = np.argmax((hi - lo) / np.asarray(norms), axis=1)
+    t_lo = lo[rows, k]
+    t_hi = hi[rows, k]
+    # Interval.mid, whose fallback for an overflowing sum cannot trigger on
+    # coordinates in [0, 1].
+    mid = np.minimum(np.maximum(0.5 * (t_lo + t_hi), t_lo), t_hi)
+    out_lo = np.repeat(lo, 2, axis=0)
+    out_hi = np.repeat(hi, 2, axis=0)
+    out_hi[2 * rows, k] = mid
+    out_lo[2 * rows + 1, k] = mid
+    return out_lo, out_hi, k, mid
+
+
 def _split_box(box: CaseBox, norms: Sequence[float]) -> Tuple[CaseBox, CaseBox]:
-    dims = [box.lambda_] + list(box.r)
-    rel = [iv.width / norms[i] for i, iv in enumerate(dims)]
-    k = max(range(len(rel)), key=lambda i: rel[i])
-    target = dims[k]
-    mid = target.mid
-    lo_part = Interval(target.lo, mid)
-    hi_part = Interval(mid, target.hi)
-
-    def rebuild(part: Interval) -> CaseBox:
-        if k == 0:
-            return CaseBox(part, box.r, box.config, box.depth + 1)
-        rs = list(box.r)
-        rs[k - 1] = part
-        return CaseBox(box.lambda_, tuple(rs), box.config, box.depth + 1)
-
-    return rebuild(lo_part), rebuild(hi_part)
+    lo, hi, _, _ = _split_rows(*_box_rows([box]), norms)
+    a, b = _row_boxes(box.config, lo, hi, box.depth + 1)
+    return a, b
 
 
 def _partition_cells(root: CaseBox, n_cells: int) -> List[CaseBox]:
     """Deterministic pre-split of the root into >= n_cells cells (each split
     round bisects every cell along its widest normalized dimension)."""
     norms = _normalizers(root)
-    cells = [root]
-    while len(cells) < n_cells:
-        nxt: List[CaseBox] = []
-        for cell in cells:
-            a, b = _split_box(cell, norms)
-            nxt.append(CaseBox(a.lambda_, a.r, a.config, 0))
-            nxt.append(CaseBox(b.lambda_, b.r, b.config, 0))
-        cells = nxt
-    return cells
+    lo, hi = _box_rows([root])
+    while len(lo) < n_cells:
+        lo, hi, _, _ = _split_rows(lo, hi, norms)
+    return _row_boxes(root.config, lo, hi, 0)
 
 
-def _density(pot: Interval, area: Interval) -> Optional[Interval]:
-    try:
-        return iv_div(pot, area)
-    except UndefinedIntervalError:
-        return None
+_PRUNED, _PROVEN, _UNDECIDED = 0, 1, 2
+
+
+# Rows per kernel call: a wide level is evaluated in slices of this many rows,
+# which bounds the memory its temporaries take.
+_BATCH_ROWS = 2048
+
+
+def _verdicts(config, lo, hi, b_d, with_density):
+    """Status of each row (_PRUNED, _PROVEN or _UNDECIDED) and, when asked,
+    the rows' density enclosures as (lo, hi) arrays, NaN on the rows that are
+    pruned or whose area enclosure contains zero."""
+    status = np.full(len(lo), _PRUNED, dtype=np.int8)
+    density = (np.full(len(lo), np.nan), np.full(len(lo), np.nan)) if with_density else None
+    for start in range(0, len(lo), _BATCH_ROWS):
+        part = slice(start, start + _BATCH_ROWS)
+        rows = start + np.flatnonzero(~_infeasible(lo[part], hi[part]))
+        if not rows.size:
+            continue
+        ok, area, pot = _sector_terms_rows(config, lo[rows], hi[rows])
+        margin_lo, _ = av_sub(pot, av_mul((b_d, b_d), area))
+        status[rows] = np.where(ok, np.where(margin_lo >= 0.0, _PROVEN, _UNDECIDED), _PRUNED)
+        if with_density:
+            sel = ok & ~((area[0] <= 0.0) & (0.0 <= area[1]))
+            density[0][rows[sel]], density[1][rows[sel]] = av_div(
+                (pot[0][sel], pot[1][sel]), (area[0][sel], area[1][sel])
+            )
+    return status, density
+
+
+class _Level(NamedTuple):
+    """One level of a cell's search tree, per box. The walk reads the fields
+    one element at a time, so they are memoryviews of numpy arrays: compact,
+    and indexing them gives Python ints and floats."""
+
+    status: memoryview  # _PRUNED, _PROVEN or _UNDECIDED
+    first_child: memoryview  # index of the lower half in the next level, or -1
+    split_dim: memoryview  # for a split box, the dimension halved ...
+    split_mid: memoryview  # ... and the midpoint
+    density: Optional[Tuple[np.ndarray, np.ndarray]]
+
+
+def _expand_levels(cell, b_d, max_depth, max_boxes, norms, with_density) -> List[_Level]:
+    """The cell's search tree, evaluated one level at a time.
+
+    Level d lists, in depth-first order, the boxes of depth d whose parent was
+    split, and is evaluated in numpy batches (_verdicts). A box is split only when it is undecided,
+    its depth is below max_depth, and a lower bound on its 0-based position in
+    the depth-first walk is below max_boxes - 1 (the walk splits a box only
+    when its 1-based count is below max_boxes). The bound counts boxes that
+    the walk visits before this one: its ancestors, the boxes left of each
+    ancestor (and of itself) at their levels, and two children for each
+    undecided box left of it at its own level, which the walk splits whenever
+    it splits this box. So every box the walk splits is split here; the boxes
+    split here beyond the budget are evaluated and never visited.
+
+    Only the current level's bounds are held; a level keeps each box's
+    verdict and split, from which the walk rebuilds the bounds."""
+    config = cell.config
+    lo, hi = _box_rows([cell])
+    index_sum = np.zeros(1, dtype=np.int64)  # in-level indices, self and ancestors
+    levels = []
+    depth = 0
+    while True:
+        status, density = _verdicts(config, lo, hi, b_d, with_density)
+        undecided = status == _UNDECIDED
+        split = np.zeros_like(undecided)
+        if depth < max_depth:
+            left = np.cumsum(undecided) - undecided
+            split = undecided & (depth + index_sum + 2 * left < max_boxes - 1)
+        first_child = np.where(split, 2 * np.cumsum(split) - 2, -1)
+        split_dim = np.zeros(len(lo), dtype=np.int8)
+        split_mid = np.zeros(len(lo))
+        lo, hi, split_dim[split], split_mid[split] = _split_rows(lo[split], hi[split], norms)
+        levels.append(_Level(*map(memoryview, (status, first_child, split_dim, split_mid)), density))
+        if not len(lo):
+            return levels
+        index_sum = np.repeat(index_sum[split], 2) + np.arange(len(lo))
+        depth += 1
 
 
 def _run_cell(task) -> dict:
-    """Depth-first branch and bound over one cell; returns the cell's
-    checkpoint record. `task` is (index, cell, b_d, max_depth, max_boxes,
-    norms, cert_path); each box's terms are evaluated once and give both the
-    verdict and the certificate's DENSITY."""
+    """Branch and bound over one cell; returns the cell's checkpoint record.
+    `task` is (index, cell, b_d, max_depth, max_boxes, norms, cert_path).
+
+    The boxes are evaluated level by level (_expand_levels); then a
+    depth-first walk over the stored levels, lower half first, counts the
+    boxes, applies the max_boxes cut-off and writes the certificate, so the
+    record and the certificate lines are those of a depth-first search that
+    evaluates one box at a time."""
     index, cell, b_d, max_depth, max_boxes, norms, cert_path = task
     config = cell.config
-    bound = iv_point(b_d)
-    cert = open(cert_path, "w", encoding="utf-8") if cert_path else None
+    levels = _expand_levels(
+        cell, b_d, max_depth, max_boxes, norms, with_density=cert_path is not None
+    )
+    names = ["λ"] + [f"r{k}" for k in range(1, config.arity + 1)]
+    box_format = (
+        f"CASE {config.tag.value} ORIENT {config.orientation.value} BOX "
+        + " ".join(f"{name}=[%r,%r]" for name in names)
+        + " VERDICT %s"
+    )
 
-    def emit(box: CaseBox, verdict: str, density: Optional[Interval]) -> None:
-        parts = [
-            f"CASE {config.tag.value}",
-            f"ORIENT {config.orientation.value}",
-            "BOX",
-            f"λ=[{box.lambda_.lo!r},{box.lambda_.hi!r}]",
-        ]
-        for i, iv in enumerate(box.r, start=1):
-            parts.append(f"r{i}=[{iv.lo!r},{iv.hi!r}]")
-        parts.append(f"VERDICT {verdict}")
-        if density is not None:
-            parts.append(f"DENSITY [{density.lo!r},{density.hi!r}]")
-        cert.write(" ".join(parts) + "\n")
+    def emit(depth: int, i: int, box: list, verdict: str) -> None:
+        line = box_format % (*box, verdict)
+        if verdict != "pruned":
+            d_lo, d_hi = levels[depth].density
+            if not math.isnan(d_lo[i]):
+                line += f" DENSITY [{float(d_lo[i])!r},{float(d_hi[i])!r}]"
+        cert.write(line + "\n")
 
     proven = pruned = processed = 0
     max_depth_seen = 0
     failures: List[list] = []
-    stack = [cell]
+    # (depth, index in level, bounds lambda.lo, lambda.hi, r1.lo, r1.hi, ...)
+    stack = [(0, 0, list(cell.as_tuple()))]
+    cert = open(cert_path, "w", encoding="utf-8") if cert_path else None
     try:
         while stack:
-            box = stack.pop()
+            depth, i, box = stack.pop()
             processed += 1
-            if box.depth > max_depth_seen:
-                max_depth_seen = box.depth
-            terms = None
-            if admissible(box) is not Feasibility.INFEASIBLE:
-                terms = _sector_terms(box)
-            if terms is None:
+            if depth > max_depth_seen:
+                max_depth_seen = depth
+            level = levels[depth]
+            status = level.status[i]
+            if status == _PRUNED:
                 pruned += 1
-                if cert is not None:
-                    emit(box, "pruned", None)
-                continue
-            area, pot = terms
-            if iv_sub(pot, iv_mul(bound, area)).lo >= 0.0:
+                verdict = "pruned"
+            elif status == _PROVEN:
                 proven += 1
-                if cert is not None:
-                    emit(box, "proven", _density(pot, area))
+                verdict = "proven"
+            elif depth < max_depth and processed < max_boxes:
+                child = level.first_child[i]
+                if child < 0:
+                    raise RuntimeError(f"cell {index}: box {i} of level {depth} was not split")
+                k = 2 * level.split_dim[i]
+                mid = level.split_mid[i]
+                lower, upper = box.copy(), box.copy()
+                lower[k + 1] = mid
+                upper[k] = mid
+                stack.append((depth + 1, child + 1, upper))
+                stack.append((depth + 1, child, lower))
                 continue
-            if box.depth >= max_depth or processed >= max_boxes:
-                failures.append(list(box.as_tuple()))
-                if cert is not None:
-                    emit(box, "failed", _density(pot, area))
-                continue
-            a, b = _split_box(box, norms)
-            stack.append(b)
-            stack.append(a)
+            else:
+                failures.append(box)
+                verdict = "failed"
+            if cert is not None:
+                emit(depth, i, box, verdict)
     finally:
         if cert is not None:
             cert.close()
@@ -495,6 +631,7 @@ def _checkpoint_header(config, b_d, lambda_range, budget) -> dict:
         "cells": budget.cells,
         "max_depth": budget.max_depth,
         "max_boxes": budget.max_boxes,
+        "evaluator": EVALUATOR_VERSION,
     }
 
 

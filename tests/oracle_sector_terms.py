@@ -1,0 +1,284 @@
+"""Scalar reference for the prover's batched kernel and its depth-first replay.
+
+Independent oracle for `prover._sector_terms_rows`, `prover._constraint_corners`,
+`prover._split_rows` and `prover._run_cell`: the one-box-at-a-time interval
+code that the prover ran before its kernel evaluated whole levels of a cell's
+search tree as numpy batches. It uses only the scalar operations of
+`diskpack.intervals`. The batched kernel must give the same bits box by box,
+and `_run_cell` the same record and certificate lines.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Sequence, Tuple
+
+from diskpack.intervals import (
+    Interval,
+    UndefinedIntervalError,
+    iv_add,
+    iv_acos,
+    iv_asin,
+    iv_div,
+    iv_max,
+    iv_min,
+    iv_mul,
+    iv_pi,
+    iv_point,
+    iv_sub,
+)
+from diskpack.prover import CaseBox, ConfigTag, Feasibility, Orientation
+
+_ZERO = Interval(0.0, 0.0)
+_ONE = Interval(1.0, 1.0)
+_HALF = Interval(0.5, 0.5)
+_TWO = Interval(2.0, 2.0)
+_PI = iv_pi()
+
+
+def constraint_corners(box: CaseBox):
+    lam, r = box.lambda_, box.r
+    cons = []
+    # g = 2*r1 + lambda - 1 <= 0
+    cons.append((2.0 * r[0].lo + lam.lo - 1.0, 2.0 * r[0].hi + lam.hi - 1.0))
+    # g = (1 - lambda)/2 - r1 - r2 <= 0
+    cons.append(
+        (
+            (1.0 - lam.hi) / 2.0 - r[0].hi - r[1].hi,
+            (1.0 - lam.lo) / 2.0 - r[0].lo - r[1].lo,
+        )
+    )
+    # g = r2 - r1 <= 0
+    cons.append((r[1].lo - r[0].hi, r[1].hi - r[0].lo))
+    if len(r) == 3:
+        cons.append(
+            (
+                (1.0 - lam.hi) / 2.0 - r[1].hi - r[2].hi,
+                (1.0 - lam.lo) / 2.0 - r[1].lo - r[2].lo,
+            )
+        )
+        cons.append((r[2].lo - r[1].hi, r[2].hi - r[1].lo))
+    return cons
+
+
+def admissible(box: CaseBox) -> Feasibility:
+    """Interval verdict for the admissibility constraint system on a box."""
+    all_satisfied = True
+    for g_min, g_max in constraint_corners(box):
+        if g_min > 0.0:
+            return Feasibility.INFEASIBLE
+        if g_max > 0.0:
+            all_satisfied = False
+    return Feasibility.FEASIBLE if all_satisfied else Feasibility.UNDECIDED
+
+
+def cos_tangency(d1: Interval, d2: Interval, gap: Interval) -> Optional[Interval]:
+    """Enclosure of the law-of-cosines cosine for the tangency angle,
+    intersected with [-1, 1]. Points with cosine outside [-1, 1] violate the
+    admissibility constraints, so they lie outside the quantified domain; an
+    empty intersection means the whole box is infeasible (returns None)."""
+    num = iv_sub(iv_add(iv_mul(d1, d1), iv_mul(d2, d2)), iv_mul(gap, gap))
+    den = iv_mul(_TWO, iv_mul(d1, d2))
+    c = iv_div(num, den)
+    lo = max(c.lo, -1.0)
+    hi = min(c.hi, 1.0)
+    if lo > hi:
+        return None
+    return Interval(lo, hi)
+
+
+def sector_terms(box: CaseBox) -> Optional[Tuple[Interval, Interval]]:
+    """(area, potential) enclosures for the box's configuration, or None when
+    the tangency system is infeasible over the entire box."""
+    cfg = box.config
+    lam = box.lambda_
+    outer_first = cfg.orientation is Orientation.OUTER_FIRST
+    r1 = box.r[0]
+
+    k_ring = iv_mul(iv_sub(_ONE, iv_mul(lam, lam)), _HALF)
+    d_j = iv_sub(_ONE, r1) if outer_first else iv_add(lam, r1)
+    h_j = iv_asin(iv_div(r1, d_j))
+    tag = cfg.tag
+
+    if cfg.arity == 2:
+        rm = box.r[1]
+        d_m = iv_add(lam, rm) if outer_first else iv_sub(_ONE, rm)
+        cos_m = cos_tangency(d_j, d_m, iv_add(r1, rm))
+        if cos_m is None:
+            return None
+        th_m = iv_acos(cos_m)
+        h_m = iv_asin(iv_div(rm, d_m))
+        k_m = iv_mul(_TWO, iv_mul(d_m, rm))
+        if tag is ConfigTag.T1:
+            span = iv_max(iv_add(th_m, h_j), h_m)
+            area = iv_mul(span, k_ring)
+            pot = iv_mul(_PI, iv_add(iv_mul(r1, r1), iv_mul(iv_mul(rm, rm), _HALF)))
+        elif tag is ConfigTag.T2:
+            area = iv_mul(th_m, k_ring)
+            pot = iv_mul(_PI, iv_mul(iv_add(iv_mul(r1, r1), iv_mul(rm, rm)), _HALF))
+        elif tag is ConfigTag.T3:
+            # Exposed part of the R_m band: max(th+h_m, 2h_m) - min(h_j, th+h_m),
+            # expanded so each angle enters each min/max argument once.
+            s = iv_sub(h_m, h_j)
+            exposed = iv_max(
+                iv_max(iv_add(th_m, s), _ZERO),
+                iv_max(iv_add(h_m, s), iv_sub(h_m, th_m)),
+            )
+            area = iv_add(iv_mul(h_j, k_ring), iv_mul(exposed, k_m))
+            pot = iv_mul(_PI, iv_add(iv_mul(iv_mul(r1, r1), _HALF), iv_mul(rm, rm)))
+        else:  # T4
+            # Exposed part of the R_m band:
+            # 2h_m - max(0, min(h_j, th+h_m) - max(-h_j, th-h_m))
+            #   = min(2h_m, max(0, 2(h_m-h_j), (h_m-h_j)+th))
+            s = iv_sub(h_m, h_j)
+            exposed = iv_min(
+                iv_mul(_TWO, h_m),
+                iv_max(iv_max(_ZERO, iv_mul(_TWO, s)), iv_add(s, th_m)),
+            )
+            area = iv_add(
+                iv_mul(iv_mul(_TWO, h_j), k_ring), iv_mul(exposed, k_m)
+            )
+            pot = iv_mul(_PI, iv_add(iv_mul(r1, r1), iv_mul(rm, rm)))
+        return area, pot
+
+    rp, rm = box.r[1], box.r[2]
+    d_p = iv_add(lam, rp) if outer_first else iv_sub(_ONE, rp)
+    d_m = iv_sub(_ONE, rm) if outer_first else iv_add(lam, rm)
+    cos_p = cos_tangency(d_j, d_p, iv_add(r1, rp))
+    cos_m = cos_tangency(d_j, d_m, iv_add(r1, rm))
+    if cos_p is None or cos_m is None:
+        return None
+    th_p = iv_acos(cos_p)
+    th_m = iv_acos(cos_m)
+    h_p = iv_asin(iv_div(rp, d_p))
+    h_m = iv_asin(iv_div(rm, d_m))
+    k_m = iv_mul(_TWO, iv_mul(d_m, rm))
+    sq1, sq2, sq3 = iv_mul(r1, r1), iv_mul(rp, rp), iv_mul(rm, rm)
+
+    if tag is ConfigTag.T5:
+        span = iv_max(iv_add(th_m, h_j), iv_add(iv_sub(th_m, th_p), h_p))
+        area = iv_mul(span, k_ring)
+        pot = iv_mul(_PI, iv_add(iv_add(sq1, sq2), iv_mul(sq3, _HALF)))
+    elif tag is ConfigTag.T6:
+        area = iv_mul(th_m, k_ring)
+        pot = iv_mul(_PI, iv_add(sq2, iv_mul(iv_add(sq1, sq3), _HALF)))
+    elif tag is ConfigTag.T7:
+        end_p = iv_add(th_p, h_p)
+        end_m = iv_add(th_m, h_m)
+        area = iv_add(
+            iv_mul(end_p, k_ring),
+            iv_mul(iv_max(_ZERO, iv_sub(end_m, end_p)), k_m),
+        )
+        pot = iv_mul(_PI, iv_add(iv_add(iv_mul(sq1, _HALF), sq2), sq3))
+    else:  # T8
+        end1 = iv_max(h_j, iv_add(th_p, h_p))
+        start1 = -iv_max(h_j, iv_sub(h_p, th_p))
+        span1 = iv_sub(end1, start1)
+        # Exposed part of the R_m band:
+        # 2h_m - max(0, min(end1, th+h_m) - max(start1, th-h_m))
+        #   = min(2h_m, max(0, 2h_m - span1, (th+h_m) - end1, start1 - (th-h_m)))
+        exposed = iv_min(
+            iv_mul(_TWO, h_m),
+            iv_max(
+                iv_max(_ZERO, iv_sub(iv_mul(_TWO, h_m), span1)),
+                iv_max(
+                    iv_sub(iv_add(th_m, h_m), end1),
+                    iv_sub(start1, iv_sub(th_m, h_m)),
+                ),
+            ),
+        )
+        area = iv_add(iv_mul(span1, k_ring), iv_mul(exposed, k_m))
+        pot = iv_mul(_PI, iv_add(iv_add(sq1, sq2), sq3))
+    return area, pot
+
+
+def split_box(box: CaseBox, norms: Sequence[float]) -> Tuple[CaseBox, CaseBox]:
+    dims = [box.lambda_] + list(box.r)
+    rel = [iv.width / norms[i] for i, iv in enumerate(dims)]
+    k = max(range(len(rel)), key=lambda i: rel[i])
+    target = dims[k]
+    mid = target.mid
+    lo_part = Interval(target.lo, mid)
+    hi_part = Interval(mid, target.hi)
+
+    def rebuild(part: Interval) -> CaseBox:
+        if k == 0:
+            return CaseBox(part, box.r, box.config, box.depth + 1)
+        rs = list(box.r)
+        rs[k - 1] = part
+        return CaseBox(box.lambda_, tuple(rs), box.config, box.depth + 1)
+
+    return rebuild(lo_part), rebuild(hi_part)
+
+
+def _density(pot: Interval, area: Interval) -> Optional[Interval]:
+    try:
+        return iv_div(pot, area)
+    except UndefinedIntervalError:
+        return None
+
+
+def run_cell(task) -> dict:
+    """Depth-first branch and bound over one cell, one box at a time, with
+    the task and the record of `prover._run_cell`."""
+    index, cell, b_d, max_depth, max_boxes, norms, cert_path = task
+    config = cell.config
+    bound = iv_point(b_d)
+    cert = open(cert_path, "w", encoding="utf-8") if cert_path else None
+
+    def emit(box: CaseBox, verdict: str, density: Optional[Interval]) -> None:
+        parts = [
+            f"CASE {config.tag.value}",
+            f"ORIENT {config.orientation.value}",
+            "BOX",
+            f"λ=[{box.lambda_.lo!r},{box.lambda_.hi!r}]",
+        ]
+        for i, iv in enumerate(box.r, start=1):
+            parts.append(f"r{i}=[{iv.lo!r},{iv.hi!r}]")
+        parts.append(f"VERDICT {verdict}")
+        if density is not None:
+            parts.append(f"DENSITY [{density.lo!r},{density.hi!r}]")
+        cert.write(" ".join(parts) + "\n")
+
+    proven = pruned = processed = 0
+    max_depth_seen = 0
+    failures: List[list] = []
+    stack = [cell]
+    try:
+        while stack:
+            box = stack.pop()
+            processed += 1
+            if box.depth > max_depth_seen:
+                max_depth_seen = box.depth
+            terms = None
+            if admissible(box) is not Feasibility.INFEASIBLE:
+                terms = sector_terms(box)
+            if terms is None:
+                pruned += 1
+                if cert is not None:
+                    emit(box, "pruned", None)
+                continue
+            area, pot = terms
+            if iv_sub(pot, iv_mul(bound, area)).lo >= 0.0:
+                proven += 1
+                if cert is not None:
+                    emit(box, "proven", _density(pot, area))
+                continue
+            if box.depth >= max_depth or processed >= max_boxes:
+                failures.append(list(box.as_tuple()))
+                if cert is not None:
+                    emit(box, "failed", _density(pot, area))
+                continue
+            a, b = split_box(box, norms)
+            stack.append(b)
+            stack.append(a)
+    finally:
+        if cert is not None:
+            cert.close()
+    return {
+        "cell": index,
+        "proven": proven,
+        "pruned": pruned,
+        "processed": processed,
+        "max_depth": max_depth_seen,
+        "failures": failures,
+    }

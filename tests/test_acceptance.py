@@ -327,6 +327,28 @@ def test_criterion_6_prover_desk_scale():
             assert rep.boxes_proven > 0
 
 
+# Desk-scale counts (proven, pruned, processed) of the criterion-6 runs, as
+# the scalar prover gave them at commit 922cdba (ROADMAP item 3).
+DESK_COUNTS = {
+    "T1/outer": (186976, 11156, 396200),
+    "T2/outer": (299618, 6965, 613102),
+    "T2/inner": (96679, 6889, 207072),
+}
+
+
+def test_desk_counts_pinned_across_commits():
+    reports = criterion6_reports(PROVER_WORKERS)
+    got = {
+        rep.config.label: (
+            rep.boxes_proven,
+            rep.boxes_pruned_infeasible,
+            rep.boxes_processed,
+        )
+        for rep in reports
+    }
+    assert got == DESK_COUNTS
+
+
 def test_criterion_7_prover_canary():
     with criterion(7, "prover canary at impossible bound"):
         cfg = ConfigType(ConfigTag.T1, Orientation.OUTER_FIRST)

@@ -339,9 +339,21 @@ def test_cli_prove_certificate_needs_a_fresh_run(tmp_path, capsys):
             "--cells", "8", "--checkpoint", ck]
     code, _, _ = run_cli(args, capsys=capsys)
     assert code == 0
+    with open(cert, "w", encoding="utf-8") as fh:
+        fh.write("old certificate\n")
     code, out, err = run_cli(
         args + ["--resume", "--certificate", cert], capsys=capsys
     )
     assert code == 1
     assert "error:" in err and "fresh run" in err
     assert "SUMMARY" not in out
+    # The refused run leaves the existing certificate as it was; a fresh run
+    # replaces it.
+    with open(cert, encoding="utf-8") as fh:
+        assert fh.read() == "old certificate\n"
+    code, out, _ = run_cli(args[:-2] + ["--certificate", cert], capsys=capsys)
+    assert code == 0
+    with open(cert, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.startswith("CASE T1 ORIENT outer BOX ")
+    assert text.splitlines()[-1] == out.splitlines()[0].split(" wall=")[0]

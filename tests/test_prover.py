@@ -9,6 +9,7 @@ import pytest
 
 from diskpack.intervals import Interval, UndefinedIntervalError, iv_mul, iv_point, iv_sub
 from diskpack.prover import (
+    EVALUATOR_VERSION,
     CaseBox,
     ConfigTag,
     ConfigType,
@@ -327,6 +328,25 @@ def test_checkpoint_header_mismatch(tmp_path):
 # A bound far below the true one certifies in a few hundred boxes, which is
 # all the checkpoint tests below need.
 WEAK = {"lambda_range": (0.5, 0.6), "b_d": 0.3}
+
+
+@pytest.mark.parametrize("evaluator", [None, "scalar-0"])
+def test_checkpoint_refuses_another_evaluator(tmp_path, evaluator):
+    ck = os.fspath(tmp_path / "t1.jsonl")
+    budget = ProverBudget(cells=4)
+    prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck)
+    with open(ck, encoding="utf-8") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    assert header["header"]["evaluator"] == EVALUATOR_VERSION
+    if evaluator is None:
+        del header["header"]["evaluator"]
+    else:
+        header["header"]["evaluator"] = evaluator
+    with open(ck, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(header) + "\n" + "".join(lines[1:3]))
+    with pytest.raises(ValueError, match="header"):
+        prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck, resume=True)
 
 
 def test_checkpoint_resume_after_torn_last_line(tmp_path):

@@ -1,0 +1,242 @@
+"""The prover's batched kernel and its depth-first replay against the scalar
+oracle in `oracle_sector_terms.py`: the same bits box by box, and the same
+cell records and certificate lines."""
+
+import json
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracle_sector_terms as oracle
+from diskpack.intervals import (
+    Interval,
+    av_acos,
+    av_add,
+    av_asin,
+    av_div,
+    av_mul,
+    av_sub,
+    iv_acos,
+    iv_add,
+    iv_asin,
+    iv_div,
+    iv_mul,
+    iv_sub,
+)
+from diskpack.prover import (
+    DENSITY_BOUND,
+    CaseBox,
+    ConfigTag,
+    ConfigType,
+    Orientation,
+    _box_rows,
+    _constraint_corners,
+    _normalizers,
+    _partition_cells,
+    _run_cell,
+    _sector_terms_rows,
+    _split_rows,
+    certified_configs,
+    make_root_box,
+)
+
+CONFIGS = [c for tag in ConfigTag for c in certified_configs(tag)]
+WIDTHS = [0.0, 0.0, 1e-12, 1e-7, 1e-4, 3e-3, 0.03]
+
+
+def same_bits(x, y) -> bool:
+    return float(x).hex() == float(y).hex()
+
+
+def make_box(cfg, params):
+    """A box in the root domain. `params` is (kind, lambda, u1, u2, u3,
+    widths): kind 0 places r1, r2 (, r3) between their admissibility limits
+    (fractions u of the way), kind 1 anywhere in [0, 0.25], which gives many
+    infeasible boxes and empty cosines."""
+    kind, lam, u1, u2, u3, widths = params
+    if kind == 0:
+        r1 = u1 * (1.0 - lam) / 2.0
+        lo2 = max(0.0, (1.0 - lam - 2.0 * r1) / 2.0)
+        r2 = lo2 + u2 * (r1 - lo2)
+        lo3 = max(0.0, (1.0 - lam - 2.0 * r2) / 2.0)
+        r3 = lo3 + u3 * (r2 - lo3)
+    else:
+        r1, r2, r3 = 0.25 * u1, 0.25 * u2, 0.25 * u3
+    centres = [lam, r1, r2, r3][: 1 + cfg.arity]
+    limits = [(0.5, 0.99)] + [(0.0, 0.25)] * cfg.arity
+    ivs = [
+        Interval(max(lo, v - w), min(hi, v + w))
+        for v, w, (lo, hi) in zip(centres, widths, limits)
+    ]
+    return CaseBox(ivs[0], tuple(ivs[1:]), cfg)
+
+
+unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+box_params = st.tuples(
+    st.sampled_from([0, 0, 1]),
+    st.one_of(st.sampled_from([0.5, 0.99]), st.floats(0.5, 0.99)),
+    unit,
+    unit,
+    unit,
+    st.lists(st.sampled_from(WIDTHS), min_size=4, max_size=4),
+)
+
+
+def assert_kernel_matches_oracle(cfg, boxes):
+    lo, hi = _box_rows(boxes)
+    ok, area, pot = _sector_terms_rows(cfg, lo, hi)
+    # No lane leaks NaN or infinity, whatever the other lanes hold.
+    for arr in (*area, *pot):
+        assert np.all(np.isfinite(arr))
+    for i, box in enumerate(boxes):
+        ref = oracle.sector_terms(box)
+        assert bool(ok[i]) == (ref is not None), box
+        if ref is None:
+            continue
+        ref_area, ref_pot = ref
+        assert same_bits(area[0][i], ref_area.lo), box
+        assert same_bits(area[1][i], ref_area.hi), box
+        assert same_bits(pot[0][i], ref_pot.lo), box
+        assert same_bits(pot[1][i], ref_pot.hi), box
+
+
+@given(cfg=st.sampled_from(CONFIGS), batch=st.lists(box_params, min_size=1, max_size=24))
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_kernel_matches_scalar_oracle_bit_for_bit(cfg, batch):
+    assert_kernel_matches_oracle(cfg, [make_box(cfg, p) for p in batch])
+
+
+def test_kernel_covers_clamps_empty_cosines_and_point_boxes(monkeypatch):
+    """1,500 seeded boxes per configuration, bit for bit against the oracle,
+    with counts showing that the batches hold cosine enclosures clamped at -1
+    or 1, empty cosines, boxes infeasible for admissibility and zero-width
+    boxes."""
+    clamps = []
+    original = oracle.cos_tangency
+
+    def recording(d1, d2, gap):
+        c = original(d1, d2, gap)
+        clamps.append(c is not None and (c.lo == -1.0 or c.hi == 1.0))
+        return c
+
+    monkeypatch.setattr(oracle, "cos_tangency", recording)
+    rng = random.Random(20261018)
+    empty = infeasible = points = 0
+    for cfg in CONFIGS:
+        boxes = []
+        for _ in range(1500):
+            params = (
+                rng.choice([0, 0, 1]),
+                rng.uniform(0.5, 0.99),
+                rng.random(),
+                rng.random(),
+                rng.random(),
+                [rng.choice(WIDTHS) for _ in range(4)],
+            )
+            boxes.append(make_box(cfg, params))
+        assert_kernel_matches_oracle(cfg, boxes)
+        empty += sum(oracle.sector_terms(b) is None for b in boxes)
+        infeasible += sum(
+            oracle.admissible(b) is oracle.Feasibility.INFEASIBLE for b in boxes
+        )
+        points += sum(all(iv.width == 0.0 for iv in (b.lambda_, *b.r)) for b in boxes)
+    assert sum(clamps) > 100
+    assert empty > 100 and infeasible > 100 and points > 10
+
+
+def test_constraint_corners_and_split_match_the_oracle():
+    rng = random.Random(5)
+    for cfg in CONFIGS:
+        root = make_root_box(cfg, (0.5, 0.99))
+        norms = _normalizers(root)
+        boxes = [
+            make_box(cfg, (rng.choice([0, 1]), rng.uniform(0.5, 0.99), rng.random(),
+                           rng.random(), rng.random(), [rng.choice(WIDTHS) for _ in range(4)]))
+            for _ in range(300)
+        ]
+        lo, hi = _box_rows(boxes)
+        cons = _constraint_corners(lo, hi)
+        halves = _split_rows(lo, hi, norms)[:2]
+        for i, box in enumerate(boxes):
+            for (g_min, g_max), (ref_min, ref_max) in zip(cons, oracle.constraint_corners(box)):
+                assert same_bits(g_min[i], ref_min) and same_bits(g_max[i], ref_max)
+            for half, ref in zip((2 * i, 2 * i + 1), oracle.split_box(box, norms)):
+                ref_lo, ref_hi = _box_rows([ref])
+                assert halves[0][half].tolist() == ref_lo[0].tolist()
+                assert halves[1][half].tolist() == ref_hi[0].tolist()
+
+
+def interval_pairs(bound):
+    end = st.one_of(
+        st.sampled_from([-bound, bound, 0.0, 0.9, -0.9]),
+        st.floats(-bound, bound),
+        st.floats(0.9, 1.0).map(lambda x: x * bound),
+        st.floats(-1.0, -0.9).map(lambda x: x * bound),
+    )
+    return st.tuples(end, end).map(sorted)
+
+
+def assert_same_as_scalar(av_op, iv_op, args):
+    """Bitwise equality of an array operation and its scalar operation."""
+    arrays = [(np.array([a[0] for a in arg]), np.array([a[1] for a in arg])) for arg in args]
+    lo, hi = av_op(*arrays)
+    for i, operands in enumerate(zip(*args)):
+        ref = iv_op(*(Interval(*p) for p in operands))
+        assert same_bits(lo[i], ref.lo) and same_bits(hi[i], ref.hi), operands
+
+
+@given(st.lists(interval_pairs(1.0), min_size=1, max_size=30))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_asin_acos_match_scalar_including_the_complement_branch(ivs):
+    assert_same_as_scalar(av_asin, iv_asin, [ivs])
+    assert_same_as_scalar(av_acos, iv_acos, [ivs])
+
+
+def test_asin_complement_branch_is_exercised():
+    rng = random.Random(9)
+    ivs = []
+    for _ in range(2000):
+        a, b = sorted(rng.uniform(0.85, 1.0) for _ in range(2))
+        ivs += [(a, b), (-b, -a), (a, a), (-1.0, b), (a, 1.0)]
+    assert sum(hi > 0.9 or lo < -0.9 for lo, hi in ivs) > 5000
+    assert_same_as_scalar(av_asin, iv_asin, [ivs])
+
+
+@given(st.lists(st.tuples(interval_pairs(4.0), interval_pairs(4.0)), min_size=1, max_size=30))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_arithmetic_matches_scalar(pairs):
+    a = [p[0] for p in pairs]
+    b = [p[1] for p in pairs]
+    assert_same_as_scalar(av_add, iv_add, [a, b])
+    assert_same_as_scalar(av_sub, iv_sub, [a, b])
+    assert_same_as_scalar(av_mul, iv_mul, [a, b])
+    b_pos = [(lo + 5.0, hi + 5.0) for lo, hi in b]
+    assert_same_as_scalar(av_div, iv_div, [a, b_pos])
+
+
+# ---------------------------------------------------------------------------
+# replay
+
+
+@pytest.mark.parametrize("max_depth", [0, 3, 60])
+@pytest.mark.parametrize("max_boxes", [1, 2, 3, 50, 2000])
+def test_run_cell_equals_the_depth_first_oracle(tmp_path, max_boxes, max_depth):
+    """Cells at lambda in [0.98, 0.99], where the budget cuts the search:
+    max_boxes and max_depth at the edges of the position bound that decides
+    which boxes the levels split."""
+    for cfg, count in (
+        (ConfigType(ConfigTag.T1, Orientation.OUTER_FIRST), 4),
+        (ConfigType(ConfigTag.T7, Orientation.INNER_FIRST), 2),
+    ):
+        root = make_root_box(cfg, (0.98, 0.99))
+        norms = _normalizers(root)
+        for i, cell in enumerate(_partition_cells(root, 4)[:count]):
+            got_path = tmp_path / f"got{i}"
+            ref_path = tmp_path / f"ref{i}"
+            got = _run_cell((i, cell, DENSITY_BOUND, max_depth, max_boxes, norms, str(got_path)))
+            ref = oracle.run_cell((i, cell, DENSITY_BOUND, max_depth, max_boxes, norms, str(ref_path)))
+            assert json.dumps(got) == json.dumps(ref)
+            assert got_path.read_text(encoding="utf-8") == ref_path.read_text(encoding="utf-8")
