@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
 from .geometry import (
@@ -43,12 +42,6 @@ class InstanceError(ValueError):
     """Invalid instance data (nonpositive or sub-resolution radii)."""
 
 
-class RingState(Enum):
-    OPEN = "open"
-    CLOSED = "closed"
-    FULL = "full"
-
-
 @dataclass(frozen=True)
 class InstanceSpec:
     """A multiset of disk radii in container units (container radius 1)."""
@@ -72,20 +65,9 @@ class InstanceSpec:
 
 
 @dataclass
-class RingRecord:
-    shape: RingShape
-    state: RingState = RingState.OPEN
-    last_angle: float = 0.0
-    last_side: Side = Side.INNER  # flipped before each placement; first is OUTER
-    placed: List[int] = field(default_factory=list)
-    started: bool = False
-
-
-@dataclass
 class PackingState:
     container: ContainerDisk
     r_min: float
-    rings: List[RingRecord] = field(default_factory=list)
     placed: List[PlacedDisk] = field(default_factory=list)
     pending: List[float] = field(default_factory=list)
     unplaced: List[float] = field(default_factory=list)
@@ -149,75 +131,52 @@ def boundary_packing(state: PackingState, c: ContainerDisk, threshold: float) ->
     return count
 
 
-def ring_packing(state: PackingState, ring: RingRecord) -> int:
+def ring_packing(state: PackingState, ring: RingShape) -> bool:
     """Pack pending disks into the ring, alternating outer/inner anchoring,
-    until a disk does not fit (ring becomes FULL) or two consecutive disks
-    could pass each other (ring becomes CLOSED). Returns disks placed.
+    until a disk does not fit (the ring is full) or two consecutive disks
+    could pass each other (the ring is closed). Logs the end state and returns
+    whether the ring closed; it is neither when no disk is left pending.
 
     Placements check only the disks near the ring's band, and the ring's own
     disks: nothing else is placed while the ring is packed."""
-    shape = ring.shape
-    near = [q for q in state.placed if _overlaps_ring_region(q, shape, RING_BAND_SLACK)]
-    if not ring.started:
-        ring.last_angle = _max_overlapping_angle(
-            shape.center, lambda q: _overlaps_ring_region(q, shape), near
-        )
-        ring.started = True
-    count = 0
-    width = ring.shape.width
+    near = [q for q in state.placed if _overlaps_ring_region(q, ring, RING_BAND_SLACK)]
+    floor = _max_overlapping_angle(
+        ring.center, lambda q: _overlaps_ring_region(q, ring), near
+    )
+    side = Side.INNER  # flipped before each placement; the first is OUTER
+    r_prev = None
+    width = ring.width
     while state.pending:
         r = state.pending[0]
-        if ring.placed:
-            r_prev = state.placed[ring.placed[-1]].radius
-            if 2.0 * r_prev + 2.0 * r < width:
-                ring.state = RingState.CLOSED
-                state.log(
-                    "ring_state",
-                    state="closed",
-                    r_out=ring.shape.r_out,
-                    r_in=ring.shape.r_in,
-                )
-                return count
-        side = Side.OUTER if ring.last_side is Side.INNER else Side.INNER
-        disk = place_in_ring(
-            ring.shape, side, r, angle_floor=ring.last_angle, prev=near
-        )
+        if r_prev is not None and 2.0 * r_prev + 2.0 * r < width:
+            state.log("ring_state", state="closed", r_out=ring.r_out, r_in=ring.r_in)
+            return True
+        side = Side.OUTER if side is Side.INNER else Side.INNER
+        disk = place_in_ring(ring, side, r, angle_floor=floor, prev=near)
         if disk is None:
-            ring.state = RingState.FULL
-            state.log(
-                "ring_state",
-                state="full",
-                r_out=ring.shape.r_out,
-                r_in=ring.shape.r_in,
-            )
-            return count
+            state.log("ring_state", state="full", r_out=ring.r_out, r_in=ring.r_in)
+            return False
         state.placed.append(disk)
         near.append(disk)
-        ring.placed.append(len(state.placed) - 1)
         state.pending.pop(0)
-        ring.last_side = side
-        ring.last_angle = max(
-            ring.last_angle, polar_angle(ring.shape.center, disk.center)
-        )
-        count += 1
-    return count  # pending exhausted; ring stays OPEN
+        floor = max(floor, polar_angle(ring.center, disk.center))
+        r_prev = disk.radius
+    return False
 
 
 def _open_ring(
     state: PackingState, center: Point, r_out: float, r_in: float, **extra
-) -> RingRecord:
-    """Record the ring R[r_out, r_in] around center, lower r_min to its inner
+) -> RingShape:
+    """Open the ring R[r_out, r_in] around center: lower r_min to its inner
     radius and log its creation (`extra` marks a split)."""
-    ring = RingRecord(RingShape(center, r_out, r_in))
-    state.rings.append(ring)
     state.r_min = min(state.r_min, r_in)
     state.log(
         "ring_created", r_out=r_out, r_in=r_in, cx=center.x, cy=center.y, **extra
     )
-    return ring
+    return RingShape(center, r_out, r_in)
 
 
-def create_ring(state: PackingState, r_i: float) -> Optional[RingRecord]:
+def create_ring(state: PackingState, r_i: float) -> Optional[RingShape]:
     """Open a new ring R[r_min, r_min - 2*r_i] concentric with the container.
 
     Returns None when r_min - 2*r_i <= 0 (the caller routes to Phase 2 on the
@@ -276,7 +235,9 @@ def pack(instance: InstanceSpec) -> PackingResult:
     _phase1_recursion(state)
 
     while state.pending:
-        progress_marker = (len(state.placed), len(state.rings))
+        # Progress is a placement or a new ring: create_ring strictly lowers
+        # r_min, and a split only follows a placement.
+        progress_marker = (len(state.placed), state.r_min)
 
         # Phase 2: boundary packing with threshold (r - d)/4.
         d = center_penetration(state.container, state.placed)
@@ -290,44 +251,32 @@ def pack(instance: InstanceSpec) -> PackingResult:
             threshold=threshold,
         )
         boundary_packing(state, state.container, threshold)
-
-        # Phases 3-5: ring packing loop.
-        while state.pending:
-            open_rings = [rg for rg in state.rings if rg.state is RingState.OPEN]
-            if open_rings:
-                ring = max(open_rings, key=lambda rg: rg.shape.r_in)
-            else:
-                ring = create_ring(state, state.pending[0])
-                if ring is None:
-                    # Guard: the next disk spans past the center; continue with
-                    # Phase 2 on the central disk.
-                    state.container = ContainerDisk(
-                        state.container.center, state.r_min
-                    )
-                    state.log("central_container", radius=state.r_min)
-                    break
-            ring_packing(state, ring)
-            if not state.pending:
-                break
-
-            # Phase 4: split a closed ring when the two largest pending disks
-            # could pass one another inside it.
-            if ring.state is RingState.CLOSED and len(state.pending) >= 2:
-                r_i, r_next = state.pending[0], state.pending[1]
-                shape = ring.shape
-                if 2.0 * r_i + 2.0 * r_next <= shape.width:
-                    mid = shape.r_out - 2.0 * r_i
-                    for r_out, r_in in ((shape.r_out, mid), (mid, shape.r_in)):
-                        _open_ring(state, shape.center, r_out, r_in, split=True)
-
-            # Phase 5: continue on an open ring, else move to the central disk.
-            if any(rg.state is RingState.OPEN for rg in state.rings):
-                continue
-            state.container = ContainerDisk(state.container.center, state.r_min)
-            state.log("central_container", radius=state.r_min)
+        if not state.pending:
             break
 
-        if state.pending and (len(state.placed), len(state.rings)) == progress_marker:
+        # Phase 3: pack a new ring concentric with the container. Phase 4
+        # splits a closed ring when the two largest pending disks could pass
+        # one another inside it; the halves go on a stack, the outer on top.
+        ring = create_ring(state, state.pending[0])
+        rings = [] if ring is None else [ring]
+        while rings and state.pending:
+            ring = rings.pop()
+            closed = ring_packing(state, ring)
+            if closed and len(state.pending) >= 2:
+                r_i, r_next = state.pending[0], state.pending[1]
+                if 2.0 * r_i + 2.0 * r_next <= ring.width:
+                    mid = ring.r_out - 2.0 * r_i
+                    outer = _open_ring(state, ring.center, ring.r_out, mid, split=True)
+                    inner = _open_ring(state, ring.center, mid, ring.r_in, split=True)
+                    rings += [inner, outer]
+        if not state.pending:
+            break
+
+        # Phase 5: go on with Phase 2 on the central disk inside the rings,
+        # also when the head disk left no room for a new ring.
+        state.container = ContainerDisk(state.container.center, state.r_min)
+        state.log("central_container", radius=state.r_min)
+        if (len(state.placed), state.r_min) == progress_marker:
             # The head disk fits nowhere; give it up and go on with the rest.
             state.log("no_progress", pending=len(state.pending))
             state.unplaced.append(state.pending.pop(0))

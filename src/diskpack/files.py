@@ -31,6 +31,28 @@ def _fmt(v: float) -> str:
     return format(f, ".17g")
 
 
+def _number(v, what: str, positive: bool = False) -> float:
+    """A JSON number (not a boolean or a string) as a finite float, and
+    positive when asked."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise FileFormatError(f"{what} must be a number, got {v!r}")
+    try:
+        f = float(v)
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f) or (positive and not f > 0.0):
+        qualifier = "positive finite" if positive else "finite"
+        raise FileFormatError(f"{what} must be {qualifier}, got {v!r}")
+    return f
+
+
+def _check_version(doc: dict, expected: int, what: str) -> int:
+    version = doc.get("format_version")
+    if type(version) is not int or version != expected:  # rejects true and 1.0
+        raise FileFormatError(f"unsupported {what} format_version: {version!r}")
+    return version
+
+
 @dataclass(frozen=True)
 class InstanceFile:
     radii: Tuple[float, ...]
@@ -81,21 +103,13 @@ def parse_instance(text: str) -> InstanceFile:
         raise FileFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError("instance document must be a JSON object")
-    version = doc.get("format_version")
-    if version != INSTANCE_FORMAT_VERSION:
-        raise FileFormatError(f"unsupported instance format_version: {version}")
+    version = _check_version(doc, INSTANCE_FORMAT_VERSION, "instance")
     radii = doc.get("radii")
     if not isinstance(radii, list) or not radii:
         raise FileFormatError("radii must be a nonempty list")
-    out = []
-    for r in radii:
-        if not isinstance(r, (int, float)) or not float(r) > 0.0:
-            raise FileFormatError(f"radii must be positive numbers, got {r!r}")
-        out.append(float(r))
-    cr = float(doc.get("container_radius", 1.0))
-    if not (cr > 0.0 and math.isfinite(cr)):
-        raise FileFormatError(f"container_radius must be positive, got {cr}")
-    return InstanceFile(radii=tuple(out), container_radius=cr, format_version=version)
+    out = tuple(_number(r, "radius", positive=True) for r in radii)
+    cr = _number(doc.get("container_radius", 1.0), "container_radius", positive=True)
+    return InstanceFile(radii=out, container_radius=cr, format_version=version)
 
 
 def _dump_trace_event(ev: dict) -> str:
@@ -153,21 +167,24 @@ def parse_packing(text: str) -> PackingFile:
         raise FileFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError("packing document must be a JSON object")
-    version = doc.get("format_version")
-    if version != PACKING_FORMAT_VERSION:
-        raise FileFormatError(f"unsupported packing format_version: {version}")
+    version = _check_version(doc, PACKING_FORMAT_VERSION, "packing")
     digest = doc.get("instance_digest")
     if not isinstance(digest, str):
         raise FileFormatError("instance_digest must be a string")
+    items, unplaced = doc.get("placements", []), doc.get("unplaced", [])
+    if not isinstance(items, list) or not isinstance(unplaced, list):
+        raise FileFormatError("placements and unplaced must be lists")
     placements = []
-    for item in doc.get("placements", []):
+    for item in items:
         try:
-            placements.append(
-                (float(item["radius"]), float(item["x"]), float(item["y"]))
-            )
+            placements.append((
+                _number(item["radius"], "radius", positive=True),
+                _number(item["x"], "x"),
+                _number(item["y"], "y"),
+            ))
         except (TypeError, KeyError) as exc:
             raise FileFormatError(f"malformed placement: {item!r}") from exc
-    unplaced = tuple(float(v) for v in doc.get("unplaced", []))
+    unplaced = tuple(_number(v, "unplaced radius", positive=True) for v in unplaced)
     complete = doc.get("complete")
     if not isinstance(complete, bool):
         raise FileFormatError("complete must be a boolean")

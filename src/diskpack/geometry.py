@@ -29,6 +29,10 @@ TWO_PI = 2.0 * math.pi
 # Larger excursions are treated as logic errors, not clamped.
 CLAMP_SLACK = 1e-12
 
+# Largest residual at which inscribed_disk_after_two takes two disks and the
+# container as mutually tangent, and two Descartes candidates as tied.
+TANGENCY_TOL = 1e-9
+
 # Angular slack so that an exactly-tangent candidate passes its own constraint.
 ANGLE_EPS = 1e-12
 
@@ -300,12 +304,12 @@ def _recursion_fallback(c: ContainerDisk, d1: PlacedDisk, d2: PlacedDisk) -> Con
 
 
 def inscribed_disk_after_two(
-    c: ContainerDisk, d1: PlacedDisk, d2: PlacedDisk, tangency_tol: float = 1e-9
+    c: ContainerDisk, d1: PlacedDisk, d2: PlacedDisk
 ) -> ContainerDisk:
     """Largest disk tangent internally to c and externally to two mutually
     tangent disks that touch c's boundary (Descartes curvature relation).
 
-    When the three-tangency precondition fails beyond tangency_tol, falls back
+    When the three-tangency precondition fails beyond TANGENCY_TOL, falls back
     to the guaranteed radius-c/5 construction on the perpendicular diameter.
     """
 
@@ -313,9 +317,9 @@ def inscribed_disk_after_two(
         return math.hypot(p.x - q.x, p.y - q.y)
 
     tangent_ok = (
-        abs(dist(d1.center, d2.center) - (d1.radius + d2.radius)) <= tangency_tol
-        and abs(dist(c.center, d1.center) - (c.radius - d1.radius)) <= tangency_tol
-        and abs(dist(c.center, d2.center) - (c.radius - d2.radius)) <= tangency_tol
+        abs(dist(d1.center, d2.center) - (d1.radius + d2.radius)) <= TANGENCY_TOL
+        and abs(dist(c.center, d1.center) - (c.radius - d1.radius)) <= TANGENCY_TOL
+        and abs(dist(c.center, d2.center) - (c.radius - d2.radius)) <= TANGENCY_TOL
     )
     if not tangent_ok:
         return _recursion_fallback(c, d1, d2)
@@ -340,12 +344,12 @@ def inscribed_disk_after_two(
     best_res = math.inf
     for p in candidates:
         res = abs(dist(p, d2.center) - (d2.radius + r3))
-        if res < best_res - tangency_tol:
+        if res < best_res - TANGENCY_TOL:
             best, best_res = p, res
-        elif abs(res - best_res) <= tangency_tol and best is not None:
+        elif abs(res - best_res) <= TANGENCY_TOL and best is not None:
             # Symmetric tie: prefer greater y, then greater x (deterministic).
             if (p.y, p.x) > (best.y, best.x):
                 best = p
-    if best is None or best_res > tangency_tol:
+    if best is None or best_res > TANGENCY_TOL:
         return _recursion_fallback(c, d1, d2)
     return ContainerDisk(best, r3)

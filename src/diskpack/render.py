@@ -19,6 +19,7 @@ _PALETTE = (
 )
 
 _VIEWBOX = "-1.05 -1.05 2.1 2.1"
+_SIZE = 640  # width and height in pixels
 
 
 def _num(v: float) -> str:
@@ -29,12 +30,11 @@ def render_svg(
     packing: PackingFile,
     show_rings: bool = False,
     labels: bool = False,
-    size: int = 640,
 ) -> str:
     """Render a packing as a standalone SVG document (y axis pointing up)."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_VIEWBOX}" '
-        f'width="{size}" height="{size}">',
+        f'width="{_SIZE}" height="{_SIZE}">',
         '<circle cx="0" cy="0" r="1" fill="none" stroke="#000000" '
         'stroke-width="0.01"/>',
     ]

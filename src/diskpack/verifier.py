@@ -6,6 +6,7 @@ re-derived from raw coordinates with a brute-force O(n^2) pass (vectorized).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Tuple
@@ -17,6 +18,7 @@ class ViolationKind(Enum):
     CONTAINMENT = "containment"
     OVERLAP = "overlap"
     RADIUS_MISMATCH = "radius_mismatch"
+    NON_FINITE = "non_finite"
 
 
 @dataclass(frozen=True)
@@ -41,20 +43,31 @@ def verify(
 ) -> VerificationReport:
     """Check containment in the unit disk, pairwise disjointness, and (when
     instance_radii is given) that placed radii form a sub-multiset of the
-    instance. All violations are reported, sorted by indices."""
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    instance. All violations are reported, sorted by indices.
+
+    A disk with a non-finite radius or coordinate is a NON_FINITE violation
+    (magnitude 0) and takes no part in the other checks or the density."""
+    if not (epsilon > 0.0 and math.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     violations = []
-    n = len(placements)
     r = np.array([p[0] for p in placements], dtype=float)
     x = np.array([p[1][0] for p in placements], dtype=float)
     y = np.array([p[1][1] for p in placements], dtype=float)
+    finite = np.isfinite(r) & np.isfinite(x) & np.isfinite(y)
+    for i in np.nonzero(~finite)[0].tolist():
+        violations.append(Violation(ViolationKind.NON_FINITE, (i,), 0.0))
+    # Positions in the finite disks -> indices in placements (increasing).
+    keep = np.nonzero(finite)[0]
+    r, x, y = r[keep], x[keep], y[keep]
+    n = len(keep)
 
     if n:
         reach = np.hypot(x, y) + r
         for i in np.nonzero(reach > 1.0 + epsilon)[0]:
             violations.append(
-                Violation(ViolationKind.CONTAINMENT, (int(i),), float(reach[i] - 1.0))
+                Violation(
+                    ViolationKind.CONTAINMENT, (int(keep[i]),), float(reach[i] - 1.0)
+                )
             )
 
     if n > 1:
@@ -67,7 +80,7 @@ def verify(
         upper = ii < jj
         ii, jj = ii[upper], jj[upper]
         mags = need[ii, jj] - dist[ii, jj]
-        for i, j, m in zip(ii.tolist(), jj.tolist(), mags.tolist()):
+        for i, j, m in zip(keep[ii].tolist(), keep[jj].tolist(), mags.tolist()):
             violations.append(Violation(ViolationKind.OVERLAP, (i, j), m))
 
     if instance_radii is not None:
@@ -78,7 +91,7 @@ def verify(
             pos = _bisect_remove(available, ri)
             if not pos:
                 violations.append(
-                    Violation(ViolationKind.RADIUS_MISMATCH, (i,), ri)
+                    Violation(ViolationKind.RADIUS_MISMATCH, (int(keep[i]),), ri)
                 )
 
     violations.sort(key=lambda v: (v.kind.value, v.indices))

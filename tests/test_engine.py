@@ -7,8 +7,6 @@ from diskpack.engine import (
     InstanceError,
     InstanceSpec,
     PackingState,
-    RingRecord,
-    RingState,
     boundary_packing,
     create_ring,
     pack,
@@ -76,35 +74,28 @@ def test_boundary_packing_seven_quarters():
 
 def test_ring_packing_single_file_until_full():
     st = fresh_state([0.25] * 12)
-    ring = RingRecord(RingShape(Point(0, 0), 1.0, 0.5))
-    st.rings.append(ring)
-    n = ring_packing(st, ring)
-    assert ring.state is RingState.FULL
+    closed = ring_packing(st, RingShape(Point(0, 0), 1.0, 0.5))
+    assert not closed and st.trace[-1]["state"] == "full"
+    n = 12 - len(st.pending)
     assert n == 9  # same angular budget as boundary packing at anchor 0.75
-    for idx in ring.placed:
-        d = math.hypot(st.placed[idx].center.x, st.placed[idx].center.y)
+    for disk in st.placed[-n:]:
+        d = math.hypot(disk.center.x, disk.center.y)
         assert d == pytest.approx(0.75, abs=1e-12)
 
 
 def test_ring_packing_pass_condition_closes():
     st = fresh_state([0.2, 0.1, 0.1])
-    ring = RingRecord(RingShape(Point(0, 0), 1.0, 0.5))
-    st.rings.append(ring)
-    ring_packing(st, ring)
+    closed = ring_packing(st, RingShape(Point(0, 0), 1.0, 0.5))
     # after 0.2 and 0.1: 2*0.1 + 2*0.1 = 0.4 < 0.5 -> CLOSED with 0.1 pending
-    assert ring.state is RingState.CLOSED
+    assert closed and st.trace[-1]["state"] == "closed"
     assert st.pending == [0.1]
 
 
 def test_ring_packing_alternates_sides():
     st = fresh_state([0.2, 0.18, 0.18, 0.18])
-    ring = RingRecord(RingShape(Point(0, 0), 1.0, 0.6))
-    st.rings.append(ring)
-    ring_packing(st, ring)
-    dists = [
-        math.hypot(st.placed[i].center.x, st.placed[i].center.y)
-        for i in ring.placed
-    ]
+    ring_packing(st, RingShape(Point(0, 0), 1.0, 0.6))
+    n = 4 - len(st.pending)
+    dists = [math.hypot(q.center.x, q.center.y) for q in st.placed[-n:]]
     assert dists[0] == pytest.approx(0.8, abs=1e-12)  # outer anchor for 0.2
     assert dists[1] == pytest.approx(0.78, abs=1e-12)  # inner anchor for 0.18
     assert dists[2] == pytest.approx(0.82, abs=1e-12)  # outer again
@@ -113,10 +104,10 @@ def test_ring_packing_alternates_sides():
 def test_create_ring_formula_and_guard():
     st = fresh_state([])
     ring = create_ring(st, 0.2)
-    assert (ring.shape.r_out, ring.shape.r_in) == (1.0, 0.6)
+    assert (ring.r_out, ring.r_in) == (1.0, 0.6)
     assert st.r_min == 0.6
     ring2 = create_ring(st, 0.05)
-    assert (ring2.shape.r_out, ring2.shape.r_in) == (0.6, 0.5)
+    assert (ring2.r_out, ring2.r_in) == (0.6, 0.5)
     st.r_min = 0.1
     assert create_ring(st, 0.06) is None  # 0.1 - 0.12 < 0 -> guard
 

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import os
 import struct
@@ -63,6 +64,80 @@ def test_parse_rejects_malformed():
         parse_instance('{"format_version": 1, "radii": [-0.5]}')
     with pytest.raises(FileFormatError):
         parse_packing('{"format_version": 1}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"format_version": 1, "radii": [true]}',
+        '{"format_version": 1, "radii": ["0.5"]}',
+        '{"format_version": 1, "radii": [Infinity]}',
+        '{"format_version": 1, "radii": [NaN]}',
+        '{"format_version": 1, "radii": [1e400]}',
+        pytest.param(
+            '{"format_version": 1, "radii": [1%s]}' % ("0" * 400), id="int-past-float"
+        ),
+        '{"format_version": true, "radii": [0.5]}',
+        '{"format_version": 1.0, "radii": [0.5]}',
+        '{"format_version": "1", "radii": [0.5]}',
+        '{"format_version": 1, "radii": [0.5], "container_radius": "2"}',
+        '{"format_version": 1, "radii": [0.5], "container_radius": true}',
+    ],
+)
+def test_parse_instance_takes_only_finite_json_numbers(text):
+    with pytest.raises(FileFormatError):
+        parse_instance(text)
+
+
+def test_parse_instance_takes_json_integers():
+    inst = parse_instance('{"format_version": 1, "radii": [1, 0.5], "container_radius": 2}')
+    assert inst == InstanceFile(radii=(1.0, 0.5), container_radius=2.0)
+    assert all(type(v) is float for v in inst.radii + (inst.container_radius,))
+
+
+def packing_text(format_version=1, unplaced=(), placements=None, **placement):
+    item = {"radius": 0.5, "x": 0.5, "y": 0.0}
+    item.update(placement)
+    return json.dumps({
+        "format_version": format_version,
+        "instance_digest": "0" * 64,
+        "complete": True,
+        "placements": [item] if placements is None else placements,
+        "unplaced": unplaced,
+    })
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"radius": True},
+        {"radius": "0.5"},
+        {"radius": 0},
+        {"radius": -0.5},
+        {"radius": math.nan},
+        {"radius": math.inf},
+        {"x": math.nan},
+        {"y": -math.inf},
+        {"x": False},
+        {"y": "0"},
+        {"format_version": True},
+        {"unplaced": [math.nan]},
+        {"unplaced": [True]},
+        {"unplaced": [0.0]},
+        {"unplaced": 0.5},
+        {"placements": 5},
+        {"placements": {"radius": 0.5}},
+    ],
+)
+def test_parse_packing_takes_only_finite_json_numbers(fields):
+    with pytest.raises(FileFormatError):
+        parse_packing(packing_text(**fields))
+
+
+def test_parse_packing_takes_json_integers():
+    doc = parse_packing(packing_text(radius=1, x=0, y=0, unplaced=[1]))
+    assert doc.placements == ((1.0, 0.0, 0.0),) and doc.unplaced == (1.0,)
+    assert all(type(v) is float for v in doc.placements[0] + doc.unplaced)
 
 
 def test_digest_binds_instance():
@@ -197,6 +272,19 @@ def test_cli_verify_invalid_packing_exits_2(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(["verify", os.fspath(path)], capsys=capsys)
     assert code == 2
     assert '"valid": false' in out
+
+
+def test_cli_verify_rejects_a_nan_packing(tmp_path, capsys):
+    # json.loads accepts NaN, and NaN compares false in every check of the
+    # verifier, so two disks at x = NaN must be refused when parsed.
+    path = tmp_path / "nan.json"
+    doc = json.loads(packing_text(x=math.nan))
+    doc["placements"].append({"radius": 0.5, "x": math.nan, "y": 0.0})
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["verify", os.fspath(path)], capsys=capsys)
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
 
 
 def test_cli_pack_warns_on_incomplete(tmp_path, capsys, monkeypatch):

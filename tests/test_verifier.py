@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from diskpack.files import dumps_report
 from diskpack.verifier import ViolationKind, verify
 
 
@@ -107,3 +108,45 @@ def test_brute_force_grid_agreement():
         if v.kind is ViolationKind.OVERLAP
     }
     assert got == scalar_overlaps
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", [0, 1, 2])
+def test_non_finite_values_are_violations(bad, field):
+    # NaN compares false everywhere, and inf would give an infinite magnitude:
+    # such a disk is reported on its own and left out of the other checks.
+    disk = [0.3, 0.0, 0.0]
+    disk[field] = bad
+    placements = [(0.5, (0.5, 0.0)), (disk[0], (disk[1], disk[2])), (0.2, (-0.5, 0.0))]
+    report = verify(placements, [0.5, 0.3, 0.2])
+    assert not report.valid
+    assert [(v.kind, v.indices, v.magnitude) for v in report.violations] == [
+        (ViolationKind.NON_FINITE, (1,), 0.0)
+    ]
+    assert report.density == 0.5 * 0.5 + 0.2 * 0.2
+    assert '"kind": "non_finite", "indices": [1], "magnitude": 0}' in dumps_report(report)
+
+
+def test_finite_disks_keep_their_indices_around_a_non_finite_one():
+    placements = [
+        (0.6, (0.5, 0.0)),  # containment
+        (0.1, (math.nan, math.nan)),
+        (0.6, (-0.5, 0.0)),  # containment + overlap with 0
+        (0.3, (0.0, 0.5)),  # radius mismatch
+    ]
+    report = verify(placements, [0.6, 0.6, 0.1, 0.2])
+    assert [(v.kind.value, v.indices) for v in report.violations] == [
+        ("containment", (0,)),
+        ("containment", (2,)),
+        ("non_finite", (1,)),
+        ("overlap", (0, 2)),
+        ("overlap", (0, 3)),
+        ("overlap", (2, 3)),
+        ("radius_mismatch", (3,)),
+    ]
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_epsilon_must_be_finite(eps):
+    with pytest.raises(ValueError):
+        verify([(0.5, (0.0, 0.0))], epsilon=eps)
