@@ -192,6 +192,12 @@ def parse_packing(text: str) -> PackingFile:
     if trace is not None:
         if not isinstance(trace, list):
             raise FileFormatError("trace must be a list of events")
+        for event in trace:
+            if not isinstance(event, dict):
+                raise FileFormatError(f"trace event must be an object, got {event!r}")
+            if event.get("event") == "ring_created":
+                for key in ("r_out", "cx", "cy"):
+                    _number(event.get(key), f"ring_created {key}")
         trace = tuple(trace)
     return PackingFile(
         instance_digest=digest,

@@ -9,10 +9,12 @@ enclosure guarantees potential - b_d * area >= 0 for every point of the box;
 the prover can therefore never certify a false bound, only fail to certify.
 
 Parallel runs pre-split the domain into a fixed number of cells independent of
-the worker count; each cell is processed by a deterministic depth-first search,
-so verdict counts are identical for any number of workers. A cell's boxes are
-evaluated in numpy batches, one level of its search tree at a time, and a walk
-over the stored levels replays the depth-first order.
+the worker count, and each cell is searched on its own, so verdicts are
+identical for any number of workers. A cell is searched one level of its tree
+at a time, each level evaluated in numpy batches: all undecided boxes of a
+level are split, or, when the next level would pass the cell's depth or box
+budget, they are the cell's unresolved boxes, with each sibling pair that is
+open as a whole reported as its parent.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,7 +69,7 @@ LAMBDA_MAX = 0.99
 # Version of the box evaluation, written into checkpoint headers so that a
 # resume never mixes verdicts of two evaluators. Change it with any change
 # to the evaluation that could move a verdict.
-EVALUATOR_VERSION = "levels-1"
+EVALUATOR_VERSION = "levels-2"
 
 class ConfigTag(Enum):
     T1 = "T1"
@@ -122,7 +124,6 @@ class CaseBox:
     lambda_: Interval
     r: Tuple[Interval, ...]
     config: ConfigType
-    depth: int = 0
 
     def as_tuple(self) -> tuple:
         parts = [self.lambda_.lo, self.lambda_.hi]
@@ -183,9 +184,9 @@ def _box_rows(boxes: Sequence[CaseBox]) -> Tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _row_boxes(config: ConfigType, lo, hi, depth: int) -> List[CaseBox]:
+def _row_boxes(config: ConfigType, lo, hi) -> List[CaseBox]:
     return [
-        CaseBox(Interval(a[0], b[0]), tuple(map(Interval, a[1:], b[1:])), config, depth)
+        CaseBox(Interval(a[0], b[0]), tuple(map(Interval, a[1:], b[1:])), config)
         for a, b in zip(lo.tolist(), hi.tolist())
     ]
 
@@ -414,7 +415,7 @@ def make_root_box(
     lam = Interval(lam_lo, lam_hi)
     r1_hi = (1.0 - lam_lo) / 2.0
     rs = tuple(Interval(0.0, r1_hi) for _ in range(config.arity))
-    return CaseBox(lam, rs, config, depth=0)
+    return CaseBox(lam, rs, config)
 
 
 def _normalizers(root: CaseBox) -> Tuple[float, ...]:
@@ -425,8 +426,7 @@ def _normalizers(root: CaseBox) -> Tuple[float, ...]:
 def _split_rows(lo: np.ndarray, hi: np.ndarray, norms: Sequence[float]):
     """Bisect every row along its widest normalized dimension (the first one
     on a tie) at its midpoint. Returns the rows of the halves, each lower half
-    followed by its upper half (lower 0, upper 0, lower 1, upper 1, ...), and
-    for each input row the dimension split and the midpoint."""
+    followed by its upper half (lower 0, upper 0, lower 1, upper 1, ...)."""
     rows = np.arange(len(lo))
     k = np.argmax((hi - lo) / np.asarray(norms), axis=1)
     t_lo = lo[rows, k]
@@ -438,12 +438,12 @@ def _split_rows(lo: np.ndarray, hi: np.ndarray, norms: Sequence[float]):
     out_hi = np.repeat(hi, 2, axis=0)
     out_hi[2 * rows, k] = mid
     out_lo[2 * rows + 1, k] = mid
-    return out_lo, out_hi, k, mid
+    return out_lo, out_hi
 
 
 def _split_box(box: CaseBox, norms: Sequence[float]) -> Tuple[CaseBox, CaseBox]:
-    lo, hi, _, _ = _split_rows(*_box_rows([box]), norms)
-    a, b = _row_boxes(box.config, lo, hi, box.depth + 1)
+    lo, hi = _split_rows(*_box_rows([box]), norms)
+    a, b = _row_boxes(box.config, lo, hi)
     return a, b
 
 
@@ -453,8 +453,8 @@ def _partition_cells(root: CaseBox, n_cells: int) -> List[CaseBox]:
     norms = _normalizers(root)
     lo, hi = _box_rows([root])
     while len(lo) < n_cells:
-        lo, hi, _, _ = _split_rows(lo, hi, norms)
-    return _row_boxes(root.config, lo, hi, 0)
+        lo, hi = _split_rows(lo, hi, norms)
+    return _row_boxes(root.config, lo, hi)
 
 
 _PRUNED, _PROVEN, _UNDECIDED = 0, 1, 2
@@ -487,123 +487,88 @@ def _verdicts(config, lo, hi, b_d, with_density):
     return status, density
 
 
-class _Level(NamedTuple):
-    """One level of a cell's search tree, per box. The walk reads the fields
-    one element at a time, so they are memoryviews of numpy arrays: compact,
-    and indexing them gives Python ints and floats."""
-
-    status: memoryview  # _PRUNED, _PROVEN or _UNDECIDED
-    first_child: memoryview  # index of the lower half in the next level, or -1
-    split_dim: memoryview  # for a split box, the dimension halved ...
-    split_mid: memoryview  # ... and the midpoint
-    density: Optional[Tuple[np.ndarray, np.ndarray]]
+def _bounds(lo: np.ndarray, hi: np.ndarray) -> List[list]:
+    """Rows as lists (lambda.lo, lambda.hi, r1.lo, r1.hi, ...)."""
+    return np.stack((lo, hi), axis=2).reshape(len(lo), 2 * lo.shape[1]).tolist()
 
 
-def _expand_levels(cell, b_d, max_depth, max_boxes, norms, with_density) -> List[_Level]:
-    """The cell's search tree, evaluated one level at a time.
-
-    Level d lists, in depth-first order, the boxes of depth d whose parent was
-    split, and is evaluated in numpy batches (_verdicts). A box is split only when it is undecided,
-    its depth is below max_depth, and a lower bound on its 0-based position in
-    the depth-first walk is below max_boxes - 1 (the walk splits a box only
-    when its 1-based count is below max_boxes). The bound counts boxes that
-    the walk visits before this one: its ancestors, the boxes left of each
-    ancestor (and of itself) at their levels, and two children for each
-    undecided box left of it at its own level, which the walk splits whenever
-    it splits this box. So every box the walk splits is split here; the boxes
-    split here beyond the budget are evaluated and never visited.
-
-    Only the current level's bounds are held; a level keeps each box's
-    verdict and split, from which the walk rebuilds the bounds."""
-    config = cell.config
-    lo, hi = _box_rows([cell])
-    index_sum = np.zeros(1, dtype=np.int64)  # in-level indices, self and ancestors
-    levels = []
-    depth = 0
-    while True:
-        status, density = _verdicts(config, lo, hi, b_d, with_density)
-        undecided = status == _UNDECIDED
-        split = np.zeros_like(undecided)
-        if depth < max_depth:
-            left = np.cumsum(undecided) - undecided
-            split = undecided & (depth + index_sum + 2 * left < max_boxes - 1)
-        first_child = np.where(split, 2 * np.cumsum(split) - 2, -1)
-        split_dim = np.zeros(len(lo), dtype=np.int8)
-        split_mid = np.zeros(len(lo))
-        lo, hi, split_dim[split], split_mid[split] = _split_rows(lo[split], hi[split], norms)
-        levels.append(_Level(*map(memoryview, (status, first_child, split_dim, split_mid)), density))
-        if not len(lo):
-            return levels
-        index_sum = np.repeat(index_sum[split], 2) + np.arange(len(lo))
-        depth += 1
+def _open_boxes(splits, open_rows, lo, hi) -> List[list]:
+    """The unresolved boxes of a cell whose last level has the undecided rows
+    `open_rows` (a mask) and the bounds `lo`, `hi`: those rows, with every
+    sibling pair that is open as a whole replaced by its parent, repeated up
+    the levels. `splits` holds each earlier level's split mask; rows 2k and
+    2k+1 of a level are the halves of the k-th split row of the level above,
+    and a parent's bounds are the elementwise min of its halves' lo and max of
+    their hi (bit-exact, since the halves share the midpoint). Deepest level
+    first, in row order within a level."""
+    rows = np.flatnonzero(open_rows)
+    lo, hi = lo[rows], hi[rows]
+    out = []
+    for split in reversed(splits):
+        # positions j where rows j and j + 1 hold a whole pair
+        j = np.flatnonzero((rows[:-1] % 2 == 0) & (rows[1:] == rows[:-1] + 1))
+        keep = np.ones(len(rows), dtype=bool)
+        keep[j] = keep[j + 1] = False
+        out += _bounds(lo[keep], hi[keep])
+        rows = np.flatnonzero(split)[rows[j] // 2]
+        lo = np.minimum(lo[j], lo[j + 1])
+        hi = np.maximum(hi[j], hi[j + 1])
+    return out + _bounds(lo, hi)
 
 
 def _run_cell(task) -> dict:
     """Branch and bound over one cell; returns the cell's checkpoint record.
     `task` is (index, cell, b_d, max_depth, max_boxes, norms, cert_path).
 
-    The boxes are evaluated level by level (_expand_levels); then a
-    depth-first walk over the stored levels, lower half first, counts the
-    boxes, applies the max_boxes cut-off and writes the certificate, so the
-    record and the certificate lines are those of a depth-first search that
-    evaluates one box at a time."""
+    The cell is searched one level at a time. Each level is evaluated in
+    numpy batches (_verdicts) and its proven and pruned boxes are written to
+    the certificate in row order. All of its undecided boxes are split, lower
+    half before upper half, while the depth is below max_depth and the split
+    keeps the boxes processed within max_boxes; otherwise the search stops,
+    and the undecided boxes of that last level, merged pairwise into their
+    parents where a whole pair is open (_open_boxes), are the cell's
+    failures. They follow the leaves in the certificate as `failed` lines
+    without a density. Only the current level's bounds are held, plus one
+    split mask byte per box of the earlier levels."""
     index, cell, b_d, max_depth, max_boxes, norms, cert_path = task
     config = cell.config
-    levels = _expand_levels(
-        cell, b_d, max_depth, max_boxes, norms, with_density=cert_path is not None
-    )
     names = ["λ"] + [f"r{k}" for k in range(1, config.arity + 1)]
     box_format = (
         f"CASE {config.tag.value} ORIENT {config.orientation.value} BOX "
         + " ".join(f"{name}=[%r,%r]" for name in names)
         + " VERDICT %s"
     )
-
-    def emit(depth: int, i: int, box: list, verdict: str) -> None:
-        line = box_format % (*box, verdict)
-        if verdict != "pruned":
-            d_lo, d_hi = levels[depth].density
-            if not math.isnan(d_lo[i]):
-                line += f" DENSITY [{float(d_lo[i])!r},{float(d_hi[i])!r}]"
-        cert.write(line + "\n")
-
-    proven = pruned = processed = 0
-    max_depth_seen = 0
-    failures: List[list] = []
-    # (depth, index in level, bounds lambda.lo, lambda.hi, r1.lo, r1.hi, ...)
-    stack = [(0, 0, list(cell.as_tuple()))]
+    lo, hi = _box_rows([cell])
+    splits: List[np.ndarray] = []
+    proven = pruned = processed = depth = 0
     cert = open(cert_path, "w", encoding="utf-8") if cert_path else None
     try:
-        while stack:
-            depth, i, box = stack.pop()
-            processed += 1
-            if depth > max_depth_seen:
-                max_depth_seen = depth
-            level = levels[depth]
-            status = level.status[i]
-            if status == _PRUNED:
-                pruned += 1
-                verdict = "pruned"
-            elif status == _PROVEN:
-                proven += 1
-                verdict = "proven"
-            elif depth < max_depth and processed < max_boxes:
-                child = level.first_child[i]
-                if child < 0:
-                    raise RuntimeError(f"cell {index}: box {i} of level {depth} was not split")
-                k = 2 * level.split_dim[i]
-                mid = level.split_mid[i]
-                lower, upper = box.copy(), box.copy()
-                lower[k + 1] = mid
-                upper[k] = mid
-                stack.append((depth + 1, child + 1, upper))
-                stack.append((depth + 1, child, lower))
-                continue
-            else:
-                failures.append(box)
-                verdict = "failed"
+        while True:
+            status, density = _verdicts(config, lo, hi, b_d, cert is not None)
+            processed += len(lo)
+            proven += int(np.count_nonzero(status == _PROVEN))
+            pruned += int(np.count_nonzero(status == _PRUNED))
             if cert is not None:
-                emit(depth, i, box, verdict)
+                # Pruned rows have no density (NaN), nor do rows whose area
+                # enclosure contains zero.
+                bounds = _bounds(lo, hi)
+                d_lo, d_hi = density[0].tolist(), density[1].tolist()
+                for i in np.flatnonzero(status != _UNDECIDED).tolist():
+                    line = box_format % (*bounds[i], ("pruned", "proven")[status[i]])
+                    if not math.isnan(d_lo[i]):
+                        line += f" DENSITY [{d_lo[i]!r},{d_hi[i]!r}]"
+                    cert.write(line + "\n")
+            undecided = status == _UNDECIDED
+            n_open = int(np.count_nonzero(undecided))
+            if not n_open or depth >= max_depth or processed + 2 * n_open > max_boxes:
+                break
+            splits.append(undecided)
+            lo, hi = _split_rows(lo[undecided], hi[undecided], norms)
+            depth += 1
+        failures = _open_boxes(splits, undecided, lo, hi)
+        if cert is not None:
+            for box in failures:
+                cert.write(box_format % (*box, "failed") + "\n")
     finally:
         if cert is not None:
             cert.close()
@@ -612,7 +577,7 @@ def _run_cell(task) -> dict:
         "proven": proven,
         "pruned": pruned,
         "processed": processed,
-        "max_depth": max_depth_seen,
+        "max_depth": depth,
         "failures": failures,
     }
 
@@ -741,8 +706,9 @@ def prove_case(
         report.boxes_pruned_infeasible += rec["pruned"]
         report.boxes_processed += rec["processed"]
         report.max_depth = max(report.max_depth, rec["max_depth"])
-        for tup in rec["failures"]:
-            report.failures.append(_box_from_tuple(config, tup))
+    failures = np.array([tup for idx in sorted(done) for tup in done[idx]["failures"]])
+    failures = failures.reshape(-1, 2 + 2 * config.arity)
+    report.failures = _row_boxes(config, failures[:, 0::2], failures[:, 1::2])
     report.wall_time = time.monotonic() - start
 
     if cert_dir is not None:
@@ -754,11 +720,3 @@ def prove_case(
         os.rmdir(cert_dir)
         certificate.write(report.summary_line() + "\n")
     return report
-
-
-def _box_from_tuple(config: ConfigType, tup: Sequence[float]) -> CaseBox:
-    lam = Interval(tup[0], tup[1])
-    rs = tuple(
-        Interval(tup[2 + 2 * i], tup[3 + 2 * i]) for i in range(config.arity)
-    )
-    return CaseBox(lam, rs, config)

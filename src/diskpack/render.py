@@ -42,7 +42,7 @@ def render_svg(
         for ev in packing.trace or ():
             if ev.get("event") != "ring_created":
                 continue
-            cx, cy = ev.get("cx", 0.0), ev.get("cy", 0.0)
+            cx, cy = ev["cx"], ev["cy"]
             parts.append(
                 f'<circle cx="{_num(cx)}" cy="{_num(-cy)}" r="{_num(ev["r_out"])}" '
                 'fill="none" stroke="#888888" stroke-width="0.004" '

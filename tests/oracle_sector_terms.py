@@ -1,9 +1,10 @@
-"""Scalar reference for the prover's batched kernel and its depth-first replay.
+"""Scalar reference for the prover's batched kernel and its level search.
 
 Independent oracle for `prover._sector_terms_rows`, `prover._constraint_corners`,
-`prover._split_rows` and `prover._run_cell`: the one-box-at-a-time interval
-code that the prover ran before its kernel evaluated whole levels of a cell's
-search tree as numpy batches. It uses only the scalar operations of
+`prover._split_rows` and `prover._run_cell`: one-box-at-a-time interval code
+in the form the prover had before its kernel evaluated whole levels of a
+cell's search tree as numpy batches, and a search that builds the tree
+explicitly, one node per box. It uses only the scalar operations of
 `diskpack.intervals`. The batched kernel must give the same bits box by box,
 and `_run_cell` the same record and certificate lines.
 """
@@ -202,10 +203,10 @@ def split_box(box: CaseBox, norms: Sequence[float]) -> Tuple[CaseBox, CaseBox]:
 
     def rebuild(part: Interval) -> CaseBox:
         if k == 0:
-            return CaseBox(part, box.r, box.config, box.depth + 1)
+            return CaseBox(part, box.r, box.config)
         rs = list(box.r)
         rs[k - 1] = part
-        return CaseBox(box.lambda_, tuple(rs), box.config, box.depth + 1)
+        return CaseBox(box.lambda_, tuple(rs), box.config)
 
     return rebuild(lo_part), rebuild(hi_part)
 
@@ -217,9 +218,54 @@ def _density(pot: Interval, area: Interval) -> Optional[Interval]:
         return None
 
 
+class Node:
+    """A box of a cell's search tree, with its verdict ("proven", "pruned" or
+    "open"), its density enclosure and, once split, its two halves."""
+
+    def __init__(self, box: CaseBox):
+        self.box = box
+        self.verdict = "open"
+        self.density: Optional[Interval] = None
+        self.children: List["Node"] = []
+
+
+def evaluate(node: Node, bound: Interval) -> None:
+    terms = None
+    if admissible(node.box) is not Feasibility.INFEASIBLE:
+        terms = sector_terms(node.box)
+    if terms is None:
+        node.verdict = "pruned"
+        return
+    area, pot = terms
+    node.density = _density(pot, area)
+    if iv_sub(pot, iv_mul(bound, area)).lo >= 0.0:
+        node.verdict = "proven"
+
+
+def all_open(node: Node) -> bool:
+    """Whether every leaf under the node (the node itself when it is a leaf)
+    is open."""
+    if not node.children:
+        return node.verdict == "open"
+    return all(all_open(child) for child in node.children)
+
+
+def largest_open(node: Node) -> List[Node]:
+    """The largest nodes under `node` whose leaves are all open, depth first."""
+    if all_open(node):
+        return [node]
+    return [found for child in node.children for found in largest_open(child)]
+
+
 def run_cell(task) -> dict:
-    """Depth-first branch and bound over one cell, one box at a time, with
-    the task and the record of `prover._run_cell`."""
+    """Branch and bound over one cell, one box at a time, with the task and
+    the record of `prover._run_cell`.
+
+    The search tree is built level by level. Every open box of a level is
+    split while the depth is below max_depth and the two halves of each keep
+    the boxes processed within max_boxes; otherwise the search stops. The
+    unresolved boxes are the largest nodes of the tree whose leaves are all
+    open, deepest first and in level order within a depth."""
     index, cell, b_d, max_depth, max_boxes, norms, cert_path = task
     config = cell.config
     bound = iv_point(b_d)
@@ -239,46 +285,47 @@ def run_cell(task) -> dict:
             parts.append(f"DENSITY [{density.lo!r},{density.hi!r}]")
         cert.write(" ".join(parts) + "\n")
 
-    proven = pruned = processed = 0
-    max_depth_seen = 0
-    failures: List[list] = []
-    stack = [cell]
+    root = Node(cell)
+    levels = [[root]]
+    processed = 0
     try:
-        while stack:
-            box = stack.pop()
-            processed += 1
-            if box.depth > max_depth_seen:
-                max_depth_seen = box.depth
-            terms = None
-            if admissible(box) is not Feasibility.INFEASIBLE:
-                terms = sector_terms(box)
-            if terms is None:
-                pruned += 1
-                if cert is not None:
-                    emit(box, "pruned", None)
-                continue
-            area, pot = terms
-            if iv_sub(pot, iv_mul(bound, area)).lo >= 0.0:
-                proven += 1
-                if cert is not None:
-                    emit(box, "proven", _density(pot, area))
-                continue
-            if box.depth >= max_depth or processed >= max_boxes:
-                failures.append(list(box.as_tuple()))
-                if cert is not None:
-                    emit(box, "failed", _density(pot, area))
-                continue
-            a, b = split_box(box, norms)
-            stack.append(b)
-            stack.append(a)
+        while True:
+            level = levels[-1]
+            for node in level:
+                evaluate(node, bound)
+                processed += 1
+                if cert is not None and node.verdict != "open":
+                    emit(node.box, node.verdict, node.density)
+            open_nodes = [node for node in level if node.verdict == "open"]
+            depth = len(levels) - 1
+            if (
+                not open_nodes
+                or depth >= max_depth
+                or processed + 2 * len(open_nodes) > max_boxes
+            ):
+                break
+            for node in open_nodes:
+                node.children = [Node(half) for half in split_box(node.box, norms)]
+            levels.append([child for node in open_nodes for child in node.children])
+
+        position = {
+            id(node): (-depth, i)
+            for depth, level in enumerate(levels)
+            for i, node in enumerate(level)
+        }
+        unresolved = sorted(largest_open(root), key=lambda node: position[id(node)])
+        if cert is not None:
+            for node in unresolved:
+                emit(node.box, "failed", None)
     finally:
         if cert is not None:
             cert.close()
+    nodes = [node for level in levels for node in level]
     return {
         "cell": index,
-        "proven": proven,
-        "pruned": pruned,
+        "proven": sum(node.verdict == "proven" for node in nodes),
+        "pruned": sum(node.verdict == "pruned" for node in nodes),
         "processed": processed,
-        "max_depth": max_depth_seen,
-        "failures": failures,
+        "max_depth": len(levels) - 1,
+        "failures": [list(node.box.as_tuple()) for node in unresolved],
     }

@@ -307,6 +307,30 @@ def test_cli_render(tmp_path, capsys, monkeypatch):
     assert svg.count("<circle") == 3  # no rings in the two-disk trace
 
 
+def malformed_trace_packing(tmp_path, trace):
+    path = tmp_path / "traced.json"
+    doc = json.loads(packing_text())
+    doc["trace"] = trace
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return os.fspath(path)
+
+
+def test_cli_render_rejects_a_ring_event_without_its_geometry(tmp_path, capsys):
+    packing = malformed_trace_packing(tmp_path, [{"event": "ring_created"}])
+    code, out, err = run_cli(["render", packing, "--show-rings"], capsys=capsys)
+    assert code == 1
+    assert out == ""
+    assert "ring_created r_out must be a number" in err
+
+
+def test_cli_render_rejects_a_trace_event_that_is_not_an_object(tmp_path, capsys):
+    packing = malformed_trace_packing(tmp_path, [5])
+    code, out, err = run_cli(["render", packing, "--show-rings"], capsys=capsys)
+    assert code == 1
+    assert out == ""
+    assert "trace event must be an object" in err
+
+
 def test_cli_oracle_constants(capsys, monkeypatch):
     code, out, _ = run_cli(["oracle"], capsys=capsys)
     assert code == 0

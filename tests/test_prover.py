@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 
 import numpy as np
 import pytest
@@ -136,7 +137,7 @@ def _random_feasible_box(rng, cfg, max_width):
         dims = [lam] + rs
         ivs = [Interval(max(0.0, v - w / 2), v + w / 2) for v in dims]
         ivs[0] = Interval(max(0.5, ivs[0].lo), min(0.99, ivs[0].hi))
-        box = CaseBox(ivs[0], tuple(ivs[1:]), cfg, depth=0)
+        box = CaseBox(ivs[0], tuple(ivs[1:]), cfg)
         if _sector_terms(box) is not None:
             return box
     raise AssertionError("could not sample a feasible box")
@@ -188,7 +189,6 @@ def test_split_box_halves_widest():
     root = make_root_box(T1_OUT, (0.5, 0.6))
     norms = _normalizers(root)
     a, b = _split_box(root, norms)
-    assert a.depth == b.depth == 1
     # Exactly one dimension is bisected; the halves tile the parent.
     dims_root = [root.lambda_] + list(root.r)
     dims_a = [a.lambda_] + list(a.r)
@@ -330,7 +330,7 @@ def test_checkpoint_header_mismatch(tmp_path):
 WEAK = {"lambda_range": (0.5, 0.6), "b_d": 0.3}
 
 
-@pytest.mark.parametrize("evaluator", [None, "scalar-0"])
+@pytest.mark.parametrize("evaluator", [None, "scalar-0", "levels-1"])
 def test_checkpoint_refuses_another_evaluator(tmp_path, evaluator):
     ck = os.fspath(tmp_path / "t1.jsonl")
     budget = ProverBudget(cells=4)
@@ -451,9 +451,10 @@ def test_certificate_log_format():
 
 
 # SHA-256 of the certificate that T1/outer on lambda in [0.98, 0.99] with
-# ProverBudget(cells=4, max_boxes=2000) wrote at commit e987089 (1,026 lines:
-# 617 proven, 363 pruned, 45 failed, and the SUMMARY line).
-CERT_T1_098_SHA256 = "7d6224306bbec525f0288465cb9cdbea322c17cd44d8129b83eadcfd48d96704"
+# ProverBudget(cells=4, max_boxes=2000) writes under the rule that stops a
+# cell between levels and merges its open boxes (evaluator "levels-2"; 461
+# lines: 0 proven, 283 pruned, 177 failed, and the SUMMARY line).
+CERT_T1_098_SHA256 = "116f622af7075db6b737b3a2d2f5b243d97fe31ef0a2fae85ecd3449e269897f"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -468,12 +469,51 @@ def test_certificate_pinned_across_commits(workers):
     )
     text = buf.getvalue()
     assert (rep.boxes_proven, rep.boxes_pruned_infeasible, len(rep.failures)) == (
-        617,
-        363,
-        45,
+        0,
+        283,
+        177,
     )
-    assert text.count("\n") == 1026
+    assert text.count("\n") == 461
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CERT_T1_098_SHA256
+
+
+_CERT_BOUNDS = re.compile(r"(?:λ|r\d)=\[([^,\]]+),([^\]]+)\]")
+
+
+def test_budget_cut_cells_stay_in_budget_and_tile_the_domain(tmp_path):
+    """A run whose budget cuts every cell: no cell processes more than its
+    share of max_boxes, and the proven, pruned and failed boxes of the
+    certificate tile the root box, so merging open halves into their parents
+    neither loses nor doubles a part of the domain."""
+    ck = os.fspath(tmp_path / "t1.jsonl")
+    buf = io.StringIO()
+    budget = ProverBudget(cells=4, max_boxes=2000)
+    rep = prove_case(
+        T1_OUT,
+        lambda_range=(0.98, 0.99),
+        budget=budget,
+        checkpoint=ck,
+        certificate=buf,
+    )
+    with open(ck, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh][1:]
+    assert len(records) == budget.cells
+    assert all(rec["processed"] <= budget.max_boxes // budget.cells for rec in records)
+    assert rep.failures
+
+    lines = buf.getvalue().splitlines()[:-1]
+    boxes = np.array([[[float(x) for x in pair] for pair in _CERT_BOUNDS.findall(line)]
+                      for line in lines])
+    assert boxes.shape == (len(lines), 3, 2)
+    root = make_root_box(T1_OUT, (0.98, 0.99))
+    root_lo = np.array([root.lambda_.lo] + [iv.lo for iv in root.r])
+    root_hi = np.array([root.lambda_.hi] + [iv.hi for iv in root.r])
+    points = np.random.default_rng(20261018).uniform(root_lo, root_hi, size=(2000, 3))
+    inside = (
+        (boxes[None, :, :, 0] < points[:, None, :])
+        & (points[:, None, :] < boxes[None, :, :, 1])
+    ).all(axis=2)
+    assert (inside.sum(axis=1) == 1).all()
 
 
 def test_budget_exhaustion_reports_failures():

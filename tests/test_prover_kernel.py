@@ -1,6 +1,6 @@
-"""The prover's batched kernel and its depth-first replay against the scalar
-oracle in `oracle_sector_terms.py`: the same bits box by box, and the same
-cell records and certificate lines."""
+"""The prover's batched kernel and its level search against the scalar oracle
+in `oracle_sector_terms.py`: the same bits box by box, and the same cell
+records and certificate lines."""
 
 import json
 import random
@@ -218,20 +218,24 @@ def test_arithmetic_matches_scalar(pairs):
 
 
 # ---------------------------------------------------------------------------
-# replay
+# level search
 
 
 @pytest.mark.parametrize("max_depth", [0, 3, 60])
 @pytest.mark.parametrize("max_boxes", [1, 2, 3, 50, 2000])
-def test_run_cell_equals_the_depth_first_oracle(tmp_path, max_boxes, max_depth):
-    """Cells at lambda in [0.98, 0.99], where the budget cuts the search:
-    max_boxes and max_depth at the edges of the position bound that decides
-    which boxes the levels split."""
-    for cfg, count in (
-        (ConfigType(ConfigTag.T1, Orientation.OUTER_FIRST), 4),
-        (ConfigType(ConfigTag.T7, Orientation.INNER_FIRST), 2),
+def test_run_cell_equals_the_level_oracle(tmp_path, max_boxes, max_depth):
+    """Cells at lambda in [0.98, 0.99], where the budget cuts the search and
+    leaves open boxes to merge, and the first two T1/outer cells at lambda in
+    [0.5, 0.51], where boxes are proven and certificate lines carry a
+    density: max_boxes and max_depth at the edges of the rule that stops a
+    cell between levels."""
+    t1 = ConfigType(ConfigTag.T1, Orientation.OUTER_FIRST)
+    for cfg, lambda_range, count in (
+        (t1, (0.98, 0.99), 4),
+        (ConfigType(ConfigTag.T7, Orientation.INNER_FIRST), (0.98, 0.99), 2),
+        (t1, (0.5, 0.51), 2),
     ):
-        root = make_root_box(cfg, (0.98, 0.99))
+        root = make_root_box(cfg, lambda_range)
         norms = _normalizers(root)
         for i, cell in enumerate(_partition_cells(root, 4)[:count]):
             got_path = tmp_path / f"got{i}"
