@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .geometry import (
     ContainerDisk,
+    NearDisks,
     PlacedDisk,
     Point,
     RingShape,
@@ -117,14 +118,18 @@ def boundary_packing(state: PackingState, c: ContainerDisk, threshold: float) ->
         c.center, lambda q: _overlaps_disk_region(q, c), state.placed
     )
     count = 0
+    near = None  # built at the first placement, for the largest radius
     while state.pending and state.pending[0] >= threshold:
         r = state.pending[0]
         if r > c.radius:
             break
-        disk = place_tangent(c, r, angle_floor=floor, prev=state.placed)
+        if near is None:
+            near = NearDisks(c.center, r, state.placed)
+        disk = place_tangent(c, r, angle_floor=floor, prev=near)
         if disk is None:
             break
         state.placed.append(disk)
+        near.append(disk)
         state.pending.pop(0)
         floor = max(floor, polar_angle(c.center, disk.center))
         count += 1
@@ -139,10 +144,11 @@ def ring_packing(state: PackingState, ring: RingShape) -> bool:
 
     Placements check only the disks near the ring's band, and the ring's own
     disks: nothing else is placed while the ring is packed."""
-    near = [q for q in state.placed if _overlaps_ring_region(q, ring, RING_BAND_SLACK)]
+    band = [q for q in state.placed if _overlaps_ring_region(q, ring, RING_BAND_SLACK)]
     floor = _max_overlapping_angle(
-        ring.center, lambda q: _overlaps_ring_region(q, ring), near
+        ring.center, lambda q: _overlaps_ring_region(q, ring), band
     )
+    near = NearDisks(ring.center, state.pending[0] if state.pending else 0.0, band)
     side = Side.INNER  # flipped before each placement; the first is OUTER
     r_prev = None
     width = ring.width
@@ -198,15 +204,15 @@ def _phase1_recursion(state: PackingState) -> None:
         c = state.container
         if state.pending[0] > c.radius:
             return
-        first = place_tangent(c, state.pending[0], angle_floor=0.0, prev=state.placed)
+        near = NearDisks(c.center, state.pending[0], state.placed)
+        first = place_tangent(c, state.pending[0], angle_floor=0.0, prev=near)
         if first is None:
             return
         state.placed.append(first)
+        near.append(first)
         state.pending.pop(0)
         floor = polar_angle(c.center, first.center)
-        second = place_tangent(
-            c, state.pending[0], angle_floor=floor, prev=state.placed
-        )
+        second = place_tangent(c, state.pending[0], angle_floor=floor, prev=near)
         if second is None:
             state.log("phase1_partial", placed_radius=first.radius)
             return

@@ -7,21 +7,41 @@ stated otherwise.
 
 Placement kernel: each disk near the circle of candidate centers yields a
 keep-out arc (theta_q, sep_q) (`_blocking_constraints`), and
-`_smallest_feasible_angle` picks the smallest free angle >= the floor from k
-arcs in O(k log k), by one sweep over the sorted candidates and arcs. The
+`_smallest_feasible_angle` picks the smallest free angle in [floor, top) from
+k arcs in O(k log k), by one sweep over the sorted candidates and arcs. The
 sweep only skips a candidate lying deeper than SWEEP_MARGIN inside an arc; a
 candidate is returned only once the exact test (circular distance to every
 theta_q >= sep_q - ANGLE_EPS) passes, so the angle is bit-identical to
-checking every candidate against every arc, whatever the arcs' order. Each
-exact test costs O(k); random packings make fewer than one per placement.
+checking every candidate against every arc, whatever the arcs' order.
+
+The disks to avoid sit in a `NearDisks` index about the fixed center. For
+each disk it caches theta_q and an upper bound on its keep-out half-width
+that holds for every anchor and every radius up to the index's r_max:
+asin((r_max + r_q) / dq) + BOUND_MARGIN, since a center at any distance from
+the fixed center sees the disk's gap circle under at most that angle. A disk whose bound exceeds WIDE_ARC, or that may block every angle
+(dq <= r_max + r_q), is wide and checked by every query; the others are
+narrow and kept sorted by theta_q. A query looks at the window
+[floor, floor + START_SPAN]: it builds arcs only for the wide disks and the
+narrow ones whose bounded arc reaches the window, and sweeps with
+top = floor + span. If no candidate below top is free, the span doubles, and
+only the disks newly in reach add arcs; at 2*pi every disk is in and top is
+floor + 2*pi, which is the full scan.
+
+Why the angle is unchanged: a disk left out of a window has its whole
+keep-out arc at least BOUND_MARGIN away from the window. So its upper edge is
+no candidate below top, and every point of the window passes its exact test
+with room far above rounding. The candidates below top and their exact tests
+are therefore the same as with every disk in, and the sweep returns the same
+float, or finds none below top in either case.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,6 +59,16 @@ ANGLE_EPS = 1e-12
 # Depth inside a keep-out arc beyond which the sweep skips a candidate without
 # the exact test; it dwarfs ANGLE_EPS plus the rounding of an arc's edges.
 SWEEP_MARGIN = 1e-9
+
+# Slack added to a narrow disk's keep-out bound; it dwarfs the rounding of
+# the bound, of the half-width acos(c) and of the angles compared with it.
+BOUND_MARGIN = 1e-9
+
+# Keep-out bound above which a disk is wide: every query checks it.
+WIDE_ARC = 0.5
+
+# Width of a query's first window above the floor; each miss doubles it.
+START_SPAN = 1.0
 
 
 class GeometryDomainError(ValueError):
@@ -138,13 +168,13 @@ def _blocking_constraints(
     return cons, False
 
 
-def _smallest_feasible_angle(angle_floor: float, cons) -> Optional[float]:
-    """Smallest beta >= angle_floor whose circular distance from every theta_q
-    is at least sep_q - ANGLE_EPS. Candidates are the floor itself and each
-    constraint's upper edge shifted into [floor, floor + 2*pi). The sweep
-    keeps `reach`, the furthest end of the arcs started so far (an arc that
-    starts below the floor also has a copy 2*pi up)."""
-    top = angle_floor + TWO_PI
+def _smallest_feasible_angle(angle_floor: float, cons, top: float) -> Optional[float]:
+    """Smallest beta in [angle_floor, top) whose circular distance from every
+    theta_q is at least sep_q - ANGLE_EPS, for top <= angle_floor + 2*pi.
+    Candidates are the floor itself and each constraint's upper edge shifted
+    into [floor, floor + 2*pi). The sweep keeps `reach`, the furthest end of
+    the arcs started so far (an arc that starts below the floor also has a
+    copy 2*pi up)."""
     cands = [angle_floor]
     arcs = []
     for theta, sep in cons:
@@ -181,24 +211,159 @@ def _smallest_feasible_angle(angle_floor: float, cons) -> Optional[float]:
     return None
 
 
+class NearDisks:
+    """Polar index of the disks that placements about a fixed center must
+    avoid, for placed radii up to r_max (see the module docstring). `len`
+    counts every disk and iteration yields every disk."""
+
+    __slots__ = ("center", "r_max", "_wide", "_thetas", "_narrow", "_reach")
+
+    def __init__(
+        self, center: Point, r_max: float, disks: Iterable[PlacedDisk] = ()
+    ):
+        self.center = center
+        self.r_max = r_max
+        self._wide: List[PlacedDisk] = []  # checked by every query
+        self._thetas: List[float] = []  # theta_q of the narrow disks, sorted
+        self._narrow: List[Tuple[float, float, PlacedDisk]] = []  # (theta_q, bound_q, q)
+        self._reach = 0.0  # largest bound_q of the narrow disks
+        for q in disks:
+            self.append(q)
+
+    def __len__(self) -> int:
+        return len(self._wide) + len(self._narrow)
+
+    def __iter__(self):
+        yield from self._wide
+        for _, _, q in self._narrow:
+            yield q
+
+    def append(self, q: PlacedDisk) -> None:
+        dx = q.center.x - self.center.x
+        dy = q.center.y - self.center.y
+        dq = math.hypot(dx, dy)
+        g = self.r_max + q.radius
+        bound = math.asin(g / dq) + BOUND_MARGIN if dq > g else math.inf
+        if bound > WIDE_ARC:
+            self._wide.append(q)
+            return
+        theta = math.atan2(dy, dx)
+        if theta < 0.0:
+            theta += TWO_PI
+        i = bisect_left(self._thetas, theta)
+        self._thetas.insert(i, theta)
+        self._narrow.insert(i, (theta, bound, q))
+        if bound > self._reach:
+            self._reach = bound
+
+    def free_angle(self, anchor: float, r: float, angle_floor: float) -> Optional[float]:
+        """The kernel's angle for a center at distance anchor > 0: window by
+        window, the arcs of the disks newly in reach and one sweep below the
+        window's top. None when no angle is free."""
+        cons = []
+        for top, disks in self._windows(angle_floor):
+            if disks:
+                more, blocked = _blocking_constraints(self.center, anchor, r, disks)
+                if blocked:
+                    return None
+                cons += more
+            beta = _smallest_feasible_angle(angle_floor, cons, top)
+            if beta is not None:
+                return beta
+        return None
+
+    def _windows(self, angle_floor: float):
+        """Yield (top, disks) for growing windows [angle_floor, top]: `disks`
+        are the disks whose bounded keep-out arc newly reaches the window, the
+        wide ones in the first batch. The span starts at START_SPAN and
+        doubles while it stays below 2*pi - 2*WIDE_ARC, so that no disk
+        reaches a window from both of its ends. The last top is
+        angle_floor + 2*pi, and by then every disk has been yielded once."""
+        narrow, reach, n = self._narrow, self._reach, len(self._narrow)
+        f = normalize_angle(angle_floor)
+        start = bisect_left(self._thetas, f)
+        batch = list(self._wide)
+        # Narrow disks below the floor, nearest first: one in reach of the
+        # floor is in every window; the others only in the full circle.
+        rest = []
+        below = 0
+        while below < n:
+            theta, bound, q = narrow[start - 1 - below]
+            d = f - theta
+            if d < 0.0:
+                d += TWO_PI
+            if d > reach:
+                break
+            below += 1
+            if d <= bound:
+                batch.append(q)
+            else:
+                rest.append(q)
+        # Narrow disks at or above the floor, nearest first, walked up to the
+        # window's top plus the largest bound; `later` holds the walked ones
+        # not yet in reach, with the span that brings them in.
+        above, i, later = n - below, 0, []
+        span = START_SPAN
+        while span < TWO_PI - 2.0 * WIDE_ARC:
+            if later:
+                waiting = []
+                for entry in later:
+                    if entry[0] <= span:
+                        batch.append(entry[1])
+                    else:
+                        waiting.append(entry)
+                later = waiting
+            while i < above:
+                k = start + i
+                theta, bound, q = narrow[k - n if k >= n else k]
+                u = theta - f
+                if u < 0.0:
+                    u += TWO_PI
+                if u > span + reach:
+                    break
+                i += 1
+                if u - bound <= span:
+                    batch.append(q)
+                else:
+                    later.append((u - bound, q))
+            yield angle_floor + span, batch
+            batch = []
+            span *= 2.0
+        batch += rest
+        batch += [q for _, q in later]
+        batch += [narrow[(start + k) % n][2] for k in range(i, above)]
+        yield angle_floor + TWO_PI, batch
+
+
+def _near_index(center: Point, r: float, prev) -> NearDisks:
+    """`prev` itself when it is an index about center fit for radius r; else
+    a new index of the disks in the sequence prev."""
+    if not isinstance(prev, NearDisks):
+        return NearDisks(center, r, prev)
+    if prev.center != center or r > prev.r_max:
+        raise GeometryDomainError(
+            f"index about {prev.center} for radii up to {prev.r_max} cannot "
+            f"place radius {r} about {center}"
+        )
+    return prev
+
+
 def _place_at_anchor(
     center: Point,
     anchor: float,
     angle_floor: float,
-    prev: Sequence[PlacedDisk],
+    prev: Union[NearDisks, Sequence[PlacedDisk]],
     r: float,
 ) -> Optional[PlacedDisk]:
+    near = _near_index(center, r, prev)
     if anchor == 0.0:
         # Degenerate: the disk is concentric with the anchor circle.
-        for q in prev:
+        for q in near:
             dq = math.hypot(q.center.x - center.x, q.center.y - center.y)
             if dq < r + q.radius - ANGLE_EPS:
                 return None
         return PlacedDisk(center, r)
-    cons, blocked = _blocking_constraints(center, anchor, r, prev)
-    if blocked:
-        return None
-    beta = _smallest_feasible_angle(angle_floor, cons)
+    beta = near.free_angle(anchor, r, angle_floor)
     if beta is None:
         return None
     return PlacedDisk(
@@ -211,14 +376,15 @@ def place_tangent(
     boundary: ContainerDisk,
     r: float,
     angle_floor: float = 0.0,
-    prev: Sequence[PlacedDisk] = (),
+    prev: Union[NearDisks, Sequence[PlacedDisk]] = (),
 ) -> Optional[PlacedDisk]:
     """Place a disk of radius r adjacent to the container boundary from inside.
 
     The center goes at distance boundary.radius - r from the container center,
     at the smallest polar angle >= angle_floor at which the disk overlaps no
     disk of prev (wrap-around past 2*pi is checked against every disk).
-    Returns None (NO_FIT) when no such angle exists.
+    Returns None (NO_FIT) when no such angle exists. prev is an index about
+    the container's center, or a sequence indexed on the spot.
     """
     if r > boundary.radius:
         raise GeometryDomainError(
@@ -232,7 +398,7 @@ def place_in_ring(
     side: Side,
     r: float,
     angle_floor: float = 0.0,
-    prev: Sequence[PlacedDisk] = (),
+    prev: Union[NearDisks, Sequence[PlacedDisk]] = (),
 ) -> Optional[PlacedDisk]:
     """Place a disk of radius r inside a ring, adjacent to the chosen boundary.
 

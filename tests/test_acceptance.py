@@ -17,7 +17,14 @@ import pytest
 from diskpack.engine import InstanceSpec, pack
 from diskpack.files import InstanceFile, dumps_packing, packing_from_result
 from diskpack.geometry import PlacedDisk, Point, unit_container, inscribed_disk_after_two
-from diskpack.instances import POCKET3_RADIUS, gen_pocket3, gen_random_area
+from diskpack.instances import (
+    POCKET3_RADIUS,
+    ThresholdEdge,
+    gen_near_threshold,
+    gen_pocket3,
+    gen_random_area,
+    gen_worst_case,
+)
 from diskpack.intervals import (
     Interval,
     UndefinedIntervalError,
@@ -175,6 +182,52 @@ def test_criterion_2_traces_pinned_across_commits():
                     split += bool(event.get("split"))
         assert (created, split) == (2229, 1608)
         assert h.hexdigest() == C2_TRACES_SHA256
+
+
+def family_instances():
+    """The non-random families: the critical pair and its inflation, the
+    three-disk pocket, the three near-threshold edges, and k disks of radius
+    0.1. Between them they place next to wide disks, fill rings to NO_FIT
+    and give disks up."""
+    families = {
+        "worst_case_0": gen_worst_case(0.0),
+        "worst_case_0.01": gen_worst_case(0.01),
+        "pocket3": gen_pocket3(),
+    }
+    for edge in ThresholdEdge:
+        families[f"near_threshold_{edge.value}"] = gen_near_threshold(edge)
+    for k in (10, 40, 49, 50, 80):
+        families[f"radius_0.1_x{k}"] = InstanceSpec.of([0.1] * k)
+    return families
+
+
+# SHA-256 of each family's packing document (UTF-8) followed by json.dumps of
+# its phase trace, as commit d5e12d2 produced them, before the polar index.
+FAMILY_SHA256 = {
+    "worst_case_0": "9f97738aa9aae3d55775f7495775bc3a7fe2eb9d9aac4d63858e767341586788",
+    "worst_case_0.01": "d8de9e7e13b16343533469ddb738295717690a130f55ec11dcfb8482b7fdd05a",
+    "pocket3": "e15e3374f63d4af3afa092afda7037ef06cc680544ba49aeec8ba85d5cff2877",
+    "near_threshold_recursion": "239819c181c3afbbda838b32f1da891847e4661ebaf0ac7e6fe5d86a69315d4d",
+    "near_threshold_quarter": "4eb1a0ba2faf5c1fdb2d129e9148fa4a6af0b142497c0a44029a2581f00d152f",
+    "near_threshold_pass": "90406b9717b8c509fb1c896d17875e0e56a86d6bf6028c063a6ffd76e6f665f4",
+    "radius_0.1_x10": "c6c2868bc6b3d627e771ca410efbb304b3bf11ee990c2402b831d51006d2b7e4",
+    "radius_0.1_x40": "fa6635d9f79c347b18d5111894949aa73e2e135e00675cd216b944e6e63d635d",
+    "radius_0.1_x49": "c85170db307ba31ca30fbd4ed7f702e9997a7a67d6590bea0c55f3f6b867f838",
+    "radius_0.1_x50": "efec32b2a8aab09792371130b416570396f4b0ec0884830b48da3c8e158ad254",
+    "radius_0.1_x80": "045546e07b0a22d60e74b1a64af12ec5c19aa2645c09b8bf6d4868853337c62a",
+}
+
+
+def test_criterion_2_families_pinned_across_commits():
+    with criterion("2d", "non-random families byte-identical to the pinned digests"):
+        got = {}
+        for name, inst in family_instances().items():
+            res = pack(inst)
+            doc = dumps_packing(packing_from_result(res, InstanceFile(radii=inst.radii)))
+            h = hashlib.sha256(doc.encode("utf-8"))
+            h.update(json.dumps(res.phase_trace).encode("utf-8"))
+            got[name] = h.hexdigest()
+        assert got == FAMILY_SHA256
 
 
 def test_criterion_3_oracle_constants():

@@ -12,12 +12,14 @@ from diskpack.geometry import (
     PlacedDisk,
     Point,
     RingShape,
+    NearDisks,
     RingWidthError,
     Side,
     _blocking_constraints,
     _smallest_feasible_angle,
     center_penetration,
     inscribed_disk_after_two,
+    normalize_angle,
     place_in_ring,
     place_tangent,
     polar_angle,
@@ -364,42 +366,180 @@ def constraint_sets(draw):
     return cons
 
 
-@given(floor=FLOORS, cons=constraint_sets())
+@given(floor=FLOORS, cons=constraint_sets(), part=st.floats(0.0, 1.0))
 @settings(max_examples=800, derandomize=True)
-def test_kernel_sweep_matches_quadratic_oracle(floor, cons):
-    got = _smallest_feasible_angle(floor, cons)
+def test_kernel_sweep_matches_quadratic_oracle(floor, cons, part):
+    got = _smallest_feasible_angle(floor, cons, floor + TWO_PI)
     assert same_angle(got, quadratic_feasible_angle(floor, cons))
     # The answer does not depend on the order of the constraints.
-    assert same_angle(got, _smallest_feasible_angle(floor, cons[::-1]))
+    assert same_angle(got, _smallest_feasible_angle(floor, cons[::-1], floor + TWO_PI))
+    # A lower top keeps the answer when it lies below top, and finds none else.
+    top = floor + part * TWO_PI
+    want = got if got is not None and got < top else None
+    assert same_angle(_smallest_feasible_angle(floor, cons, top), want)
 
 
 def test_kernel_tangent_edges_and_blocked_circle():
     # Edges touching exactly: the upper edge of one arc is the lower edge of
     # the next, so the first arc's edge is blocked only by the slack.
     cons = [(1.0, 0.5), (2.0, 0.5)]
-    got = _smallest_feasible_angle(0.5, cons)
+    got = _smallest_feasible_angle(0.5, cons, 0.5 + TWO_PI)
     assert same_angle(got, quadratic_feasible_angle(0.5, cons))
     # Four overlapping arcs cover the circle: no angle is feasible.
     full = [(k * math.pi / 2, 0.8) for k in range(4)]
-    assert _smallest_feasible_angle(0.3, full) is None
+    assert _smallest_feasible_angle(0.3, full, 0.3 + TWO_PI) is None
     assert quadratic_feasible_angle(0.3, full) is None
     # A half-width of pi leaves only the antipode.
-    assert _smallest_feasible_angle(0.0, [(1.0, math.pi)]) == 1.0 + math.pi
+    assert _smallest_feasible_angle(0.0, [(1.0, math.pi)], TWO_PI) == 1.0 + math.pi
+
+
+def full_list_angle(center, anchor, r, disks, floor):
+    """The quadratic oracle over the arcs of every disk: the kernel's angle
+    without an index or a window."""
+    cons, blocked = _blocking_constraints(center, anchor, r, list(disks))
+    return None if blocked else quadratic_feasible_angle(floor, cons)
 
 
 def test_kernel_matches_oracle_on_packing_traffic(monkeypatch):
-    """Every angle choice that real packings make agrees with the oracle."""
-    sweep = geometry._smallest_feasible_angle
-    calls = []
+    """Every angle choice that real packings make agrees with the oracle over
+    the arcs of the full near list."""
+    free_angle = NearDisks.free_angle
+    sizes = []
 
-    def checked(floor, cons):
-        got = sweep(floor, cons)
-        assert same_angle(got, quadratic_feasible_angle(floor, cons))
-        calls.append(len(cons))
+    def checked(near, anchor, r, floor):
+        got = free_angle(near, anchor, r, floor)
+        want = full_list_angle(near.center, anchor, r, near, floor)
+        assert same_angle(got, want)
+        sizes.append(len(near))
         return got
 
-    monkeypatch.setattr(geometry, "_smallest_feasible_angle", checked)
+    monkeypatch.setattr(NearDisks, "free_angle", checked)
     for seed in range(4):
         ratio = 10.0 ** -(1 + seed % 3)
         pack(gen_random_area(300, math.pi / 2, seed, min_radius_ratio=ratio))
-    assert len(calls) > 1000 and max(calls) > 50
+    assert len(sizes) > 1000 and max(sizes) > 50
+
+
+# ---------------------------------------------------------------------------
+# the polar index against the full-list oracle
+
+
+def polar_disk(center, theta, dq, radius):
+    return disk(radius, center.x + dq * math.cos(theta), center.y + dq * math.sin(theta))
+
+
+def nudge(x, steps):
+    """x moved by `steps` units in the last place."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.inf if steps > 0 else -math.inf)
+    return x
+
+
+@st.composite
+def index_queries(draw):
+    """(center, anchor, r, r_max, disks, floor) for one kernel query.
+
+    Kinds: random disks; disks whose keep-out arc is at its widest (the
+    anchor circle's tangent sight line), with the floor or the first window's
+    top a few ulps off the arc's bounded edge; wide disks, and disks that
+    block every angle; chains of exactly touching disks placed along the
+    anchor circle by the oracle, which can fill the circle (NO_FIT) or leave
+    the only gap just below the floor (the full window)."""
+    center = Point(draw(st.sampled_from([0.0, 0.25])), draw(st.sampled_from([0.0, -0.125])))
+    anchor = draw(st.floats(0.05, 1.0))
+    r = draw(st.floats(1e-3, 0.1))
+    r_max = r * draw(st.sampled_from([1.0, 1.0, 1.5, 3.0]))
+    thetas = st.one_of(THETAS, st.floats(-1e-9, 0.0))
+    distances = st.one_of(st.just(0.0), st.floats(1e-6, 1.5))
+    disks = [
+        polar_disk(center, draw(thetas), draw(distances), draw(st.floats(1e-4, 0.05)))
+        for _ in range(draw(st.integers(0, 16)))
+    ]
+    floor = draw(FLOORS)
+    kind = draw(st.sampled_from(["random", "tangent", "wide", "chain"]))
+    if kind == "tangent":
+        # dq^2 = anchor^2 + g^2: this anchor sees the disk's gap circle under
+        # the largest angle, asin(g/dq), the bound less its margin.
+        for _ in range(draw(st.integers(1, 6))):
+            rq = draw(st.floats(1e-4, 0.25))
+            g = r_max + rq
+            dq = math.hypot(anchor, g)
+            theta = draw(THETAS)
+            disks.append(polar_disk(center, theta, dq, rq))
+            edge = math.asin(g / dq)
+            if draw(st.booleans()):
+                floor = theta + edge  # the disk just below the floor
+            else:
+                floor = theta - edge - geometry.START_SPAN  # just above the top
+            floor = normalize_angle(nudge(floor, draw(st.integers(-4, 4))))
+    elif kind == "wide":
+        for _ in range(draw(st.integers(1, 4))):
+            rq = draw(st.floats(0.05, 0.6))
+            dq = draw(st.one_of(st.just(0.0), st.floats(1e-6, 2.0 * (r_max + rq))))
+            disks.append(polar_disk(center, draw(THETAS), dq, rq))
+    elif kind == "chain":
+        rq = draw(st.floats(0.02, 0.5)) * anchor
+        start = theta = draw(FLOORS)
+        for _ in range(draw(st.integers(1, 40))):
+            beta = full_list_angle(center, anchor, rq, disks, theta)
+            if beta is None:
+                break
+            disks.append(polar_disk(center, beta, anchor, rq))
+            theta = normalize_angle(beta)
+        r = min(r, rq)
+        r_max = max(r_max, r)
+        floor = draw(st.sampled_from([floor, start, theta]))
+    return center, anchor, r, r_max, disks, floor
+
+
+@given(query=index_queries())
+@settings(max_examples=600, derandomize=True, deadline=None)
+def test_index_query_matches_full_list_oracle(query):
+    center, anchor, r, r_max, disks, floor = query
+    near = NearDisks(center, r_max, disks)
+    assert len(near) == len(disks)
+    got = near.free_angle(anchor, r, floor)
+    assert same_angle(got, full_list_angle(center, anchor, r, disks, floor))
+    # The index does not depend on the order its disks came in.
+    assert same_angle(got, NearDisks(center, r_max, disks[::-1]).free_angle(anchor, r, floor))
+
+    # Each window leaves out only disks whose keep-out arc, as the kernel
+    # computes it, lies wholly above the window's top: no candidate below top
+    # and no exact test of a point in the window can depend on them.
+    left = list(disks)
+    tops = []
+    for top, batch in near._windows(floor):
+        tops.append(top)
+        for q in batch:
+            left.remove(q)
+        cons, blocked = _blocking_constraints(center, anchor, r, left)
+        assert not blocked
+        for theta, sep in cons:
+            edge = theta + sep + TWO_PI * math.ceil((floor - theta - sep) / TWO_PI)
+            if edge < floor:
+                edge += TWO_PI
+            assert edge - 2.0 * sep >= top
+    assert not left and tops[-1] == floor + TWO_PI
+
+
+def test_index_needs_the_full_circle():
+    # Ten disks around the unit container from angle 0 leave free only the
+    # stretch below the first one, so the answer lies past every partial
+    # window above a floor just past 0.
+    placed = []
+    for _ in range(10):
+        placed.append(place_tangent(UNIT, 0.2, angle_floor=0.0, prev=placed))
+    floor = polar_angle(UNIT.center, placed[0].center) + 1e-3
+    near = NearDisks(UNIT.center, 0.1, placed)
+    got = near.free_angle(0.9, 0.1, floor)
+    assert got is not None and got - floor > 4.0
+    assert same_angle(got, full_list_angle(UNIT.center, 0.9, 0.1, placed, floor))
+
+
+def test_index_rejects_another_center_or_a_larger_radius():
+    near = NearDisks(Point(0.0, 0.0), 0.1, [disk(0.1, 0.5, 0.0)])
+    with pytest.raises(GeometryDomainError):
+        place_tangent(UNIT, 0.2, prev=near)
+    ring = RingShape(Point(0.5, 0.0), 0.5, 0.1)
+    with pytest.raises(GeometryDomainError):
+        place_in_ring(ring, Side.OUTER, 0.1, prev=near)
