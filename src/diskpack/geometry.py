@@ -150,7 +150,7 @@ def _blocking_constraints(
         dy = qy - cy
         dq = hypot(dx, dy)
         gap = r + q.radius
-        if dq == 0.0:
+        if two_a * dq == 0.0:  # concentric, or dq so small the divisor underflows
             if anchor >= gap:
                 continue
             return [], True

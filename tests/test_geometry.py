@@ -59,6 +59,18 @@ def separation(anchor, dq, gap):
     return sep
 
 
+def test_disk_at_subnormal_distance_counts_as_concentric():
+    # 2 * anchor * dq underflows to 0 for dq = 5e-324, though dq itself is
+    # not 0: the disk takes the concentric branch, not a division by zero.
+    q = disk(0.1, 5e-324, 0.0)
+    center = Point(0.0, 0.0)
+    assert _blocking_constraints(center, 0.15, 0.1, [q]) == ([], True)
+    assert _blocking_constraints(center, 0.25, 0.1, [q]) == ([], False)
+    near = NearDisks(center, 0.1, [q])
+    assert near.free_angle(0.15, 0.1, 1.0) is None
+    assert near.free_angle(0.25, 0.1, 1.0) == 1.0
+
+
 def bisect_separation(d1, d2, gap):
     """Independent oracle: bisection on the chord length as a function of the
     included angle (monotone on [0, pi])."""
@@ -450,7 +462,7 @@ def index_queries(draw):
     r = draw(st.floats(1e-3, 0.1))
     r_max = r * draw(st.sampled_from([1.0, 1.0, 1.5, 3.0]))
     thetas = st.one_of(THETAS, st.floats(-1e-9, 0.0))
-    distances = st.one_of(st.just(0.0), st.floats(1e-6, 1.5))
+    distances = st.one_of(st.just(0.0), st.floats(0.0, 1e-300), st.floats(1e-6, 1.5))
     disks = [
         polar_disk(center, draw(thetas), draw(distances), draw(st.floats(1e-4, 0.05)))
         for _ in range(draw(st.integers(0, 16)))
