@@ -21,9 +21,11 @@ from .files import (
 )
 from .instances import (
     GeneratorKind,
-    GeneratorSpec,
     ThresholdEdge,
-    generate,
+    gen_near_threshold,
+    gen_pocket3,
+    gen_random_area,
+    gen_worst_case,
 )
 from .prover import (
     DENSITY_BOUND,
@@ -60,16 +62,14 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 def _cmd_gen(args) -> int:
     kind = GeneratorKind(args.kind)
-    spec = GeneratorSpec(
-        kind=kind,
-        n=args.n,
-        total_area=args.total_area,
-        seed=args.seed,
-        min_radius_ratio=args.min_radius_ratio,
-        inflate=args.inflate,
-        edge=ThresholdEdge(args.edge),
-    )
-    inst = generate(spec)
+    if kind is GeneratorKind.WORST_CASE:
+        inst = gen_worst_case(args.inflate)
+    elif kind is GeneratorKind.RANDOM_AREA:
+        inst = gen_random_area(args.n, args.total_area, args.seed, args.min_radius_ratio)
+    elif kind is GeneratorKind.POCKET3:
+        inst = gen_pocket3()
+    else:
+        inst = gen_near_threshold(ThresholdEdge(args.edge))
     _write_text(args.output, dumps_instance(InstanceFile(radii=inst.radii)))
     return EXIT_OK
 
@@ -295,9 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--bound", type=float, default=DENSITY_BOUND)
     pr.add_argument("--lambda-min", type=float, default=0.5)
     pr.add_argument("--lambda-max", type=float, default=LAMBDA_MAX)
-    pr.add_argument("--max-depth", type=int, default=60)
-    pr.add_argument("--max-boxes", type=int, default=20_000_000)
-    pr.add_argument("--cells", type=int, default=256)
+    defaults = ProverBudget()
+    pr.add_argument("--max-depth", type=int, default=defaults.max_depth)
+    pr.add_argument("--max-boxes", type=int, default=defaults.max_boxes)
+    pr.add_argument("--cells", type=int, default=defaults.cells)
     pr.add_argument("--threads", type=int, default=1)
     pr.add_argument("--checkpoint", default=None)
     pr.add_argument("--resume", action="store_true")

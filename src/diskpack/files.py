@@ -46,18 +46,16 @@ def _number(v, what: str, positive: bool = False) -> float:
     return f
 
 
-def _check_version(doc: dict, expected: int, what: str) -> int:
+def _check_version(doc: dict, expected: int, what: str) -> None:
     version = doc.get("format_version")
     if type(version) is not int or version != expected:  # rejects true and 1.0
         raise FileFormatError(f"unsupported {what} format_version: {version!r}")
-    return version
 
 
 @dataclass(frozen=True)
 class InstanceFile:
     radii: Tuple[float, ...]
     container_radius: float = 1.0
-    format_version: int = INSTANCE_FORMAT_VERSION
 
     def normalized_radii(self) -> Tuple[float, ...]:
         """Radii in units of the container radius."""
@@ -73,13 +71,12 @@ class PackingFile:
     complete: bool
     unplaced: Tuple[float, ...]
     trace: Optional[Tuple[dict, ...]] = None
-    format_version: int = PACKING_FORMAT_VERSION
 
 
 def dumps_instance(inst: InstanceFile) -> str:
     lines = [
         "{",
-        f'  "format_version": {inst.format_version},',
+        f'  "format_version": {INSTANCE_FORMAT_VERSION},',
         f'  "container_radius": {_fmt(inst.container_radius)},',
         '  "radii": [',
     ]
@@ -103,13 +100,13 @@ def parse_instance(text: str) -> InstanceFile:
         raise FileFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError("instance document must be a JSON object")
-    version = _check_version(doc, INSTANCE_FORMAT_VERSION, "instance")
+    _check_version(doc, INSTANCE_FORMAT_VERSION, "instance")
     radii = doc.get("radii")
     if not isinstance(radii, list) or not radii:
         raise FileFormatError("radii must be a nonempty list")
     out = tuple(_number(r, "radius", positive=True) for r in radii)
     cr = _number(doc.get("container_radius", 1.0), "container_radius", positive=True)
-    return InstanceFile(radii=out, container_radius=cr, format_version=version)
+    return InstanceFile(radii=out, container_radius=cr)
 
 
 def _dump_trace_event(ev: dict) -> str:
@@ -135,7 +132,7 @@ def _dump_trace_event(ev: dict) -> str:
 def dumps_packing(p: PackingFile) -> str:
     lines = [
         "{",
-        f'  "format_version": {p.format_version},',
+        f'  "format_version": {PACKING_FORMAT_VERSION},',
         f'  "instance_digest": "{p.instance_digest}",',
         f'  "complete": {"true" if p.complete else "false"},',
         '  "placements": [',
@@ -167,7 +164,7 @@ def parse_packing(text: str) -> PackingFile:
         raise FileFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError("packing document must be a JSON object")
-    version = _check_version(doc, PACKING_FORMAT_VERSION, "packing")
+    _check_version(doc, PACKING_FORMAT_VERSION, "packing")
     digest = doc.get("instance_digest")
     if not isinstance(digest, str):
         raise FileFormatError("instance_digest must be a string")
@@ -205,7 +202,6 @@ def parse_packing(text: str) -> PackingFile:
         complete=complete,
         unplaced=unplaced,
         trace=trace,
-        format_version=version,
     )
 
 

@@ -18,7 +18,8 @@ The disks to avoid sit in a `NearDisks` index about the fixed center. For
 each disk it caches theta_q and an upper bound on its keep-out half-width
 that holds for every anchor and every radius up to the index's r_max:
 asin((r_max + r_q) / dq) + BOUND_MARGIN, since a center at any distance from
-the fixed center sees the disk's gap circle under at most that angle. A disk whose bound exceeds WIDE_ARC, or that may block every angle
+the fixed center sees the disk's gap circle under at most that angle. A disk
+whose bound exceeds WIDE_ARC, or that may block every angle
 (dq <= r_max + r_q), is wide and checked by every query; the others are
 narrow and kept sorted by theta_q. A query looks at the window
 [floor, floor + START_SPAN]: it builds arcs only for the wide disks and the

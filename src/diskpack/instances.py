@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 
 from .engine import InstanceSpec
@@ -16,12 +15,10 @@ from .engine import InstanceSpec
 __all__ = [
     "GeneratorKind",
     "ThresholdEdge",
-    "GeneratorSpec",
     "gen_worst_case",
     "gen_random_area",
     "gen_pocket3",
     "gen_near_threshold",
-    "generate",
     "POCKET3_RADIUS",
 ]
 
@@ -40,17 +37,6 @@ class ThresholdEdge(Enum):
     RECURSION_EDGE = "recursion"
     QUARTER_EDGE = "quarter"
     PASS_EDGE = "pass"
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    kind: GeneratorKind
-    n: int = 1
-    total_area: float = math.pi / 2.0
-    seed: int = 0
-    min_radius_ratio: float = 1e-3
-    inflate: float = 0.0
-    edge: ThresholdEdge = ThresholdEdge.RECURSION_EDGE
 
 
 def gen_worst_case(inflate: float = 0.0) -> InstanceSpec:
@@ -106,13 +92,3 @@ def gen_near_threshold(edge: ThresholdEdge) -> InstanceSpec:
         # hits 2r + 2r' = width exactly (up to 1e-9).
         radii = _fill_to_area([0.3, 0.2, 0.1 + 5e-10, 0.1 - 5e-10], 0.015, cap)
     return InstanceSpec.of(radii)
-
-
-def generate(spec: GeneratorSpec) -> InstanceSpec:
-    if spec.kind is GeneratorKind.WORST_CASE:
-        return gen_worst_case(spec.inflate)
-    if spec.kind is GeneratorKind.RANDOM_AREA:
-        return gen_random_area(spec.n, spec.total_area, spec.seed, spec.min_radius_ratio)
-    if spec.kind is GeneratorKind.POCKET3:
-        return gen_pocket3()
-    return gen_near_threshold(spec.edge)

@@ -23,6 +23,7 @@ import json
 import math
 import multiprocessing
 import os
+import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -125,12 +126,6 @@ class CaseBox:
     r: Tuple[Interval, ...]
     config: ConfigType
 
-    def as_tuple(self) -> tuple:
-        parts = [self.lambda_.lo, self.lambda_.hi]
-        for iv in self.r:
-            parts.extend((iv.lo, iv.hi))
-        return tuple(parts)
-
 
 class Feasibility(Enum):
     FEASIBLE = "feasible"
@@ -152,7 +147,8 @@ class ProofReport:
     boxes_proven: int = 0
     boxes_pruned_infeasible: int = 0
     max_depth: int = 0
-    failures: List[CaseBox] = field(default_factory=list)
+    # Unresolved boxes as bound rows (see _bounds), in certificate order.
+    failures: List[list] = field(default_factory=list)
     wall_time: float = 0.0
     boxes_processed: int = 0
 
@@ -174,8 +170,10 @@ class ProofReport:
 #
 # The prover evaluates boxes in batches: row i of the (n, 1 + arity) arrays
 # `lo` and `hi` holds the bounds of box i, lambda in column 0 and r1, r2 (, r3)
-# after it. The one-box functions below (admissible, _sector_terms,
-# _split_box) are views of the batch functions on a single row.
+# after it. Outside a batch, a box travels as one flat bound row (_bounds):
+# cells, checkpoint records, certificate lines and ProofReport.failures. The
+# one-box functions below (admissible, _sector_terms, _split_box) are views of
+# the batch functions on a single row.
 
 
 def _box_rows(boxes: Sequence[CaseBox]) -> Tuple[np.ndarray, np.ndarray]:
@@ -447,14 +445,14 @@ def _split_box(box: CaseBox, norms: Sequence[float]) -> Tuple[CaseBox, CaseBox]:
     return a, b
 
 
-def _partition_cells(root: CaseBox, n_cells: int) -> List[CaseBox]:
-    """Deterministic pre-split of the root into >= n_cells cells (each split
-    round bisects every cell along its widest normalized dimension)."""
+def _partition_cells(root: CaseBox, n_cells: int) -> List[list]:
+    """Deterministic pre-split of the root into >= n_cells cells, as bound rows
+    (each split round bisects every cell along its widest normalized dimension)."""
     norms = _normalizers(root)
     lo, hi = _box_rows([root])
     while len(lo) < n_cells:
         lo, hi = _split_rows(lo, hi, norms)
-    return _row_boxes(root.config, lo, hi)
+    return _bounds(lo, hi)
 
 
 _PRUNED, _PROVEN, _UNDECIDED = 0, 1, 2
@@ -518,7 +516,8 @@ def _open_boxes(splits, open_rows, lo, hi) -> List[list]:
 
 def _run_cell(task) -> dict:
     """Branch and bound over one cell; returns the cell's checkpoint record.
-    `task` is (index, cell, b_d, max_depth, max_boxes, norms, cert_path).
+    `task` is (index, config, cell, b_d, max_depth, max_boxes, norms,
+    cert_path), with the cell as a bound row.
 
     The cell is searched one level at a time. Each level is evaluated in
     numpy batches (_verdicts) and its proven and pruned boxes are written to
@@ -530,15 +529,14 @@ def _run_cell(task) -> dict:
     failures. They follow the leaves in the certificate as `failed` lines
     without a density. Only the current level's bounds are held, plus one
     split mask byte per box of the earlier levels."""
-    index, cell, b_d, max_depth, max_boxes, norms, cert_path = task
-    config = cell.config
+    index, config, cell, b_d, max_depth, max_boxes, norms, cert_path = task
     names = ["λ"] + [f"r{k}" for k in range(1, config.arity + 1)]
     box_format = (
         f"CASE {config.tag.value} ORIENT {config.orientation.value} BOX "
         + " ".join(f"{name}=[%r,%r]" for name in names)
         + " VERDICT %s"
     )
-    lo, hi = _box_rows([cell])
+    lo, hi = np.array([cell[0::2]]), np.array([cell[1::2]])
     splits: List[np.ndarray] = []
     proven = pruned = processed = depth = 0
     cert = open(cert_path, "w", encoding="utf-8") if cert_path else None
@@ -600,23 +598,53 @@ def _checkpoint_header(config, b_d, lambda_range, budget) -> dict:
     }
 
 
-def _read_checkpoint(path: str, header: dict) -> dict:
+def _check_record(rec, n_cells: int, row_len: int, done: dict) -> None:
+    """Raise ValueError unless `rec` is the record of a cell in [0, n_cells)
+    that is not in `done`, with integer counts and its failures as bound rows
+    of `row_len` finite floats."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"checkpoint record is not an object: {rec!r}")
+    cell = rec.get("cell")
+    if type(cell) is not int or not 0 <= cell < n_cells or cell in done:
+        raise ValueError(f"checkpoint record has a bad or repeated cell index: {cell!r}")
+    for key in ("proven", "pruned", "processed", "max_depth"):
+        if type(rec.get(key)) is not int:
+            raise ValueError(f"checkpoint record of cell {cell} has no integer {key!r}")
+    rows = rec.get("failures")
+    if not isinstance(rows, list) or not all(
+        type(row) is list
+        and len(row) == row_len
+        and all(type(x) is float and math.isfinite(x) for x in row)
+        for row in rows
+    ):
+        raise ValueError(
+            f"checkpoint record of cell {cell} needs failures as rows of "
+            f"{row_len} finite floats"
+        )
+
+
+def _read_checkpoint(path: str, header: dict, n_cells: int, arity: int) -> dict:
     """Records of the finished cells in a checkpoint, by cell index.
 
-    A last line without its newline is the tail of a write that was cut off:
-    it is dropped, and the file is cut back to its last complete line so that
-    appended records start on a line of their own. Any other malformed line
-    raises."""
+    The first complete line must be the run's header and every other one a
+    well-formed record (_check_record); a checkpoint that breaks either rule
+    raises ValueError. A last line without its newline is the tail of a write
+    that was cut off: it is dropped, and the file is cut back to its last
+    complete line so that appended records start on a line of their own."""
     with open(path, "rb") as fh:
         data = fh.read()
     complete = data.rfind(b"\n") + 1
+    lines = data[:complete].decode("utf-8").splitlines()
+    if lines:
+        first = json.loads(lines[0])
+        if not (isinstance(first, dict) and "header" in first):
+            raise ValueError(f"checkpoint {path} does not start with its header line")
+        if first != {"header": header}:
+            raise ValueError("checkpoint header does not match current parameters")
     done: dict = {}
-    for line in data[:complete].decode("utf-8").splitlines():
+    for line in lines[1:]:
         rec = json.loads(line)
-        if "header" in rec:
-            if rec["header"] != header:
-                raise ValueError("checkpoint header does not match current parameters")
-            continue
+        _check_record(rec, n_cells, 2 + 2 * arity, done)
         done[rec["cell"]] = rec
     if complete < len(data):
         os.truncate(path, complete)
@@ -650,7 +678,7 @@ def prove_case(
     header = _checkpoint_header(config, b_d, lambda_range, budget)
     done: dict = {}
     if resume and checkpoint and os.path.exists(checkpoint):
-        done = _read_checkpoint(checkpoint, header)
+        done = _read_checkpoint(checkpoint, header, len(cells), config.arity)
     if done and certificate is not None:
         raise ValueError(
             f"checkpoint {checkpoint} already holds {len(done)} finished cell(s); "
@@ -671,6 +699,7 @@ def prove_case(
     tasks = [
         (
             i,
+            config,
             cell,
             b_d,
             budget.max_depth,
@@ -706,16 +735,14 @@ def prove_case(
         report.boxes_pruned_infeasible += rec["pruned"]
         report.boxes_processed += rec["processed"]
         report.max_depth = max(report.max_depth, rec["max_depth"])
-    failures = np.array([tup for idx in sorted(done) for tup in done[idx]["failures"]])
-    failures = failures.reshape(-1, 2 + 2 * config.arity)
-    report.failures = _row_boxes(config, failures[:, 0::2], failures[:, 1::2])
+        report.failures += rec["failures"]
     report.wall_time = time.monotonic() - start
 
     if cert_dir is not None:
         for i in range(len(cells)):
             path = os.path.join(cert_dir, f"cell{i:06d}.log")
             with open(path, "r", encoding="utf-8") as fh:
-                certificate.write(fh.read())
+                shutil.copyfileobj(fh, certificate)
             os.unlink(path)
         os.rmdir(cert_dir)
         certificate.write(report.summary_line() + "\n")

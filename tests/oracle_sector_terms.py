@@ -266,8 +266,7 @@ def run_cell(task) -> dict:
     the boxes processed within max_boxes; otherwise the search stops. The
     unresolved boxes are the largest nodes of the tree whose leaves are all
     open, deepest first and in level order within a depth."""
-    index, cell, b_d, max_depth, max_boxes, norms, cert_path = task
-    config = cell.config
+    index, config, cell, b_d, max_depth, max_boxes, norms, cert_path = task
     bound = iv_point(b_d)
     cert = open(cert_path, "w", encoding="utf-8") if cert_path else None
 
@@ -285,7 +284,8 @@ def run_cell(task) -> dict:
             parts.append(f"DENSITY [{density.lo!r},{density.hi!r}]")
         cert.write(" ".join(parts) + "\n")
 
-    root = Node(cell)
+    ivs = [Interval(cell[k], cell[k + 1]) for k in range(0, len(cell), 2)]
+    root = Node(CaseBox(ivs[0], tuple(ivs[1:]), config))
     levels = [[root]]
     processed = 0
     try:
@@ -327,5 +327,8 @@ def run_cell(task) -> dict:
         "pruned": sum(node.verdict == "pruned" for node in nodes),
         "processed": processed,
         "max_depth": len(levels) - 1,
-        "failures": [list(node.box.as_tuple()) for node in unresolved],
+        "failures": [
+            [x for iv in (node.box.lambda_, *node.box.r) for x in (iv.lo, iv.hi)]
+            for node in unresolved
+        ],
     }

@@ -336,7 +336,7 @@ def test_criterion_5_interval_soundness():
             finite = vals[np.isfinite(vals)]
             assert np.all((finite >= d.lo) & (finite <= d.hi)), (
                 cfg.label,
-                box.as_tuple(),
+                box,
             )
             boxes_done += 1
             points_checked += finite.size

@@ -21,6 +21,13 @@ from diskpack.files import (
     parse_instance,
     parse_packing,
 )
+from diskpack.instances import (
+    ThresholdEdge,
+    gen_near_threshold,
+    gen_pocket3,
+    gen_random_area,
+    gen_worst_case,
+)
 from diskpack.render import render_svg
 
 GNARLY = [0.1 + 0.2, 1 / 3, 0.5, 1e-9, 0.4999999999999999, math.pi / 7]
@@ -357,6 +364,25 @@ def test_cli_oracle_function_needs_at(capsys, monkeypatch):
     assert "--at" in err
 
 
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (["--kind", "worst-case"], gen_worst_case()),
+        (["--kind", "worst-case", "--inflate", "1e-3"], gen_worst_case(1e-3)),
+        (["--kind", "random-area", "--n", "7", "--seed", "1"],
+         gen_random_area(7, math.pi / 2, 1)),
+        (["--kind", "pocket3"], gen_pocket3()),
+        (["--kind", "near-threshold", "--edge", "quarter"],
+         gen_near_threshold(ThresholdEdge.QUARTER_EDGE)),
+    ],
+)
+def test_cli_gen_kinds(tmp_path, args, expected):
+    path = os.fspath(tmp_path / "inst.json")
+    assert main(["gen", *args, "-o", path]) == 0
+    with open(path, encoding="utf-8") as fh:
+        assert parse_instance(fh.read()).radii == expected.radii
+
+
 def test_cli_gen_bad_params_exit_1(capsys, monkeypatch):
     code, _, err = run_cli(
         ["gen", "--kind", "random-area", "--n", "0"], capsys=capsys
@@ -469,3 +495,42 @@ def test_cli_prove_certificate_needs_a_fresh_run(tmp_path, capsys):
         text = fh.read()
     assert text.startswith("CASE T1 ORIENT outer BOX ")
     assert text.splitlines()[-1] == out.splitlines()[0].split(" wall=")[0]
+
+
+def _record(line, **changes):
+    return json.dumps({**json.loads(line), **changes}) + "\n"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda lines: lines[1:], id="no-header"),
+        pytest.param(lambda lines: lines[:1] + ['{"foo": 1}\n'], id="no-cell"),
+        pytest.param(lambda lines: lines[:1] + ["[1, 2]\n"], id="not-an-object"),
+        pytest.param(lambda lines: lines[:1] + ['{"cell": 0}\n'], id="no-counts"),
+        pytest.param(lambda lines: lines[:1] + [_record(lines[1], cell=4)], id="cell-past-end"),
+        pytest.param(lambda lines: lines[:2] + lines[1:2], id="repeated-cell"),
+        pytest.param(lambda lines: lines[:1] + [_record(lines[1], proven=True)], id="bool-count"),
+        pytest.param(
+            lambda lines: lines[:1] + [_record(lines[1], failures=[[0.5, 0.51]])],
+            id="short-row",
+        ),
+        pytest.param(
+            lambda lines: lines[:1] + [_record(lines[1], failures=[[math.nan] * 6])],
+            id="nan-row",
+        ),
+    ],
+)
+def test_cli_prove_resume_refuses_a_malformed_checkpoint(tmp_path, capsys, edit):
+    ck = os.fspath(tmp_path / "ck.jsonl")
+    args = ["prove", "--case", "T1", "--bound", "0.3", "--lambda-max", "0.51",
+            "--cells", "4", "--checkpoint", ck]
+    assert run_cli(args, capsys=capsys)[0] == 0
+    with open(ck, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    with open(ck, "w", encoding="utf-8") as fh:
+        fh.writelines(edit(lines))
+    code, out, err = run_cli(args + ["--resume"], capsys=capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "checkpoint" in err
+    assert "SUMMARY" not in out

@@ -4,14 +4,11 @@ import pytest
 
 from diskpack.instances import (
     POCKET3_RADIUS,
-    GeneratorKind,
-    GeneratorSpec,
     ThresholdEdge,
     gen_near_threshold,
     gen_pocket3,
     gen_random_area,
     gen_worst_case,
-    generate,
 )
 
 
@@ -99,16 +96,3 @@ def test_near_threshold_families_shape():
     p = gen_near_threshold(ThresholdEdge.PASS_EDGE)
     # pair straddling the pass condition of the width-0.4 ring: 2r+2r' = 0.4 +- 1e-9
     assert 2 * p.radii[2] + 2 * p.radii[3] == pytest.approx(0.4, abs=2e-9)
-
-
-def test_generate_dispatch():
-    spec = GeneratorSpec(kind=GeneratorKind.WORST_CASE)
-    assert generate(spec).radii == (0.5, 0.5)
-    spec = GeneratorSpec(kind=GeneratorKind.RANDOM_AREA, n=7, seed=1)
-    assert len(generate(spec).radii) == 7
-    spec = GeneratorSpec(kind=GeneratorKind.POCKET3)
-    assert len(generate(spec).radii) == 3
-    spec = GeneratorSpec(
-        kind=GeneratorKind.NEAR_THRESHOLD, edge=ThresholdEdge.QUARTER_EDGE
-    )
-    assert generate(spec).radii[0] == 0.2501

@@ -231,10 +231,8 @@ def test_prove_case_canary_never_proves_a_falsehood():
 
 
 def test_prove_case_empty_domain_all_pruned():
-    cell = CaseBox(
-        Interval(0.5, 0.5), (Interval(0.3, 0.31), Interval(0.0, 0.1)), T2_OUT
-    )
-    rec = _run_cell((0, cell, 0.5642, 60, 1000, _normalizers(cell), None))
+    cell = [0.5, 0.5, 0.3, 0.31, 0.0, 0.1]
+    rec = _run_cell((0, T2_OUT, cell, 0.5642, 60, 1000, (1.0, 1.0, 1.0), None))
     assert rec["proven"] == 0
     assert not rec["failures"]
     assert rec["pruned"] > 0
@@ -516,6 +514,29 @@ def test_budget_cut_cells_stay_in_budget_and_tile_the_domain(tmp_path):
     assert (inside.sum(axis=1) == 1).all()
 
 
+def test_failures_are_the_certificates_failed_rows(tmp_path):
+    """ProofReport.failures of a budget-cut run holds the bound rows of the
+    certificate's `failed` lines, in their order, and a run resumed from the
+    checkpoint (two cells read back, two run again) reports the same rows."""
+    ck = os.fspath(tmp_path / "t1.jsonl")
+    buf = io.StringIO()
+    run = {"lambda_range": (0.98, 0.99), "budget": ProverBudget(cells=4, max_boxes=2000)}
+    rep = prove_case(T1_OUT, **run, checkpoint=ck, certificate=buf)
+    rows = [
+        [float(x) for pair in _CERT_BOUNDS.findall(line) for x in pair]
+        for line in buf.getvalue().splitlines()
+        if line.endswith(" VERDICT failed")
+    ]
+    assert len(rows) == 177
+    assert rep.failures == rows
+    with open(ck, encoding="utf-8") as fh:
+        head = fh.readlines()[:3]
+    with open(ck, "w", encoding="utf-8") as fh:
+        fh.writelines(head)
+    resumed = prove_case(T1_OUT, **run, checkpoint=ck, resume=True)
+    assert resumed.failures == rows
+
+
 def test_budget_exhaustion_reports_failures():
     rep = prove_case(
         T1_OUT,
@@ -523,9 +544,9 @@ def test_budget_exhaustion_reports_failures():
         budget=ProverBudget(cells=4, max_boxes=40, max_depth=6),
     )
     assert rep.failures
-    for box in rep.failures:
-        assert isinstance(box, CaseBox)
-        assert 0.5 <= box.lambda_.lo <= box.lambda_.hi <= 0.6
+    for row in rep.failures:
+        assert len(row) == 2 + 2 * T1_OUT.arity
+        assert 0.5 <= row[0] <= row[1] <= 0.6
 
 
 def test_certified_configs_orientations():

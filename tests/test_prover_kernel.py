@@ -240,7 +240,7 @@ def test_run_cell_equals_the_level_oracle(tmp_path, max_boxes, max_depth):
         for i, cell in enumerate(_partition_cells(root, 4)[:count]):
             got_path = tmp_path / f"got{i}"
             ref_path = tmp_path / f"ref{i}"
-            got = _run_cell((i, cell, DENSITY_BOUND, max_depth, max_boxes, norms, str(got_path)))
-            ref = oracle.run_cell((i, cell, DENSITY_BOUND, max_depth, max_boxes, norms, str(ref_path)))
+            got = _run_cell((i, cfg, cell, DENSITY_BOUND, max_depth, max_boxes, norms, str(got_path)))
+            ref = oracle.run_cell((i, cfg, cell, DENSITY_BOUND, max_depth, max_boxes, norms, str(ref_path)))
             assert json.dumps(got) == json.dumps(ref)
             assert got_path.read_text(encoding="utf-8") == ref_path.read_text(encoding="utf-8")
