@@ -7,12 +7,12 @@ stated otherwise.
 
 Placement kernel: each disk near the circle of candidate centers yields a
 keep-out arc (theta_q, sep_q) (`_blocking_constraints`), and
-`_smallest_feasible_angle` picks the smallest free angle in [floor, top) from
-k arcs in O(k log k), by one sweep over the sorted candidates and arcs. The
-sweep only skips a candidate lying deeper than SWEEP_MARGIN inside an arc; a
-candidate is returned only once the exact test (circular distance to every
-theta_q >= sep_q - ANGLE_EPS) passes, so the angle is bit-identical to
-checking every candidate against every arc, whatever the arcs' order.
+`_smallest_feasible_angle` picks the smallest free angle in
+[floor, floor + 2*pi) by one sweep over the candidates and arcs in increasing
+order. The sweep only skips a candidate lying deeper than SWEEP_MARGIN inside
+an arc; a candidate is returned only once the exact test (circular distance
+to every theta_q >= sep_q - ANGLE_EPS) passes, so the angle is bit-identical
+to checking every candidate against every arc, whatever the arcs' order.
 
 The disks to avoid sit in a `NearDisks` index about the fixed center. For
 each disk it caches theta_q and an upper bound on its keep-out half-width
@@ -21,19 +21,19 @@ asin((r_max + r_q) / dq) + BOUND_MARGIN, since a center at any distance from
 the fixed center sees the disk's gap circle under at most that angle. A disk
 whose bound exceeds WIDE_ARC, or that may block every angle
 (dq <= r_max + r_q), is wide and checked by every query; the others are
-narrow and kept sorted by theta_q. A query looks at the window
-[floor, floor + START_SPAN]: it builds arcs only for the wide disks and the
-narrow ones whose bounded arc reaches the window, and sweeps with
-top = floor + span. If no candidate below top is free, the span doubles, and
-only the disks newly in reach add arcs; at 2*pi every disk is in and top is
-floor + 2*pi, which is the full scan.
+narrow and kept sorted by theta_q. A query starts the sweep with the arcs of
+the wide disks and of the narrow ones whose bounded arc covers the floor from
+below. The other narrow disks join in order of their angle above the floor
+(2*pi less the distance below it, for the ones below): before the sweep
+examines a candidate, every disk within the index's largest bound of it has
+added its arc.
 
-Why the angle is unchanged: a disk left out of a window has its whole
-keep-out arc at least BOUND_MARGIN away from the window. So its upper edge is
-no candidate below top, and every point of the window passes its exact test
-with room far above rounding. The candidates below top and their exact tests
-are therefore the same as with every disk in, and the sweep returns the same
-float, or finds none below top in either case.
+Why the angle is unchanged: a disk not yet added has its keep-out arc, as
+the kernel computes it, starting more than BOUND_MARGIN above the candidate.
+So it adds no candidate below the current one, and the candidate passes its
+exact test with room far above rounding. Each candidate the sweep examines
+therefore sees the same smaller candidates, arcs and exact tests as with
+every disk in, and the sweep returns the same float, or None in both cases.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 TWO_PI = 2.0 * math.pi
@@ -67,9 +68,6 @@ BOUND_MARGIN = 1e-9
 
 # Keep-out bound above which a disk is wide: every query checks it.
 WIDE_ARC = 0.5
-
-# Width of a query's first window above the floor; each miss doubles it.
-START_SPAN = 1.0
 
 
 class GeometryDomainError(ValueError):
@@ -169,38 +167,52 @@ def _blocking_constraints(
     return cons, False
 
 
-def _smallest_feasible_angle(angle_floor: float, cons, top: float) -> Optional[float]:
-    """Smallest beta in [angle_floor, top) whose circular distance from every
-    theta_q is at least sep_q - ANGLE_EPS, for top <= angle_floor + 2*pi.
+def _smallest_feasible_angle(angle_floor: float, cons, pull) -> Optional[float]:
+    """Smallest beta in [angle_floor, angle_floor + 2*pi) whose circular
+    distance from every theta_q is at least sep_q - ANGLE_EPS; None if none.
+
     Candidates are the floor itself and each constraint's upper edge shifted
-    into [floor, floor + 2*pi). The sweep keeps `reach`, the furthest end of
-    the arcs started so far (an arc that starts below the floor also has a
-    copy 2*pi up)."""
-    cands = [angle_floor]
-    arcs = []
-    for theta, sep in cons:
-        base = theta + sep
-        k = math.ceil((angle_floor - base) / TWO_PI)
-        cand = base + TWO_PI * k
-        if cand < angle_floor:
-            cand += TWO_PI
-        cands.append(cand)
-        start = cand - 2.0 * sep
-        arcs.append((start, cand))
-        if start < angle_floor:
-            arcs.append((start + TWO_PI, cand + TWO_PI))
-    cands.sort()
-    arcs.sort()
-    i, n_arcs, reach = 0, len(arcs), -math.inf
-    for beta in cands:
+    into [floor, floor + 2*pi); they come in increasing order from a heap, and
+    the arcs from a heap by their start. The sweep keeps `reach`, the furthest
+    end of the arcs started so far (an arc that starts below the floor also
+    has a copy 2*pi up). cons is only a first part of the constraints:
+    whenever the next candidate lies more than `limit` (at first -inf) above
+    the floor, pull(w) is called with its offset w and returns the
+    constraints newly in reach and a new limit above w (see
+    NearDisks.free_angle)."""
+    top = angle_floor + TWO_PI
+    cons, cands, arcs = list(cons), [angle_floor], []
+    limit = reach = -math.inf
+
+    def add(new):
+        for theta, sep in new:
+            base = theta + sep
+            k = math.ceil((angle_floor - base) / TWO_PI)
+            cand = base + TWO_PI * k
+            if cand < angle_floor:
+                cand += TWO_PI
+            heappush(cands, cand)
+            start = cand - 2.0 * sep
+            heappush(arcs, (start, cand))
+            if start < angle_floor:
+                heappush(arcs, (start + TWO_PI, cand + TWO_PI))
+
+    add(cons)
+    while True:
+        beta = cands[0] if cands else top
+        if beta - angle_floor > limit:
+            new, limit = pull(beta - angle_floor)
+            add(new)
+            cons += new
+            continue
         if beta >= top:
-            break
+            return None
+        heappop(cands)
         lo = beta - SWEEP_MARGIN
-        while i < n_arcs and arcs[i][0] < lo:
-            end = arcs[i][1]
+        while arcs and arcs[0][0] < lo:
+            end = heappop(arcs)[1]
             if end > reach:
                 reach = end
-            i += 1
         if reach > beta + SWEEP_MARGIN:
             continue
         for theta, sep in cons:
@@ -209,7 +221,6 @@ def _smallest_feasible_angle(angle_floor: float, cons, top: float) -> Optional[f
                 break
         else:
             return beta
-    return None
 
 
 class NearDisks:
@@ -258,35 +269,16 @@ class NearDisks:
             self._reach = bound
 
     def free_angle(self, anchor: float, r: float, angle_floor: float) -> Optional[float]:
-        """The kernel's angle for a center at distance anchor > 0: window by
-        window, the arcs of the disks newly in reach and one sweep below the
-        window's top. None when no angle is free."""
-        cons = []
-        for top, disks in self._windows(angle_floor):
-            if disks:
-                more, blocked = _blocking_constraints(self.center, anchor, r, disks)
-                if blocked:
-                    return None
-                cons += more
-            beta = _smallest_feasible_angle(angle_floor, cons, top)
-            if beta is not None:
-                return beta
-        return None
-
-    def _windows(self, angle_floor: float):
-        """Yield (top, disks) for growing windows [angle_floor, top]: `disks`
-        are the disks whose bounded keep-out arc newly reaches the window, the
-        wide ones in the first batch. The span starts at START_SPAN and
-        doubles while it stays below 2*pi - 2*WIDE_ARC, so that no disk
-        reaches a window from both of its ends. The last top is
-        angle_floor + 2*pi, and by then every disk has been yielded once."""
+        """The kernel's angle for a center at distance anchor > 0, or None when
+        no angle is free: one sweep above the floor, fed the arcs of the
+        narrow disks in angular order as it climbs."""
         narrow, reach, n = self._narrow, self._reach, len(self._narrow)
         f = normalize_angle(angle_floor)
         start = bisect_left(self._thetas, f)
-        batch = list(self._wide)
-        # Narrow disks below the floor, nearest first: one in reach of the
-        # floor is in every window; the others only in the full circle.
-        rest = []
+        first = list(self._wide)
+        # Narrow disks below the floor, nearest first: one whose bounded arc
+        # covers the floor goes in first; the others queue at 2*pi - d.
+        last = []
         below = 0
         while below < n:
             theta, bound, q = narrow[start - 1 - below]
@@ -297,43 +289,36 @@ class NearDisks:
                 break
             below += 1
             if d <= bound:
-                batch.append(q)
+                first.append(q)
             else:
-                rest.append(q)
-        # Narrow disks at or above the floor, nearest first, walked up to the
-        # window's top plus the largest bound; `later` holds the walked ones
-        # not yet in reach, with the span that brings them in.
-        above, i, later = n - below, 0, []
-        span = START_SPAN
-        while span < TWO_PI - 2.0 * WIDE_ARC:
-            if later:
-                waiting = []
-                for entry in later:
-                    if entry[0] <= span:
-                        batch.append(entry[1])
-                    else:
-                        waiting.append(entry)
-                later = waiting
-            while i < above:
-                k = start + i
-                theta, bound, q = narrow[k - n if k >= n else k]
+                last.append((TWO_PI - d, q))
+        cons, blocked = _blocking_constraints(self.center, anchor, r, first)
+        if blocked:
+            return None
+
+        def queue():
+            """The other narrow disks as (u, q), u their angle above the floor,
+            in increasing order."""
+            for k in range(start, start + n - below):
+                theta, _, q = narrow[k - n if k >= n else k]
                 u = theta - f
-                if u < 0.0:
-                    u += TWO_PI
-                if u > span + reach:
-                    break
-                i += 1
-                if u - bound <= span:
-                    batch.append(q)
-                else:
-                    later.append((u - bound, q))
-            yield angle_floor + span, batch
-            batch = []
-            span *= 2.0
-        batch += rest
-        batch += [q for _, q in later]
-        batch += [narrow[(start + k) % n][2] for k in range(i, above)]
-        yield angle_floor + TWO_PI, batch
+                yield (u + TWO_PI if u < 0.0 else u), q
+            yield from reversed(last)
+
+        pending = queue()
+        nxt = next(pending, None)
+
+        def pull(w):
+            # Narrow disks never block: dq > r_max + r_q.
+            nonlocal nxt
+            disks = []
+            while nxt is not None and nxt[0] - reach <= w:
+                disks.append(nxt[1])
+                nxt = next(pending, None)
+            more = _blocking_constraints(self.center, anchor, r, disks)[0] if disks else []
+            return more, (math.inf if nxt is None else nxt[0] - reach)
+
+        return _smallest_feasible_angle(angle_floor, cons, pull)
 
 
 def _near_index(center: Point, r: float, prev) -> NearDisks:

@@ -34,7 +34,6 @@ __all__ = [
     "iv_acos",
     "iv_pi",
     "iv_point",
-    "iv_hull",
     "iv_min",
     "iv_max",
     "av_add",
@@ -126,11 +125,6 @@ def iv_point(x: float) -> Interval:
 def iv_pi() -> Interval:
     """Tight enclosure of pi (width 2 ulp)."""
     return _mk(_nextafter(math.pi, -_INF), _nextafter(math.pi, _INF))
-
-
-def iv_hull(a: Interval, b: Interval) -> Interval:
-    """Smallest interval containing both operands."""
-    return _mk(min(a.lo, b.lo), max(a.hi, b.hi))
 
 
 def iv_min(a: Interval, b: Interval) -> Interval:

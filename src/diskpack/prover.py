@@ -26,6 +26,7 @@ import os
 import shutil
 import tempfile
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
@@ -684,49 +685,56 @@ def prove_case(
             f"checkpoint {checkpoint} already holds {len(done)} finished cell(s); "
             "a certificate needs a fresh run"
         )
-    ck = None
-    if checkpoint:
-        mode = "a" if done else "w"
-        ck = open(checkpoint, mode, encoding="utf-8")
-        if mode == "w":
-            ck.write(json.dumps({"header": header}) + "\n")
-            ck.flush()
+    # On any exit, the checkpoint is closed and the cell logs are removed.
+    with ExitStack() as stack:
+        ck = None
+        if checkpoint:
+            mode = "a" if done else "w"
+            ck = stack.enter_context(open(checkpoint, mode, encoding="utf-8"))
+            if mode == "w":
+                ck.write(json.dumps({"header": header}) + "\n")
+                ck.flush()
+        cert_dir = None
+        if certificate is not None:
+            cert_dir = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="diskpack-cert-")
+            )
 
-    cert_dir = None
-    if certificate is not None:
-        cert_dir = tempfile.mkdtemp(prefix="diskpack-cert-")
+        tasks = [
+            (
+                i,
+                config,
+                cell,
+                b_d,
+                budget.max_depth,
+                per_cell_budget,
+                norms,
+                os.path.join(cert_dir, f"cell{i:06d}.log") if cert_dir else None,
+            )
+            for i, cell in enumerate(cells)
+            if i not in done
+        ]
 
-    tasks = [
-        (
-            i,
-            config,
-            cell,
-            b_d,
-            budget.max_depth,
-            per_cell_budget,
-            norms,
-            os.path.join(cert_dir, f"cell{i:06d}.log") if cert_dir else None,
-        )
-        for i, cell in enumerate(cells)
-        if i not in done
-    ]
+        def record(rec: dict) -> None:
+            done[rec["cell"]] = rec
+            if ck:
+                ck.write(json.dumps(rec) + "\n")
+                ck.flush()
 
-    def record(rec: dict) -> None:
-        done[rec["cell"]] = rec
-        if ck:
-            ck.write(json.dumps(rec) + "\n")
-            ck.flush()
+        if workers <= 1 or len(tasks) <= 1:
+            for t in tasks:
+                record(_run_cell(t))
+        else:
+            ctx = _pool_context()
+            with ctx.Pool(processes=workers) as pool:
+                for rec in pool.imap_unordered(_run_cell, tasks):
+                    record(rec)
 
-    if workers <= 1 or len(tasks) <= 1:
-        for t in tasks:
-            record(_run_cell(t))
-    else:
-        ctx = _pool_context()
-        with ctx.Pool(processes=workers) as pool:
-            for rec in pool.imap_unordered(_run_cell, tasks):
-                record(rec)
-    if ck:
-        ck.close()
+        if cert_dir is not None:
+            for i in range(len(cells)):
+                path = os.path.join(cert_dir, f"cell{i:06d}.log")
+                with open(path, "r", encoding="utf-8") as fh:
+                    shutil.copyfileobj(fh, certificate)
 
     report = ProofReport(config=config, bound=b_d)
     for idx in sorted(done):
@@ -737,13 +745,6 @@ def prove_case(
         report.max_depth = max(report.max_depth, rec["max_depth"])
         report.failures += rec["failures"]
     report.wall_time = time.monotonic() - start
-
-    if cert_dir is not None:
-        for i in range(len(cells)):
-            path = os.path.join(cert_dir, f"cell{i:06d}.log")
-            with open(path, "r", encoding="utf-8") as fh:
-                shutil.copyfileobj(fh, certificate)
-            os.unlink(path)
-        os.rmdir(cert_dir)
+    if certificate is not None:
         certificate.write(report.summary_line() + "\n")
     return report

@@ -230,6 +230,29 @@ def test_criterion_2_families_pinned_across_commits():
         assert got == FAMILY_SHA256
 
 
+# SHA-256 of the packing document and phase trace (as for FAMILY_SHA256) of
+# gen_random_area(4000, pi/2, seed, 1e-3), as commit ce1c356 produced them.
+# Seed 3's inner rings keep a floor near 2*pi while tiny disks fill gaps all
+# round the circle, so its placements search the most of the circle.
+LARGE_RANDOM_SHA256 = {
+    1: "93069de9fcb9f8af4ff3719b01a58bd4507ffd76e386e915d3d18a57850014ee",
+    3: "e83996217aa3b378d7d67691b62c021f637a3c29c8d96bbc1b67f9f19256c23b",
+}
+
+
+def test_criterion_2_large_random_pinned_across_commits():
+    with criterion("2e", "n = 4000 random packings byte-identical to the pinned digests"):
+        got = {}
+        for seed in LARGE_RANDOM_SHA256:
+            inst = gen_random_area(4000, math.pi / 2, seed, 1e-3)
+            res = pack(inst)
+            doc = dumps_packing(packing_from_result(res, InstanceFile(radii=inst.radii)))
+            h = hashlib.sha256(doc.encode("utf-8"))
+            h.update(json.dumps(res.phase_trace).encode("utf-8"))
+            got[seed] = h.hexdigest()
+        assert got == LARGE_RANDOM_SHA256
+
+
 def test_criterion_3_oracle_constants():
     with criterion(3, "analysis constants"):
         assert 0.5606 < rho() < 0.56065

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -378,36 +379,90 @@ def constraint_sets(draw):
     return cons
 
 
-@given(floor=FLOORS, cons=constraint_sets(), part=st.floats(0.0, 1.0))
+def swept(floor, cons):
+    """The sweep over cons with nothing left to pull."""
+    return _smallest_feasible_angle(floor, cons, lambda w: ([], math.inf))
+
+
+def arc_start(floor, theta, sep):
+    """Where the sweep's arc of (theta, sep) starts: its upper edge, shifted
+    into [floor, floor + 2*pi) as the sweep shifts it, less 2 * sep."""
+    base = theta + sep
+    edge = base + TWO_PI * math.ceil((floor - base) / TWO_PI)
+    if edge < floor:
+        edge += TWO_PI
+    return edge - 2.0 * sep
+
+
+def fed_by_pull(floor, cons):
+    """The sweep over cons fed the way the index feeds it: first the
+    constraints whose arc, as the sweep computes it, starts less than
+    2 * BOUND_MARGIN above the floor, then the others in order of their
+    start, each one pulled once a candidate comes within 2 * BOUND_MARGIN of
+    it. Checks that pull is called only when the next candidate lies past the
+    limit it returned last."""
+    first, later = [], []
+    for theta, sep in cons:
+        gap = arc_start(floor, theta, sep) - floor - 2.0 * geometry.BOUND_MARGIN
+        (first if gap <= 0.0 else later).append((gap, (theta, sep)))
+    later.sort(reverse=True)
+    limits = [-math.inf]
+
+    def pull(w):
+        assert w > limits[-1]
+        more = []
+        while later and later[-1][0] <= w:
+            more.append(later.pop()[1])
+        limits.append(later[-1][0] if later else math.inf)
+        return more, limits[-1]
+
+    return _smallest_feasible_angle(floor, [c for _, c in first], pull)
+
+
+@given(floor=FLOORS, cons=constraint_sets())
 @settings(max_examples=800, derandomize=True)
-def test_kernel_sweep_matches_quadratic_oracle(floor, cons, part):
-    got = _smallest_feasible_angle(floor, cons, floor + TWO_PI)
+def test_kernel_sweep_matches_quadratic_oracle(floor, cons):
+    got = swept(floor, cons)
     assert same_angle(got, quadratic_feasible_angle(floor, cons))
     # The answer does not depend on the order of the constraints.
-    assert same_angle(got, _smallest_feasible_angle(floor, cons[::-1], floor + TWO_PI))
-    # A lower top keeps the answer when it lies below top, and finds none else.
-    top = floor + part * TWO_PI
-    want = got if got is not None and got < top else None
-    assert same_angle(_smallest_feasible_angle(floor, cons, top), want)
+    assert same_angle(got, swept(floor, cons[::-1]))
+    # Nor on holding constraints back until the sweep comes near their arcs.
+    assert same_angle(got, fed_by_pull(floor, cons))
 
 
 def test_kernel_tangent_edges_and_blocked_circle():
     # Edges touching exactly: the upper edge of one arc is the lower edge of
     # the next, so the first arc's edge is blocked only by the slack.
     cons = [(1.0, 0.5), (2.0, 0.5)]
-    got = _smallest_feasible_angle(0.5, cons, 0.5 + TWO_PI)
+    got = swept(0.5, cons)
     assert same_angle(got, quadratic_feasible_angle(0.5, cons))
+    assert same_angle(got, fed_by_pull(0.5, cons))
     # Four overlapping arcs cover the circle: no angle is feasible.
     full = [(k * math.pi / 2, 0.8) for k in range(4)]
-    assert _smallest_feasible_angle(0.3, full, 0.3 + TWO_PI) is None
+    assert swept(0.3, full) is None
+    assert fed_by_pull(0.3, full) is None
     assert quadratic_feasible_angle(0.3, full) is None
     # A half-width of pi leaves only the antipode.
-    assert _smallest_feasible_angle(0.0, [(1.0, math.pi)], TWO_PI) == 1.0 + math.pi
+    assert swept(0.0, [(1.0, math.pi)]) == 1.0 + math.pi
+
+
+def test_kernel_arcs_pulled_next_to_the_candidate():
+    # The floor lies deep inside arc A = [0, 1], so the next candidate is its
+    # upper edge 1.0, and arc B is pulled only then. Either B ends a hair
+    # below 1.0, within A's slack, and the sweep goes back to B's edge; or B
+    # starts a hair below 1.0, too close for the skip, and 1.0 fails B's
+    # exact test.
+    a = (0.5, 0.5)
+    cases = [((0.9, 0.1 - 1e-13), 0.9 + (0.1 - 1e-13)), ((1.05, 0.05 + 1e-10), 1.1000000001)]
+    for b, want in cases:
+        assert quadratic_feasible_angle(0.1, [a, b]) == want
+        assert fed_by_pull(0.1, [a, b]) == want
+        assert swept(0.1, [a, b]) == want
 
 
 def full_list_angle(center, anchor, r, disks, floor):
     """The quadratic oracle over the arcs of every disk: the kernel's angle
-    without an index or a window."""
+    without an index."""
     cons, blocked = _blocking_constraints(center, anchor, r, list(disks))
     return None if blocked else quadratic_feasible_angle(floor, cons)
 
@@ -452,11 +507,11 @@ def index_queries(draw):
     """(center, anchor, r, r_max, disks, floor) for one kernel query.
 
     Kinds: random disks; disks whose keep-out arc is at its widest (the
-    anchor circle's tangent sight line), with the floor or the first window's
-    top a few ulps off the arc's bounded edge; wide disks, and disks that
+    anchor circle's tangent sight line), with the floor a few ulps off the
+    arc's bounded edge, below or above it; wide disks, and disks that
     block every angle; chains of exactly touching disks placed along the
     anchor circle by the oracle, which can fill the circle (NO_FIT) or leave
-    the only gap just below the floor (the full window)."""
+    the only gap just below the floor (the full circle)."""
     center = Point(draw(st.sampled_from([0.0, 0.25])), draw(st.sampled_from([0.0, -0.125])))
     anchor = draw(st.floats(0.05, 1.0))
     r = draw(st.floats(1e-3, 0.1))
@@ -482,7 +537,7 @@ def index_queries(draw):
             if draw(st.booleans()):
                 floor = theta + edge  # the disk just below the floor
             else:
-                floor = theta - edge - geometry.START_SPAN  # just above the top
+                floor = theta - edge - geometry.BOUND_MARGIN  # just above the floor
             floor = normalize_angle(nudge(floor, draw(st.integers(-4, 4))))
     elif kind == "wide":
         for _ in range(draw(st.integers(1, 4))):
@@ -504,34 +559,47 @@ def index_queries(draw):
     return center, anchor, r, r_max, disks, floor
 
 
+def checked_query(near, anchor, r, floor):
+    """near.free_angle(anchor, r, floor), checking the pull rule: after each
+    pull, every disk not yet given to `_blocking_constraints` has its keep-out
+    arc, as the kernel computes it, starting above floor + limit, so no
+    candidate the sweep examines before the next pull and no exact test can
+    depend on it."""
+    left = list(near)
+    sweep = geometry._smallest_feasible_angle
+
+    def recorded(*args):
+        for q in args[3]:
+            left.remove(q)
+        return _blocking_constraints(*args)
+
+    def checked_sweep(angle_floor, cons, pull):
+        def checked_pull(w):
+            more, limit = pull(w)
+            assert limit > w
+            rest, blocked = _blocking_constraints(near.center, anchor, r, left)
+            assert not blocked
+            for theta, sep in rest:
+                assert arc_start(floor, theta, sep) - floor > limit
+            return more, limit
+
+        return sweep(angle_floor, cons, checked_pull)
+
+    with mock.patch.object(geometry, "_blocking_constraints", recorded), \
+            mock.patch.object(geometry, "_smallest_feasible_angle", checked_sweep):
+        return near.free_angle(anchor, r, floor)
+
+
 @given(query=index_queries())
 @settings(max_examples=600, derandomize=True, deadline=None)
 def test_index_query_matches_full_list_oracle(query):
     center, anchor, r, r_max, disks, floor = query
     near = NearDisks(center, r_max, disks)
     assert len(near) == len(disks)
-    got = near.free_angle(anchor, r, floor)
+    got = checked_query(near, anchor, r, floor)
     assert same_angle(got, full_list_angle(center, anchor, r, disks, floor))
     # The index does not depend on the order its disks came in.
     assert same_angle(got, NearDisks(center, r_max, disks[::-1]).free_angle(anchor, r, floor))
-
-    # Each window leaves out only disks whose keep-out arc, as the kernel
-    # computes it, lies wholly above the window's top: no candidate below top
-    # and no exact test of a point in the window can depend on them.
-    left = list(disks)
-    tops = []
-    for top, batch in near._windows(floor):
-        tops.append(top)
-        for q in batch:
-            left.remove(q)
-        cons, blocked = _blocking_constraints(center, anchor, r, left)
-        assert not blocked
-        for theta, sep in cons:
-            edge = theta + sep + TWO_PI * math.ceil((floor - theta - sep) / TWO_PI)
-            if edge < floor:
-                edge += TWO_PI
-            assert edge - 2.0 * sep >= top
-    assert not left and tops[-1] == floor + TWO_PI
 
 
 def test_index_needs_the_full_circle():

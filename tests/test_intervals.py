@@ -13,7 +13,6 @@ from diskpack.intervals import (
     iv_add,
     iv_asin,
     iv_div,
-    iv_hull,
     iv_max,
     iv_min,
     iv_mul,
@@ -93,7 +92,6 @@ def test_pi_enclosure():
 
 def test_point_and_hull():
     assert iv_point(0.5) == Interval(0.5, 0.5)
-    assert iv_hull(Interval(0, 1), Interval(2, 3)) == Interval(0, 3)
     assert iv_min(Interval(0, 2), Interval(1, 3)) == Interval(0, 2)
     assert iv_max(Interval(0, 2), Interval(1, 3)) == Interval(1, 3)
 
@@ -161,4 +159,3 @@ def test_subdivision_monotone(a, wa, b, wb, f):
     whole = iv_mul(big_a, big_b)
     part = iv_mul(sub_a, big_b)
     assert whole.lo <= part.lo and part.hi <= whole.hi
-    assert iv_hull(whole, part) == whole

@@ -4,10 +4,12 @@ import json
 import os
 import random
 import re
+import tempfile
 
 import numpy as np
 import pytest
 
+from diskpack import prover
 from diskpack.intervals import Interval, UndefinedIntervalError, iv_mul, iv_point, iv_sub
 from diskpack.prover import (
     EVALUATOR_VERSION,
@@ -423,6 +425,38 @@ def test_certificate_refuses_a_resumed_run(tmp_path):
     )
     leaves = rep.boxes_proven + rep.boxes_pruned_infeasible + len(rep.failures)
     assert buf.getvalue().count("\n") == leaves + 1
+
+
+def test_interrupted_certified_run_leaves_no_cell_logs(tmp_path, monkeypatch):
+    """A run stopped in its second cell removes its cell logs and leaves a
+    checkpoint with the header and cell 0's record, which a resume finishes
+    by running the other cells only."""
+    monkeypatch.setattr(tempfile, "tempdir", os.fspath(tmp_path))
+    ck = os.fspath(tmp_path / "t1.jsonl")
+    run = {"lambda_range": (0.5, 0.505), "budget": ProverBudget(cells=4)}
+    ran, stop = [], [1]
+
+    def run_cell(task):
+        if task[0] in stop:
+            raise KeyboardInterrupt
+        ran.append(task[0])
+        return _run_cell(task)
+
+    monkeypatch.setattr(prover, "_run_cell", run_cell)
+    with pytest.raises(KeyboardInterrupt):
+        prove_case(T1_OUT, **run, checkpoint=ck, certificate=io.StringIO())
+    assert ran == [0]
+    assert os.listdir(tmp_path) == ["t1.jsonl"]
+    with open(ck, encoding="utf-8") as fh:
+        lines = [json.loads(line) for line in fh]
+    assert "header" in lines[0] and [rec["cell"] for rec in lines[1:]] == [0]
+
+    ran.clear()
+    stop.clear()
+    resumed = prove_case(T1_OUT, **run, checkpoint=ck, resume=True)
+    assert ran == [1, 2, 3]
+    full = prove_case(T1_OUT, **run)
+    assert (resumed.boxes_processed, resumed.failures) == (full.boxes_processed, full.failures)
 
 
 def test_certificate_log_format():
