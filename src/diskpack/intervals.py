@@ -33,9 +33,6 @@ __all__ = [
     "iv_asin",
     "iv_acos",
     "iv_pi",
-    "iv_point",
-    "iv_min",
-    "iv_max",
     "av_add",
     "av_sub",
     "av_mul",
@@ -117,24 +114,9 @@ def _widen(x: float, ulps: int, direction: float) -> float:
     return x
 
 
-def iv_point(x: float) -> Interval:
-    """Degenerate interval [x, x]."""
-    return _mk(x, x)
-
-
 def iv_pi() -> Interval:
     """Tight enclosure of pi (width 2 ulp)."""
     return _mk(_nextafter(math.pi, -_INF), _nextafter(math.pi, _INF))
-
-
-def iv_min(a: Interval, b: Interval) -> Interval:
-    """Enclosure of pointwise min(x, y)."""
-    return _mk(min(a.lo, b.lo), min(a.hi, b.hi))
-
-
-def iv_max(a: Interval, b: Interval) -> Interval:
-    """Enclosure of pointwise max(x, y)."""
-    return _mk(max(a.lo, b.lo), max(a.hi, b.hi))
 
 
 def iv_add(a: Interval, b: Interval) -> Interval:

@@ -8,13 +8,15 @@ the density in interval arithmetic. A box counts as proven only when the
 enclosure guarantees potential - b_d * area >= 0 for every point of the box;
 the prover can therefore never certify a false bound, only fail to certify.
 
-Parallel runs pre-split the domain into a fixed number of cells independent of
-the worker count, and each cell is searched on its own, so verdicts are
-identical for any number of workers. A cell is searched one level of its tree
-at a time, each level evaluated in numpy batches: all undecided boxes of a
-level are split, or, when the next level would pass the cell's depth or box
-budget, they are the cell's unresolved boxes, with each sibling pair that is
-open as a whole reported as its parent.
+A run pre-splits the domain into a fixed number of cells, independent of the
+worker count, and hands the cells to the workers in contiguous groups. A group
+is searched one level at a time, the boxes of all its open cells making one
+frontier that is evaluated in numpy batches. Every operation is per box and
+each cell stops by its own counts, so verdicts are identical for any grouping
+and any number of workers. All undecided boxes of a cell's level are split,
+or, when the next level would pass the cell's depth or box budget, they are
+the cell's unresolved boxes, with each sibling pair that is open as a whole
+reported as its parent.
 """
 
 from __future__ import annotations
@@ -463,6 +465,10 @@ _PRUNED, _PROVEN, _UNDECIDED = 0, 1, 2
 # which bounds the memory its temporaries take.
 _BATCH_ROWS = 2048
 
+# Cells per _run_cell task. A task searches its cells as one frontier, so this
+# bounds the memory a frontier takes.
+_GROUP_CELLS = 16
+
 
 def _verdicts(config, lo, hi, b_d, with_density):
     """Status of each row (_PRUNED, _PROVEN or _UNDECIDED) and, when asked,
@@ -515,70 +521,93 @@ def _open_boxes(splits, open_rows, lo, hi) -> List[list]:
     return out + _bounds(lo, hi)
 
 
-def _run_cell(task) -> dict:
-    """Branch and bound over one cell; returns the cell's checkpoint record.
-    `task` is (index, config, cell, b_d, max_depth, max_boxes, norms,
-    cert_path), with the cell as a bound row.
+def _run_cell(task) -> List[dict]:
+    """Branch and bound over a group of cells; returns the cells' checkpoint
+    records in group order. `task` is (indices, config, cells, b_d,
+    max_depth, max_boxes, norms, cert_paths): the cells' indices, the cells
+    as bound rows, each cell's box budget, and None or one log path per cell.
 
-    The cell is searched one level at a time. Each level is evaluated in
-    numpy batches (_verdicts) and its proven and pruned boxes are written to
-    the certificate in row order. All of its undecided boxes are split, lower
-    half before upper half, while the depth is below max_depth and the split
-    keeps the boxes processed within max_boxes; otherwise the search stops,
-    and the undecided boxes of that last level, merged pairwise into their
-    parents where a whole pair is open (_open_boxes), are the cell's
-    failures. They follow the leaves in the certificate as `failed` lines
-    without a density. Only the current level's bounds are held, plus one
-    split mask byte per box of the earlier levels."""
-    index, config, cell, b_d, max_depth, max_boxes, norms, cert_path = task
+    The group is searched one level at a time, the boxes of all its open
+    cells making one frontier. Each row carries the position of its cell in
+    the group, and the rows stay in cell order. Each level is evaluated in
+    numpy batches (_verdicts), and each cell's proven and pruned boxes are
+    appended to its log in row order. A cell stops when it has no undecided
+    box, when the depth has reached max_depth, or when splitting its
+    undecided boxes would take its boxes processed past max_boxes; the
+    undecided boxes of its last level, merged pairwise into their parents
+    where a whole pair is open (_open_boxes), are then its failures. They
+    follow its leaves in its log as `failed` lines without a density. The
+    undecided boxes of the other cells are split, lower half before upper
+    half, so siblings stay adjacent and the split masks of the whole
+    frontier map each cell's rows to their parents. Only the current level's
+    bounds are held, plus one split mask byte per box of the earlier levels."""
+    indices, config, cells, b_d, max_depth, max_boxes, norms, cert_paths = task
     names = ["λ"] + [f"r{k}" for k in range(1, config.arity + 1)]
     box_format = (
         f"CASE {config.tag.value} ORIENT {config.orientation.value} BOX "
         + " ".join(f"{name}=[%r,%r]" for name in names)
         + " VERDICT %s"
     )
-    lo, hi = np.array([cell[0::2]]), np.array([cell[1::2]])
+    n = len(cells)
+    lo, hi = np.array([c[0::2] for c in cells]), np.array([c[1::2] for c in cells])
+    owner = np.arange(n, dtype=np.int32)
+    live = np.ones(n, dtype=bool)
+    proven, pruned, processed = (np.zeros(n, dtype=np.int64) for _ in range(3))
     splits: List[np.ndarray] = []
-    proven = pruned = processed = depth = 0
-    cert = open(cert_path, "w", encoding="utf-8") if cert_path else None
-    try:
-        while True:
-            status, density = _verdicts(config, lo, hi, b_d, cert is not None)
-            processed += len(lo)
-            proven += int(np.count_nonzero(status == _PROVEN))
-            pruned += int(np.count_nonzero(status == _PRUNED))
-            if cert is not None:
-                # Pruned rows have no density (NaN), nor do rows whose area
-                # enclosure contains zero.
-                bounds = _bounds(lo, hi)
-                d_lo, d_hi = density[0].tolist(), density[1].tolist()
-                for i in np.flatnonzero(status != _UNDECIDED).tolist():
-                    line = box_format % (*bounds[i], ("pruned", "proven")[status[i]])
-                    if not math.isnan(d_lo[i]):
-                        line += f" DENSITY [{d_lo[i]!r},{d_hi[i]!r}]"
-                    cert.write(line + "\n")
-            undecided = status == _UNDECIDED
-            n_open = int(np.count_nonzero(undecided))
-            if not n_open or depth >= max_depth or processed + 2 * n_open > max_boxes:
-                break
-            splits.append(undecided)
-            lo, hi = _split_rows(lo[undecided], hi[undecided], norms)
-            depth += 1
-        failures = _open_boxes(splits, undecided, lo, hi)
-        if cert is not None:
-            for box in failures:
-                cert.write(box_format % (*box, "failed") + "\n")
-    finally:
-        if cert is not None:
-            cert.close()
-    return {
-        "cell": index,
-        "proven": proven,
-        "pruned": pruned,
-        "processed": processed,
-        "max_depth": depth,
-        "failures": failures,
-    }
+    records: list = [None] * n
+    depth = 0
+    while True:
+        status, density = _verdicts(config, lo, hi, b_d, cert_paths is not None)
+        processed += np.bincount(owner, minlength=n)
+        proven += np.bincount(owner[status == _PROVEN], minlength=n)
+        pruned += np.bincount(owner[status == _PRUNED], minlength=n)
+        undecided = status == _UNDECIDED
+        if cert_paths is not None:
+            # Each cell's leaves are one run of rows. Pruned rows have no
+            # density (NaN), nor do rows whose area enclosure contains zero.
+            leaves = np.flatnonzero(~undecided)
+            for run in np.split(leaves, np.flatnonzero(np.diff(owner[leaves])) + 1):
+                if not run.size:
+                    continue
+                with open(cert_paths[owner[run[0]]], "a", encoding="utf-8") as log:
+                    for start in range(0, len(run), _BATCH_ROWS):
+                        rows = run[start : start + _BATCH_ROWS]
+                        for box, s, d_lo, d_hi in zip(
+                            _bounds(lo[rows], hi[rows]),
+                            status[rows].tolist(),
+                            density[0][rows].tolist(),
+                            density[1][rows].tolist(),
+                        ):
+                            line = box_format % (*box, ("pruned", "proven")[s])
+                            if not math.isnan(d_lo):
+                                line += f" DENSITY [{d_lo!r},{d_hi!r}]"
+                            log.write(line + "\n")
+        n_open = np.bincount(owner[undecided], minlength=n)
+        stop = live & (
+            (n_open == 0) | (depth >= max_depth) | (processed + 2 * n_open > max_boxes)
+        )
+        for c in np.flatnonzero(stop).tolist():
+            failures = _open_boxes(splits, undecided & (owner == c), lo, hi) if n_open[c] else []
+            if cert_paths is not None and failures:
+                with open(cert_paths[c], "a", encoding="utf-8") as log:
+                    for box in failures:
+                        log.write(box_format % (*box, "failed") + "\n")
+            records[c] = {
+                "cell": indices[c],
+                "proven": int(proven[c]),
+                "pruned": int(pruned[c]),
+                "processed": int(processed[c]),
+                "max_depth": depth,
+                "failures": failures,
+            }
+        live &= ~stop
+        if not live.any():
+            return records
+        split = undecided & live[owner]
+        splits.append(split)
+        lo, hi = _split_rows(lo[split], hi[split], norms)
+        owner = np.repeat(owner[split], 2)
+        depth += 1
 
 
 def _pool_context():
@@ -664,11 +693,14 @@ def prove_case(
 ) -> ProofReport:
     """Certify density >= b_d for one configuration over its admissible domain.
 
-    The verdict set is deterministic and independent of `workers`. With
-    `checkpoint`, completed cells are appended to a JSONL file that `resume`
-    reads back to skip finished work. `certificate`, when given a writable
-    text stream, receives one line per processed leaf box plus a summary; it
-    needs a fresh run, since skipped cells would write no box lines."""
+    The verdict set is deterministic and independent of `workers`. The
+    pending cells run in contiguous groups of ceil(pending / (2 * workers))
+    cells, at most _GROUP_CELLS. With `checkpoint`, the records of a group's
+    cells are appended to a JSONL file when the group finishes, and `resume`
+    reads them back to skip finished work. `certificate`, when given a
+    writable text stream, receives one line per processed leaf box plus a
+    summary; it needs a fresh run, since skipped cells would write no box
+    lines."""
     budget = budget or ProverBudget()
     start = time.monotonic()
     root = make_root_box(config, lambda_range)
@@ -700,26 +732,31 @@ def prove_case(
                 tempfile.TemporaryDirectory(prefix="diskpack-cert-")
             )
 
+        # Contiguous groups of the pending cells, two or more per worker.
+        pending = [i for i in range(len(cells)) if i not in done]
+        size = min(_GROUP_CELLS, math.ceil(len(pending) / (2 * max(1, workers)))) or 1
         tasks = [
             (
-                i,
+                group,
                 config,
-                cell,
+                [cells[i] for i in group],
                 b_d,
                 budget.max_depth,
                 per_cell_budget,
                 norms,
-                os.path.join(cert_dir, f"cell{i:06d}.log") if cert_dir else None,
+                [os.path.join(cert_dir, f"cell{i:06d}.log") for i in group]
+                if cert_dir
+                else None,
             )
-            for i, cell in enumerate(cells)
-            if i not in done
+            for group in (pending[k : k + size] for k in range(0, len(pending), size))
         ]
 
-        def record(rec: dict) -> None:
-            done[rec["cell"]] = rec
-            if ck:
-                ck.write(json.dumps(rec) + "\n")
-                ck.flush()
+        def record(recs: List[dict]) -> None:
+            for rec in recs:
+                done[rec["cell"]] = rec
+                if ck:
+                    ck.write(json.dumps(rec) + "\n")
+                    ck.flush()
 
         if workers <= 1 or len(tasks) <= 1:
             for t in tasks:
@@ -727,8 +764,8 @@ def prove_case(
         else:
             ctx = _pool_context()
             with ctx.Pool(processes=workers) as pool:
-                for rec in pool.imap_unordered(_run_cell, tasks):
-                    record(rec)
+                for recs in pool.imap_unordered(_run_cell, tasks):
+                    record(recs)
 
         if cert_dir is not None:
             for i in range(len(cells)):

@@ -4,9 +4,11 @@ Independent oracle for `prover._sector_terms_rows`, `prover._constraint_corners`
 `prover._split_rows` and `prover._run_cell`: one-box-at-a-time interval code
 in the form the prover had before its kernel evaluated whole levels of a
 cell's search tree as numpy batches, and a search that builds the tree
-explicitly, one node per box. It uses only the scalar operations of
-`diskpack.intervals`. The batched kernel must give the same bits box by box,
-and `_run_cell` the same record and certificate lines.
+of one cell explicitly, one node per box. It uses only the scalar operations
+of `diskpack.intervals` and the point, min and max enclosures below, which
+only the tests use. The batched kernel must give the same bits box by box,
+and `_run_cell`, which searches a group of cells as one frontier, the same
+record and certificate lines for each cell of the group.
 """
 
 from __future__ import annotations
@@ -20,11 +22,8 @@ from diskpack.intervals import (
     iv_acos,
     iv_asin,
     iv_div,
-    iv_max,
-    iv_min,
     iv_mul,
     iv_pi,
-    iv_point,
     iv_sub,
 )
 from diskpack.prover import CaseBox, ConfigTag, Feasibility, Orientation
@@ -34,6 +33,21 @@ _ONE = Interval(1.0, 1.0)
 _HALF = Interval(0.5, 0.5)
 _TWO = Interval(2.0, 2.0)
 _PI = iv_pi()
+
+
+def iv_point(x: float) -> Interval:
+    """Degenerate interval [x, x]."""
+    return Interval(x, x)
+
+
+def iv_min(a: Interval, b: Interval) -> Interval:
+    """Enclosure of pointwise min(x, y)."""
+    return Interval(min(a.lo, b.lo), min(a.hi, b.hi))
+
+
+def iv_max(a: Interval, b: Interval) -> Interval:
+    """Enclosure of pointwise max(x, y)."""
+    return Interval(max(a.lo, b.lo), max(a.hi, b.hi))
 
 
 def constraint_corners(box: CaseBox):
@@ -258,8 +272,10 @@ def largest_open(node: Node) -> List[Node]:
 
 
 def run_cell(task) -> dict:
-    """Branch and bound over one cell, one box at a time, with the task and
-    the record of `prover._run_cell`.
+    """Branch and bound over one cell, one box at a time. `task` is (index,
+    config, cell, b_d, max_depth, max_boxes, norms, cert_path), and the
+    result is the cell's record as `prover._run_cell` returns it in the
+    records of the cell's group.
 
     The search tree is built level by level. Every open box of a level is
     split while the depth is below max_depth and the two halves of each keep

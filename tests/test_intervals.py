@@ -13,14 +13,12 @@ from diskpack.intervals import (
     iv_add,
     iv_asin,
     iv_div,
-    iv_max,
-    iv_min,
     iv_mul,
     iv_pi,
-    iv_point,
     iv_sqrt,
     iv_sub,
 )
+from oracle_sector_terms import iv_max, iv_min, iv_point
 
 mpmath.mp.dps = 40
 

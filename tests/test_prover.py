@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from diskpack import prover
-from diskpack.intervals import Interval, UndefinedIntervalError, iv_mul, iv_point, iv_sub
+from diskpack.intervals import Interval, UndefinedIntervalError, iv_mul, iv_sub
 from diskpack.prover import (
     EVALUATOR_VERSION,
     CaseBox,
@@ -31,6 +31,7 @@ from diskpack.prover import (
 )
 
 from oracle_pointeval import point_density
+from oracle_sector_terms import iv_point
 
 T1_OUT = ConfigType(ConfigTag.T1, Orientation.OUTER_FIRST)
 T2_OUT = ConfigType(ConfigTag.T2, Orientation.OUTER_FIRST)
@@ -234,7 +235,7 @@ def test_prove_case_canary_never_proves_a_falsehood():
 
 def test_prove_case_empty_domain_all_pruned():
     cell = [0.5, 0.5, 0.3, 0.31, 0.0, 0.1]
-    rec = _run_cell((0, T2_OUT, cell, 0.5642, 60, 1000, (1.0, 1.0, 1.0), None))
+    (rec,) = _run_cell(([0], T2_OUT, [cell], 0.5642, 60, 1000, (1.0, 1.0, 1.0), None))
     assert rec["proven"] == 0
     assert not rec["failures"]
     assert rec["pruned"] > 0
@@ -259,6 +260,22 @@ def test_prove_case_worker_count_invariance():
             )
         )
     assert results[0] == results[1] == results[2]
+    # A budget-cut range: its 64 cells (40 rounded up by the pre-split) run
+    # in groups of 16, 16, 11 and 7 cells, the last two with a short tail
+    # group, and give the same failures and certificate text.
+    runs = []
+    for workers in (1, 2, 3, 5):
+        buf = io.StringIO()
+        rep = prove_case(
+            T1_OUT,
+            lambda_range=(0.98, 0.99),
+            budget=ProverBudget(cells=40, max_boxes=4000),
+            workers=workers,
+            certificate=buf,
+        )
+        runs.append((rep.failures, buf.getvalue()))
+    assert runs[0][0]
+    assert all(run == runs[0] for run in runs[1:])
 
 
 def _proves(box, b_d):
@@ -428,16 +445,16 @@ def test_certificate_refuses_a_resumed_run(tmp_path):
 
 
 def test_interrupted_certified_run_leaves_no_cell_logs(tmp_path, monkeypatch):
-    """A run stopped in its second cell removes its cell logs and leaves a
-    checkpoint with the header and cell 0's record, which a resume finishes
-    by running the other cells only."""
+    """A run stopped in its second group of cells removes its cell logs and
+    leaves a checkpoint with the header and the first group's records, which
+    a resume finishes by running the other cells only."""
     monkeypatch.setattr(tempfile, "tempdir", os.fspath(tmp_path))
     ck = os.fspath(tmp_path / "t1.jsonl")
     run = {"lambda_range": (0.5, 0.505), "budget": ProverBudget(cells=4)}
     ran, stop = [], [1]
 
     def run_cell(task):
-        if task[0] in stop:
+        if len(ran) in stop:
             raise KeyboardInterrupt
         ran.append(task[0])
         return _run_cell(task)
@@ -445,16 +462,16 @@ def test_interrupted_certified_run_leaves_no_cell_logs(tmp_path, monkeypatch):
     monkeypatch.setattr(prover, "_run_cell", run_cell)
     with pytest.raises(KeyboardInterrupt):
         prove_case(T1_OUT, **run, checkpoint=ck, certificate=io.StringIO())
-    assert ran == [0]
+    assert ran == [[0, 1]]
     assert os.listdir(tmp_path) == ["t1.jsonl"]
     with open(ck, encoding="utf-8") as fh:
         lines = [json.loads(line) for line in fh]
-    assert "header" in lines[0] and [rec["cell"] for rec in lines[1:]] == [0]
+    assert "header" in lines[0] and [rec["cell"] for rec in lines[1:]] == [0, 1]
 
     ran.clear()
     stop.clear()
     resumed = prove_case(T1_OUT, **run, checkpoint=ck, resume=True)
-    assert ran == [1, 2, 3]
+    assert ran == [[2], [3]]
     full = prove_case(T1_OUT, **run)
     assert (resumed.boxes_processed, resumed.failures) == (full.boxes_processed, full.failures)
 

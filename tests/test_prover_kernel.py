@@ -224,23 +224,36 @@ def test_arithmetic_matches_scalar(pairs):
 @pytest.mark.parametrize("max_depth", [0, 3, 60])
 @pytest.mark.parametrize("max_boxes", [1, 2, 3, 50, 2000])
 def test_run_cell_equals_the_level_oracle(tmp_path, max_boxes, max_depth):
-    """Cells at lambda in [0.98, 0.99], where the budget cuts the search and
-    leaves open boxes to merge, and the first two T1/outer cells at lambda in
-    [0.5, 0.51], where boxes are proven and certificate lines carry a
-    density: max_boxes and max_depth at the edges of the rule that stops a
-    cell between levels."""
+    """The four cells of T1/outer and of T7/inner at lambda in [0.98, 0.99],
+    where the budget cuts the search and leaves open boxes to merge, and of
+    T1/outer at lambda in [0.5, 0.51], where boxes are proven, certificate
+    lines carry a density and some cells finish while the budget cuts the
+    others, each searched as one group: every record and every cell log
+    equals the oracle's search of that cell alone, with max_boxes and
+    max_depth at the edges of the rule that stops a cell between levels."""
     t1 = ConfigType(ConfigTag.T1, Orientation.OUTER_FIRST)
-    for cfg, lambda_range, count in (
-        (t1, (0.98, 0.99), 4),
-        (ConfigType(ConfigTag.T7, Orientation.INNER_FIRST), (0.98, 0.99), 2),
-        (t1, (0.5, 0.51), 2),
+    for case, (cfg, lambda_range) in enumerate(
+        (
+            (t1, (0.98, 0.99)),
+            (ConfigType(ConfigTag.T7, Orientation.INNER_FIRST), (0.98, 0.99)),
+            (t1, (0.5, 0.51)),
+        )
     ):
         root = make_root_box(cfg, lambda_range)
         norms = _normalizers(root)
-        for i, cell in enumerate(_partition_cells(root, 4)[:count]):
-            got_path = tmp_path / f"got{i}"
-            ref_path = tmp_path / f"ref{i}"
-            got = _run_cell((i, cfg, cell, DENSITY_BOUND, max_depth, max_boxes, norms, str(got_path)))
-            ref = oracle.run_cell((i, cfg, cell, DENSITY_BOUND, max_depth, max_boxes, norms, str(ref_path)))
-            assert json.dumps(got) == json.dumps(ref)
-            assert got_path.read_text(encoding="utf-8") == ref_path.read_text(encoding="utf-8")
+        cells = _partition_cells(root, 4)
+        indices = list(range(len(cells)))
+        got_paths = [tmp_path / f"got{case}-{i}" for i in indices]
+        got = _run_cell(
+            (indices, cfg, cells, DENSITY_BOUND, max_depth, max_boxes, norms, got_paths)
+        )
+        assert [rec["cell"] for rec in got] == indices
+        for i, cell in enumerate(cells):
+            ref_path = tmp_path / f"ref{case}-{i}"
+            ref = oracle.run_cell(
+                (i, cfg, cell, DENSITY_BOUND, max_depth, max_boxes, norms, str(ref_path))
+            )
+            assert json.dumps(got[i]) == json.dumps(ref)
+            assert got_paths[i].read_text(encoding="utf-8") == ref_path.read_text(
+                encoding="utf-8"
+            )
