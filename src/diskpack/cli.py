@@ -98,9 +98,6 @@ def _cmd_verify(args) -> int:
             print("error: packing digest does not match the instance", file=sys.stderr)
             return EXIT_ERROR
         instance_radii = inst_file.normalized_radii()
-    else:
-        # Pipeline mode: the packing itself records the instance multiset.
-        instance_radii = tuple(p[0] for p in packing.placements) + packing.unplaced
     placements = [(r, (x, y)) for r, x, y in packing.placements]
     report = verify(placements, instance_radii, epsilon=args.epsilon)
     sys.stdout.write(dumps_report(report))
@@ -296,13 +293,36 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--lambda-min", type=float, default=0.5)
     pr.add_argument("--lambda-max", type=float, default=LAMBDA_MAX)
     defaults = ProverBudget()
-    pr.add_argument("--max-depth", type=int, default=defaults.max_depth)
-    pr.add_argument("--max-boxes", type=int, default=defaults.max_boxes)
-    pr.add_argument("--cells", type=int, default=defaults.cells)
-    pr.add_argument("--threads", type=int, default=1)
-    pr.add_argument("--checkpoint", default=None)
-    pr.add_argument("--resume", action="store_true")
-    pr.add_argument("--certificate", default=None)
+    pr.add_argument(
+        "--max-depth", type=int, default=defaults.max_depth,
+        help="deepest bisection level of a cell's search",
+    )
+    pr.add_argument(
+        "--max-boxes", type=int, default=defaults.max_boxes,
+        help="box budget per configuration, split evenly over the cells",
+    )
+    pr.add_argument(
+        "--cells", type=int, default=defaults.cells,
+        help="cells the domain is pre-split into, rounded up to a power of two",
+    )
+    pr.add_argument(
+        "--threads", type=int, default=1,
+        help="worker processes; verdicts do not depend on it",
+    )
+    pr.add_argument(
+        "--checkpoint", default=None,
+        help="JSONL file that records each finished cell (PATH.<tag>.<orient> "
+        "when more than one configuration runs)",
+    )
+    pr.add_argument(
+        "--resume", action="store_true",
+        help="skip the cells already in the checkpoint",
+    )
+    pr.add_argument(
+        "--certificate", default=None,
+        help="write one line per leaf box and a summary per configuration "
+        "(needs a fresh run)",
+    )
     pr.set_defaults(func=_cmd_prove)
     return ap
 

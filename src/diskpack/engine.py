@@ -172,25 +172,18 @@ def ring_packing(state: PackingState, ring: RingShape) -> bool:
 
 def _open_ring(
     state: PackingState, center: Point, r_out: float, r_in: float, **extra
-) -> RingShape:
+) -> Optional[RingShape]:
     """Open the ring R[r_out, r_in] around center: lower r_min to its inner
-    radius and log its creation (`extra` marks a split)."""
+    radius and log its creation (`extra` marks a split). Returns None, and
+    opens nothing, when r_in <= 0 (no ring fits; the caller goes on with
+    Phase 2 on the central disk)."""
+    if r_in <= 0.0:
+        return None
     state.r_min = min(state.r_min, r_in)
     state.log(
         "ring_created", r_out=r_out, r_in=r_in, cx=center.x, cy=center.y, **extra
     )
     return RingShape(center, r_out, r_in)
-
-
-def create_ring(state: PackingState, r_i: float) -> Optional[RingShape]:
-    """Open a new ring R[r_min, r_min - 2*r_i] concentric with the container.
-
-    Returns None when r_min - 2*r_i <= 0 (the caller routes to Phase 2 on the
-    central disk instead)."""
-    r_in = state.r_min - 2.0 * r_i
-    if r_in <= 0.0:
-        return None
-    return _open_ring(state, state.container.center, state.r_min, r_in)
 
 
 def _phase1_recursion(state: PackingState) -> None:
@@ -241,7 +234,7 @@ def pack(instance: InstanceSpec) -> PackingResult:
     _phase1_recursion(state)
 
     while state.pending:
-        # Progress is a placement or a new ring: create_ring strictly lowers
+        # Progress is a placement or a new ring: a new ring strictly lowers
         # r_min, and a split only follows a placement.
         progress_marker = (len(state.placed), state.r_min)
 
@@ -260,10 +253,12 @@ def pack(instance: InstanceSpec) -> PackingResult:
         if not state.pending:
             break
 
-        # Phase 3: pack a new ring concentric with the container. Phase 4
-        # splits a closed ring when the two largest pending disks could pass
-        # one another inside it; the halves go on a stack, the outer on top.
-        ring = create_ring(state, state.pending[0])
+        # Phase 3: pack a new ring R[r_min, r_min - 2*r_i] concentric with
+        # the container. Phase 4 splits a closed ring when the two largest
+        # pending disks could pass one another inside it; the halves go on a
+        # stack, the outer on top.
+        r_in = state.r_min - 2.0 * state.pending[0]
+        ring = _open_ring(state, state.container.center, state.r_min, r_in)
         rings = [] if ring is None else [ring]
         while rings and state.pending:
             ring = rings.pop()

@@ -36,8 +36,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .intervals import (
-    Interval,
-    UndefinedIntervalError,
     av_acos,
     av_add,
     av_asin,
@@ -47,7 +45,6 @@ from .intervals import (
     av_mul,
     av_neg,
     av_sub,
-    iv_div,
     iv_pi,
 )
 
@@ -55,8 +52,6 @@ __all__ = [
     "ConfigTag",
     "Orientation",
     "ConfigType",
-    "CaseBox",
-    "Feasibility",
     "ProverBudget",
     "ProofReport",
     "admissible",
@@ -124,19 +119,6 @@ def certified_configs(tag: ConfigTag) -> Tuple[ConfigType, ...]:
 
 
 @dataclass(frozen=True)
-class CaseBox:
-    lambda_: Interval
-    r: Tuple[Interval, ...]
-    config: ConfigType
-
-
-class Feasibility(Enum):
-    FEASIBLE = "feasible"
-    INFEASIBLE = "infeasible"
-    UNDECIDED = "undecided"
-
-
-@dataclass(frozen=True)
 class ProverBudget:
     max_depth: int = 60
     max_boxes: int = 20_000_000
@@ -174,22 +156,11 @@ class ProofReport:
 # The prover evaluates boxes in batches: row i of the (n, 1 + arity) arrays
 # `lo` and `hi` holds the bounds of box i, lambda in column 0 and r1, r2 (, r3)
 # after it. Outside a batch, a box travels as one flat bound row (_bounds):
-# cells, checkpoint records, certificate lines and ProofReport.failures. The
-# one-box functions below (admissible, _sector_terms, _split_box) are views of
-# the batch functions on a single row.
-
-
-def _box_rows(boxes: Sequence[CaseBox]) -> Tuple[np.ndarray, np.ndarray]:
-    lo = np.array([[b.lambda_.lo] + [iv.lo for iv in b.r] for b in boxes])
-    hi = np.array([[b.lambda_.hi] + [iv.hi for iv in b.r] for b in boxes])
-    return lo, hi
-
-
-def _row_boxes(config: ConfigType, lo, hi) -> List[CaseBox]:
-    return [
-        CaseBox(Interval(a[0], b[0]), tuple(map(Interval, a[1:], b[1:])), config)
-        for a, b in zip(lo.tolist(), hi.tolist())
-    ]
+# cells, checkpoint records, certificate lines and ProofReport.failures.
+#
+# The kernel functions (admissible, _sector_terms, eval_density, _split_box)
+# are module globals called through their names, so that a profiler can wrap
+# them in place.
 
 
 # ---------------------------------------------------------------------------
@@ -200,53 +171,26 @@ def _row_boxes(config: ConfigType, lo, hi) -> List[CaseBox]:
 #   r2 >= (1 - lambda - 2*r1)/2 (else r2 would start a new ring: pass bound)
 #   r2 <= r1, and for arity 3:  r3 <= r2, r3 >= (1 - lambda - 2*r2)/2
 #
-# Every constraint is affine, so box extrema sit at corners.
+# Every constraint is affine, so its minimum over a box sits at a corner.
 
 
-def _constraint_corners(lo: np.ndarray, hi: np.ndarray):
-    """(g_min, g_max) arrays over the rows for each constraint g <= 0."""
+def admissible(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Mask of the rows that may hold an admissible point: those on which no
+    constraint g <= 0 fails at every point of the box (corner minimum > 0)."""
     lam_lo, lam_hi = lo[:, 0], hi[:, 0]
     r_lo = [lo[:, k] for k in range(1, lo.shape[1])]
     r_hi = [hi[:, k] for k in range(1, hi.shape[1])]
-    cons = []
-    # g = 2*r1 + lambda - 1 <= 0
-    cons.append((2.0 * r_lo[0] + lam_lo - 1.0, 2.0 * r_hi[0] + lam_hi - 1.0))
-    # g = (1 - lambda)/2 - r1 - r2 <= 0
-    cons.append(
-        (
-            (1.0 - lam_hi) / 2.0 - r_hi[0] - r_hi[1],
-            (1.0 - lam_lo) / 2.0 - r_lo[0] - r_lo[1],
-        )
-    )
-    # g = r2 - r1 <= 0
-    cons.append((r_lo[1] - r_hi[0], r_hi[1] - r_lo[0]))
+    g_min = [
+        2.0 * r_lo[0] + lam_lo - 1.0,  # g = 2*r1 + lambda - 1
+        (1.0 - lam_hi) / 2.0 - r_hi[0] - r_hi[1],  # g = (1 - lambda)/2 - r1 - r2
+        r_lo[1] - r_hi[0],  # g = r2 - r1
+    ]
     if len(r_lo) == 3:
-        cons.append(
-            (
-                (1.0 - lam_hi) / 2.0 - r_hi[1] - r_hi[2],
-                (1.0 - lam_lo) / 2.0 - r_lo[1] - r_lo[2],
-            )
-        )
-        cons.append((r_lo[2] - r_hi[1], r_hi[2] - r_lo[1]))
-    return cons
-
-
-def _infeasible(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Rows on which some constraint fails at every point of the box."""
-    out = np.zeros(len(lo), dtype=bool)
-    for g_min, _ in _constraint_corners(lo, hi):
-        out |= g_min > 0.0
-    return out
-
-
-def admissible(box: CaseBox) -> Feasibility:
-    """Interval verdict for the admissibility constraint system on a box."""
-    cons = _constraint_corners(*_box_rows([box]))
-    if any(g_min[0] > 0.0 for g_min, _ in cons):
-        return Feasibility.INFEASIBLE
-    if any(g_max[0] > 0.0 for _, g_max in cons):
-        return Feasibility.UNDECIDED
-    return Feasibility.FEASIBLE
+        g_min += [(1.0 - lam_hi) / 2.0 - r_hi[1] - r_hi[2], r_lo[2] - r_hi[1]]
+    fails = np.zeros(len(lo), dtype=bool)
+    for g in g_min:
+        fails |= g > 0.0
+    return ~fails
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +219,7 @@ def _cos_tangency(d1, d2, gap):
     return (np.where(ok, lo, 0.0), np.where(ok, hi, 0.0)), ok
 
 
-def _sector_terms_rows(config: ConfigType, lo: np.ndarray, hi: np.ndarray):
+def _sector_terms(config: ConfigType, lo: np.ndarray, hi: np.ndarray):
     """(ok, area, potential) for each row: `ok` is False on the rows where the
     tangency system is infeasible over the entire box, and area and potential
     are (lo, hi) array enclosures, meaningful where `ok` holds."""
@@ -378,28 +322,15 @@ def _sector_terms_rows(config: ConfigType, lo: np.ndarray, hi: np.ndarray):
     return ok, area, pot
 
 
-def _sector_terms(box: CaseBox) -> Optional[Tuple[Interval, Interval]]:
-    """(area, potential) enclosures for the box's configuration, or None when
-    the tangency system is infeasible over the entire box."""
-    ok, area, pot = _sector_terms_rows(box.config, *_box_rows([box]))
-    if not ok[0]:
-        return None
-    return (
-        Interval(float(area[0][0]), float(area[1][0])),
-        Interval(float(pot[0][0]), float(pot[1][0])),
-    )
-
-
-def eval_density(box: CaseBox) -> Interval:
-    """Enclosure of the sector density potential/area over the box.
-
-    Raises UndefinedIntervalError when the box is infeasible everywhere or the
-    area enclosure touches zero (degenerate pass-bound boundary)."""
-    terms = _sector_terms(box)
-    if terms is None:
-        raise UndefinedIntervalError("configuration infeasible over the whole box")
-    area, pot = terms
-    return iv_div(pot, area)
+def eval_density(area, pot):
+    """Enclosure of the sector density potential/area on each row, as (lo, hi)
+    arrays, NaN on the rows whose area enclosure contains zero (degenerate
+    pass-bound boundary)."""
+    zero = (area[0] <= 0.0) & (0.0 <= area[1])
+    lo, hi = np.full(len(zero), np.nan), np.full(len(zero), np.nan)
+    sel = ~zero
+    lo[sel], hi[sel] = av_div((pot[0][sel], pot[1][sel]), (area[0][sel], area[1][sel]))
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -408,23 +339,27 @@ def eval_density(box: CaseBox) -> Interval:
 
 def make_root_box(
     config: ConfigType, lambda_range: Tuple[float, float] = (0.5, LAMBDA_MAX)
-) -> CaseBox:
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The configuration's domain for `lambda_range`, clipped to [0.5,
+    LAMBDA_MAX], as a one-row (lo, hi) pair; every radius spans
+    [0, (1 - lambda.lo)/2]."""
     lam_lo = max(0.5, lambda_range[0])
     lam_hi = min(LAMBDA_MAX, lambda_range[1])
     if lam_lo > lam_hi:
         raise ValueError(f"empty lambda range {lambda_range}")
-    lam = Interval(lam_lo, lam_hi)
     r1_hi = (1.0 - lam_lo) / 2.0
-    rs = tuple(Interval(0.0, r1_hi) for _ in range(config.arity))
-    return CaseBox(lam, rs, config)
+    return (
+        np.array([[lam_lo] + [0.0] * config.arity]),
+        np.array([[lam_hi] + [r1_hi] * config.arity]),
+    )
 
 
-def _normalizers(root: CaseBox) -> Tuple[float, ...]:
-    widths = [root.lambda_.width] + [iv.width for iv in root.r]
-    return tuple(w if w > 0.0 else 1.0 for w in widths)
+def _normalizers(root) -> Tuple[float, ...]:
+    lo, hi = root
+    return tuple(w if w > 0.0 else 1.0 for w in (hi[0] - lo[0]).tolist())
 
 
-def _split_rows(lo: np.ndarray, hi: np.ndarray, norms: Sequence[float]):
+def _split_box(lo: np.ndarray, hi: np.ndarray, norms: Sequence[float]):
     """Bisect every row along its widest normalized dimension (the first one
     on a tie) at its midpoint. Returns the rows of the halves, each lower half
     followed by its upper half (lower 0, upper 0, lower 1, upper 1, ...)."""
@@ -442,19 +377,14 @@ def _split_rows(lo: np.ndarray, hi: np.ndarray, norms: Sequence[float]):
     return out_lo, out_hi
 
 
-def _split_box(box: CaseBox, norms: Sequence[float]) -> Tuple[CaseBox, CaseBox]:
-    lo, hi = _split_rows(*_box_rows([box]), norms)
-    a, b = _row_boxes(box.config, lo, hi)
-    return a, b
-
-
-def _partition_cells(root: CaseBox, n_cells: int) -> List[list]:
-    """Deterministic pre-split of the root into >= n_cells cells, as bound rows
-    (each split round bisects every cell along its widest normalized dimension)."""
+def _partition_cells(root, n_cells: int) -> List[list]:
+    """Deterministic pre-split of the root (lo, hi) into cells, as bound rows:
+    each split round bisects every cell along its widest normalized dimension,
+    so the count is n_cells rounded up to a power of two."""
     norms = _normalizers(root)
-    lo, hi = _box_rows([root])
+    lo, hi = root
     while len(lo) < n_cells:
-        lo, hi = _split_rows(lo, hi, norms)
+        lo, hi = _split_box(lo, hi, norms)
     return _bounds(lo, hi)
 
 
@@ -478,16 +408,15 @@ def _verdicts(config, lo, hi, b_d, with_density):
     density = (np.full(len(lo), np.nan), np.full(len(lo), np.nan)) if with_density else None
     for start in range(0, len(lo), _BATCH_ROWS):
         part = slice(start, start + _BATCH_ROWS)
-        rows = start + np.flatnonzero(~_infeasible(lo[part], hi[part]))
+        rows = start + np.flatnonzero(admissible(lo[part], hi[part]))
         if not rows.size:
             continue
-        ok, area, pot = _sector_terms_rows(config, lo[rows], hi[rows])
+        ok, area, pot = _sector_terms(config, lo[rows], hi[rows])
         margin_lo, _ = av_sub(pot, av_mul((b_d, b_d), area))
         status[rows] = np.where(ok, np.where(margin_lo >= 0.0, _PROVEN, _UNDECIDED), _PRUNED)
         if with_density:
-            sel = ok & ~((area[0] <= 0.0) & (0.0 <= area[1]))
-            density[0][rows[sel]], density[1][rows[sel]] = av_div(
-                (pot[0][sel], pot[1][sel]), (area[0][sel], area[1][sel])
+            density[0][rows[ok]], density[1][rows[ok]] = eval_density(
+                (area[0][ok], area[1][ok]), (pot[0][ok], pot[1][ok])
             )
     return status, density
 
@@ -605,7 +534,7 @@ def _run_cell(task) -> List[dict]:
             return records
         split = undecided & live[owner]
         splits.append(split)
-        lo, hi = _split_rows(lo[split], hi[split], norms)
+        lo, hi = _split_box(lo[split], hi[split], norms)
         owner = np.repeat(owner[split], 2)
         depth += 1
 

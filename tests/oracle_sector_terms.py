@@ -1,19 +1,25 @@
 """Scalar reference for the prover's batched kernel and its level search.
 
-Independent oracle for `prover._sector_terms_rows`, `prover._constraint_corners`,
-`prover._split_rows` and `prover._run_cell`: one-box-at-a-time interval code
-in the form the prover had before its kernel evaluated whole levels of a
-cell's search tree as numpy batches, and a search that builds the tree
-of one cell explicitly, one node per box. It uses only the scalar operations
-of `diskpack.intervals` and the point, min and max enclosures below, which
-only the tests use. The batched kernel must give the same bits box by box,
-and `_run_cell`, which searches a group of cells as one frontier, the same
-record and certificate lines for each cell of the group.
+Independent oracle for `prover._sector_terms`, `prover.admissible`,
+`prover.eval_density`, `prover._split_box` and `prover._run_cell`:
+one-box-at-a-time interval code in the form the prover had before its kernel
+evaluated whole levels of a cell's search tree as numpy batches, and a search
+that builds the tree of one cell explicitly, one node per box. A box here is a
+`CaseBox` of scalar intervals, where the prover holds boxes only as rows of
+bound arrays (`box_rows` converts). It uses only the scalar operations of
+`diskpack.intervals` and the point, min and max enclosures below, which only
+the tests use. The batched kernel must give the same bits box by box, and
+`_run_cell`, which searches a group of cells as one frontier, the same record
+and certificate lines for each cell of the group.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from enum import Enum
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from diskpack.intervals import (
     Interval,
@@ -26,13 +32,35 @@ from diskpack.intervals import (
     iv_pi,
     iv_sub,
 )
-from diskpack.prover import CaseBox, ConfigTag, Feasibility, Orientation
+from diskpack.prover import ConfigTag, ConfigType, Orientation
 
 _ZERO = Interval(0.0, 0.0)
 _ONE = Interval(1.0, 1.0)
 _HALF = Interval(0.5, 0.5)
 _TWO = Interval(2.0, 2.0)
 _PI = iv_pi()
+
+
+@dataclass(frozen=True)
+class CaseBox:
+    """A box of a configuration's domain: lambda and the radii r1, r2 (, r3)."""
+
+    lambda_: Interval
+    r: Tuple[Interval, ...]
+    config: ConfigType
+
+
+class Feasibility(Enum):
+    FEASIBLE = "feasible"
+    INFEASIBLE = "infeasible"
+    UNDECIDED = "undecided"
+
+
+def box_rows(boxes: Sequence[CaseBox]) -> Tuple[np.ndarray, np.ndarray]:
+    """The boxes as the prover's (lo, hi) bound arrays, one row per box."""
+    lo = np.array([[b.lambda_.lo] + [iv.lo for iv in b.r] for b in boxes])
+    hi = np.array([[b.lambda_.hi] + [iv.hi for iv in b.r] for b in boxes])
+    return lo, hi
 
 
 def iv_point(x: float) -> Interval:

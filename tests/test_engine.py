@@ -7,8 +7,8 @@ from diskpack.engine import (
     InstanceError,
     InstanceSpec,
     PackingState,
+    _open_ring,
     boundary_packing,
-    create_ring,
     pack,
     ring_packing,
 )
@@ -101,15 +101,22 @@ def test_ring_packing_alternates_sides():
     assert dists[2] == pytest.approx(0.82, abs=1e-12)  # outer again
 
 
-def test_create_ring_formula_and_guard():
+def test_open_ring_formula_and_guard():
     st = fresh_state([])
-    ring = create_ring(st, 0.2)
+
+    def new_ring(r_i):
+        # As Phase 3 opens a ring: R[r_min, r_min - 2*r_i] about the container.
+        return _open_ring(st, st.container.center, st.r_min, st.r_min - 2.0 * r_i)
+
+    ring = new_ring(0.2)
     assert (ring.r_out, ring.r_in) == (1.0, 0.6)
     assert st.r_min == 0.6
-    ring2 = create_ring(st, 0.05)
+    ring2 = new_ring(0.05)
     assert (ring2.r_out, ring2.r_in) == (0.6, 0.5)
     st.r_min = 0.1
-    assert create_ring(st, 0.06) is None  # 0.1 - 0.12 < 0 -> guard
+    n_events = len(st.trace)
+    assert new_ring(0.06) is None  # 0.1 - 0.12 < 0 -> guard
+    assert st.r_min == 0.1 and len(st.trace) == n_events
 
 
 # ---------------------------------------------------------------------------

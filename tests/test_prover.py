@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -10,13 +11,11 @@ import numpy as np
 import pytest
 
 from diskpack import prover
-from diskpack.intervals import Interval, UndefinedIntervalError, iv_mul, iv_sub
+from diskpack.intervals import Interval, iv_mul, iv_sub
 from diskpack.prover import (
     EVALUATOR_VERSION,
-    CaseBox,
     ConfigTag,
     ConfigType,
-    Feasibility,
     Orientation,
     ProverBudget,
     admissible,
@@ -37,8 +36,20 @@ T1_OUT = ConfigType(ConfigTag.T1, Orientation.OUTER_FIRST)
 T2_OUT = ConfigType(ConfigTag.T2, Orientation.OUTER_FIRST)
 
 
-def point_box(cfg, lam, *rs):
-    return CaseBox(Interval(lam, lam), tuple(Interval(r, r) for r in rs), cfg)
+def box(*bounds):
+    """A one-row (lo, hi) box from (lo, hi) pairs: lambda, r1, r2 (, r3)."""
+    return np.array([[b[0] for b in bounds]]), np.array([[b[1] for b in bounds]])
+
+
+def point_box(lam, *rs):
+    return box(*((v, v) for v in (lam, *rs)))
+
+
+def density(cfg, lo, hi):
+    """(ok, lo, hi) of the density enclosure of a one-row box."""
+    ok, area, pot = _sector_terms(cfg, lo, hi)
+    d_lo, d_hi = eval_density(area, pot)
+    return bool(ok[0]), d_lo[0], d_hi[0]
 
 
 # ---------------------------------------------------------------------------
@@ -46,36 +57,25 @@ def point_box(cfg, lam, *rs):
 
 
 def test_admissible_width_violation():
-    box = point_box(T2_OUT, 0.5, 0.3, 0.1)
-    assert admissible(box) is Feasibility.INFEASIBLE
+    assert not admissible(*point_box(0.5, 0.3, 0.1))[0]
 
 
 def test_admissible_exact_fit():
-    box = point_box(T2_OUT, 0.5, 0.25, 0.25)
-    assert admissible(box) is Feasibility.FEASIBLE
+    assert admissible(*point_box(0.5, 0.25, 0.25))[0]
 
 
 def test_admissible_straddling_box():
-    box = CaseBox(
-        Interval(0.5, 0.6),
-        (Interval(0.1, 0.2), Interval(0.0, 0.01)),
-        T2_OUT,
-    )
-    assert admissible(box) is Feasibility.UNDECIDED
+    assert admissible(*box((0.5, 0.6), (0.1, 0.2), (0.0, 0.01)))[0]
 
 
 def test_admissible_ordering_constraint():
-    box = point_box(T2_OUT, 0.6, 0.1, 0.15)  # r2 > r1
-    assert admissible(box) is Feasibility.INFEASIBLE
+    assert not admissible(*point_box(0.6, 0.1, 0.15))[0]  # r2 > r1
 
 
 def test_admissible_arity3_pass_bound():
-    cfg = ConfigType(ConfigTag.T6, Orientation.OUTER_FIRST)
     # r3 below its pass bound (1-lambda-2*r2)/2 = 0.1
-    box = point_box(cfg, 0.5, 0.2, 0.15, 0.05)
-    assert admissible(box) is Feasibility.INFEASIBLE
-    box = point_box(cfg, 0.5, 0.2, 0.15, 0.12)
-    assert admissible(box) is Feasibility.FEASIBLE
+    assert not admissible(*point_box(0.5, 0.2, 0.15, 0.05))[0]
+    assert admissible(*point_box(0.5, 0.2, 0.15, 0.12))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -83,42 +83,40 @@ def test_admissible_arity3_pass_bound():
 
 
 def test_eval_density_t1_point_matches_oracle():
-    box = point_box(T1_OUT, 0.5, 0.25, 0.25)
-    d = eval_density(box)
+    ok, d_lo, d_hi = density(T1_OUT, *point_box(0.5, 0.25, 0.25))
     p = float(point_density("T1", "outer", 0.5, 0.25, 0.25))
-    assert d.lo <= p <= d.hi
-    assert d.lo >= 0.5642
+    assert ok
+    assert d_lo <= p <= d_hi
+    assert d_lo >= 0.5642
     assert p == pytest.approx(0.7703677279188862, abs=1e-12)
 
 
 def test_eval_density_t2_point_matches_oracle():
-    box = point_box(T2_OUT, 0.5, 0.25, 0.25)
-    d = eval_density(box)
+    ok, d_lo, d_hi = density(T2_OUT, *point_box(0.5, 0.25, 0.25))
     p = float(point_density("T2", "outer", 0.5, 0.25, 0.25))
-    assert d.lo <= p <= d.hi
-    assert d.width < 1e-10
+    assert ok
+    assert d_lo <= p <= d_hi
+    assert d_hi - d_lo < 1e-10
 
 
 def test_eval_density_contains_midpoint():
-    box = CaseBox(
-        Interval(0.52, 0.525),
-        (Interval(0.16, 0.165), Interval(0.12, 0.125)),
-        T2_OUT,
-    )
-    d = eval_density(box)
+    ok, d_lo, d_hi = density(T2_OUT, *box((0.52, 0.525), (0.16, 0.165), (0.12, 0.125)))
     p = float(point_density("T2", "outer", 0.5225, 0.1625, 0.1225))
-    assert d.lo <= p <= d.hi
+    assert ok
+    assert d_lo <= p <= d_hi
 
 
-def test_eval_density_infeasible_box_raises():
+def test_eval_density_undefined_on_infeasible_box_and_zero_area():
     # Tiny radii in a wide ring: tangency impossible anywhere in the box.
-    box = CaseBox(
-        Interval(0.5, 0.5),
-        (Interval(0.001, 0.002), Interval(0.001, 0.002)),
-        T2_OUT,
+    ok, _, _ = density(T2_OUT, *box((0.5, 0.5), (0.001, 0.002), (0.001, 0.002)))
+    assert not ok
+    # An area enclosure that contains zero gives no density (NaN), row by row.
+    d_lo, d_hi = eval_density(
+        (np.array([0.0, -1.0, 1.0]), np.array([1.0, 0.0, 2.0])),
+        (np.array([1.0, 1.0, 1.0]), np.array([2.0, 2.0, 2.0])),
     )
-    with pytest.raises(UndefinedIntervalError):
-        eval_density(box)
+    assert np.isnan(d_lo[:2]).all() and np.isnan(d_hi[:2]).all()
+    assert d_lo[2] <= 0.5 and d_hi[2] >= 2.0
 
 
 def _random_feasible_box(rng, cfg, max_width):
@@ -138,11 +136,11 @@ def _random_feasible_box(rng, cfg, max_width):
             rs.append(rng.uniform(lo3, r2))
         w = rng.uniform(1e-6, max_width)
         dims = [lam] + rs
-        ivs = [Interval(max(0.0, v - w / 2), v + w / 2) for v in dims]
-        ivs[0] = Interval(max(0.5, ivs[0].lo), min(0.99, ivs[0].hi))
-        box = CaseBox(ivs[0], tuple(ivs[1:]), cfg)
-        if _sector_terms(box) is not None:
-            return box
+        bounds = [(max(0.0, v - w / 2), v + w / 2) for v in dims]
+        bounds[0] = (max(0.5, bounds[0][0]), min(0.99, bounds[0][1]))
+        lo, hi = box(*bounds)
+        if _sector_terms(cfg, lo, hi)[0][0]:
+            return lo, hi
     raise AssertionError("could not sample a feasible box")
 
 
@@ -154,15 +152,14 @@ def test_eval_density_enclosure_fuzz_small():
     checked = 0
     for i in range(300):
         cfg = configs[i % len(configs)]
-        box = _random_feasible_box(rng, cfg, max_width=5e-3)
-        try:
-            d = eval_density(box)
-        except UndefinedIntervalError:
+        lo, hi = _random_feasible_box(rng, cfg, max_width=5e-3)
+        _, d_lo, d_hi = density(cfg, lo, hi)
+        if np.isnan(d_lo):
             continue
-        lam = np.random.default_rng(i).uniform(box.lambda_.lo, box.lambda_.hi, 40)
+        lam = np.random.default_rng(i).uniform(lo[0, 0], hi[0, 0], 40)
         rs = [
-            np.random.default_rng(1000 + i + k).uniform(iv.lo, iv.hi, 40)
-            for k, iv in enumerate(box.r)
+            np.random.default_rng(1000 + i + k).uniform(lo[0, 1 + k], hi[0, 1 + k], 40)
+            for k in range(cfg.arity)
         ]
         vals = point_density(
             cfg.tag.value,
@@ -174,7 +171,7 @@ def test_eval_density_enclosure_fuzz_small():
         )
         finite = vals[np.isfinite(vals)]
         checked += finite.size
-        assert np.all(finite >= d.lo) and np.all(finite <= d.hi)
+        assert np.all(finite >= d_lo) and np.all(finite <= d_hi)
     assert checked > 3000
 
 
@@ -183,33 +180,33 @@ def test_eval_density_enclosure_fuzz_small():
 
 
 def test_make_root_box_respects_limits():
-    root = make_root_box(T1_OUT, (0.4, 1.5))
-    assert root.lambda_ == Interval(0.5, 0.99)
-    assert root.r[0].hi == pytest.approx(0.25)
+    lo, hi = make_root_box(T1_OUT, (0.4, 1.5))
+    assert lo.shape == hi.shape == (1, 3)
+    assert (lo[0, 0], hi[0, 0]) == (0.5, 0.99)
+    assert hi[0, 1] == pytest.approx(0.25)
 
 
 def test_split_box_halves_widest():
-    root = make_root_box(T1_OUT, (0.5, 0.6))
+    root_lo, root_hi = root = make_root_box(T1_OUT, (0.5, 0.6))
     norms = _normalizers(root)
-    a, b = _split_box(root, norms)
+    lo, hi = _split_box(root_lo, root_hi, norms)
     # Exactly one dimension is bisected; the halves tile the parent.
-    dims_root = [root.lambda_] + list(root.r)
-    dims_a = [a.lambda_] + list(a.r)
-    dims_b = [b.lambda_] + list(b.r)
     changed = [
-        i for i in range(len(dims_root)) if dims_a[i] != dims_root[i]
+        i for i in range(root_lo.shape[1])
+        if (lo[0, i], hi[0, i]) != (root_lo[0, i], root_hi[0, i])
     ]
     assert len(changed) == 1
     k = changed[0]
-    assert dims_a[k].lo == dims_root[k].lo
-    assert dims_a[k].hi == dims_b[k].lo
-    assert dims_b[k].hi == dims_root[k].hi
+    assert lo[0, k] == root_lo[0, k]
+    assert hi[0, k] == lo[1, k]
+    assert hi[1, k] == root_hi[0, k]
     # Widest normalized dimension wins: on the fresh root all are width 1.0
     # relative, so the tie goes to the first dimension (lambda).
     assert k == 0
     # After splitting lambda, a much wider r1 must be chosen next.
-    aa, _ = _split_box(a, norms)
-    assert aa.r[0] != a.r[0] or aa.lambda_ != a.lambda_
+    a_lo, a_hi = lo[:1], hi[:1]
+    aa_lo, aa_hi = _split_box(a_lo, a_hi, norms)
+    assert (aa_lo[0].tolist(), aa_hi[0].tolist()) != (a_lo[0].tolist(), a_hi[0].tolist())
 
 
 def test_prove_case_small_domain_certifies():
@@ -278,12 +275,51 @@ def test_prove_case_worker_count_invariance():
     assert all(run == runs[0] for run in runs[1:])
 
 
-def _proves(box, b_d):
-    """The prover's margin test; None when the box is infeasible everywhere."""
-    terms = _sector_terms(box)
-    if terms is None:
+def test_cells_round_up_to_a_power_of_two(monkeypatch):
+    """`cells=40` runs 64 cells, and each gets ceil(max_boxes / 64) boxes."""
+    tasks = []
+    run_cell = prover._run_cell
+
+    def spy(task):
+        tasks.append(task)
+        return run_cell(task)
+
+    monkeypatch.setattr(prover, "_run_cell", spy)
+    prove_case(
+        T1_OUT, lambda_range=(0.98, 0.99), budget=ProverBudget(cells=40, max_boxes=1000)
+    )
+    assert sorted(i for task in tasks for i in task[0]) == list(range(64))
+    assert {task[5] for task in tasks} == {math.ceil(1000 / 64)} == {16}
+
+
+def test_kernel_functions_are_called_through_their_module_names(monkeypatch):
+    """A profiler counts the prover's kernel by replacing these module
+    attributes (perfbench's traced pass does), so a certified run with a
+    certificate must call each of them through its name."""
+    names = ("_sector_terms", "admissible", "_split_box", "eval_density", "_run_cell")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+
+        def counted(*args, _name=name, _orig=getattr(prover, name), **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(prover, name, counted)
+    rep = prove_case(
+        T1_OUT, lambda_range=(0.5, 0.51), budget=ProverBudget(cells=4),
+        certificate=io.StringIO(),
+    )
+    assert rep.certified
+    assert all(calls[name] >= 1 for name in names), calls
+
+
+def _proves(cfg, lo, hi, b_d):
+    """The prover's margin test on a one-row box; None when the box is
+    infeasible everywhere."""
+    ok, area, pot = _sector_terms(cfg, lo, hi)
+    if not ok[0]:
         return None
-    area, pot = terms
+    area, pot = Interval(area[0][0], area[1][0]), Interval(pot[0][0], pot[1][0])
     return iv_sub(pot, iv_mul(iv_point(b_d), area)).lo >= 0.0
 
 
@@ -294,11 +330,12 @@ def test_prove_monotone_children_of_proven_box():
 
     checked = 0
     for _ in range(200):
-        box = _random_feasible_box(rng, T2_OUT, max_width=2e-3)
-        if _proves(box, 0.5642):
-            a, b = _split_box(box, norms)
-            assert _proves(a, 0.5642) in (True, None)
-            assert _proves(b, 0.5642) in (True, None)
+        lo, hi = _random_feasible_box(rng, T2_OUT, max_width=2e-3)
+        if _proves(T2_OUT, lo, hi, 0.5642):
+            halves_lo, halves_hi = _split_box(lo, hi, norms)
+            for half in (0, 1):
+                half_lo, half_hi = halves_lo[half : half + 1], halves_hi[half : half + 1]
+                assert _proves(T2_OUT, half_lo, half_hi, 0.5642) in (True, None)
             checked += 1
     assert checked > 50
 
@@ -554,10 +591,8 @@ def test_budget_cut_cells_stay_in_budget_and_tile_the_domain(tmp_path):
     boxes = np.array([[[float(x) for x in pair] for pair in _CERT_BOUNDS.findall(line)]
                       for line in lines])
     assert boxes.shape == (len(lines), 3, 2)
-    root = make_root_box(T1_OUT, (0.98, 0.99))
-    root_lo = np.array([root.lambda_.lo] + [iv.lo for iv in root.r])
-    root_hi = np.array([root.lambda_.hi] + [iv.hi for iv in root.r])
-    points = np.random.default_rng(20261018).uniform(root_lo, root_hi, size=(2000, 3))
+    root_lo, root_hi = make_root_box(T1_OUT, (0.98, 0.99))
+    points = np.random.default_rng(20261018).uniform(root_lo[0], root_hi[0], size=(2000, 3))
     inside = (
         (boxes[None, :, :, 0] < points[:, None, :])
         & (points[:, None, :] < boxes[None, :, :, 1])

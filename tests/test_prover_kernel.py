@@ -28,17 +28,15 @@ from diskpack.intervals import (
 )
 from diskpack.prover import (
     DENSITY_BOUND,
-    CaseBox,
     ConfigTag,
     ConfigType,
     Orientation,
-    _box_rows,
-    _constraint_corners,
     _normalizers,
     _partition_cells,
     _run_cell,
-    _sector_terms_rows,
-    _split_rows,
+    _sector_terms,
+    _split_box,
+    admissible,
     certified_configs,
     make_root_box,
 )
@@ -71,7 +69,7 @@ def make_box(cfg, params):
         Interval(max(lo, v - w), min(hi, v + w))
         for v, w, (lo, hi) in zip(centres, widths, limits)
     ]
-    return CaseBox(ivs[0], tuple(ivs[1:]), cfg)
+    return oracle.CaseBox(ivs[0], tuple(ivs[1:]), cfg)
 
 
 unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -86,8 +84,8 @@ box_params = st.tuples(
 
 
 def assert_kernel_matches_oracle(cfg, boxes):
-    lo, hi = _box_rows(boxes)
-    ok, area, pot = _sector_terms_rows(cfg, lo, hi)
+    lo, hi = oracle.box_rows(boxes)
+    ok, area, pot = _sector_terms(cfg, lo, hi)
     # No lane leaks NaN or infinity, whatever the other lanes hold.
     for arr in (*area, *pot):
         assert np.all(np.isfinite(arr))
@@ -147,7 +145,7 @@ def test_kernel_covers_clamps_empty_cosines_and_point_boxes(monkeypatch):
     assert empty > 100 and infeasible > 100 and points > 10
 
 
-def test_constraint_corners_and_split_match_the_oracle():
+def test_admissible_and_split_match_the_oracle():
     rng = random.Random(5)
     for cfg in CONFIGS:
         root = make_root_box(cfg, (0.5, 0.99))
@@ -157,14 +155,14 @@ def test_constraint_corners_and_split_match_the_oracle():
                            rng.random(), rng.random(), [rng.choice(WIDTHS) for _ in range(4)]))
             for _ in range(300)
         ]
-        lo, hi = _box_rows(boxes)
-        cons = _constraint_corners(lo, hi)
-        halves = _split_rows(lo, hi, norms)[:2]
+        lo, hi = oracle.box_rows(boxes)
+        mask = admissible(lo, hi)
+        assert mask.any() and not mask.all()
+        halves = _split_box(lo, hi, norms)
         for i, box in enumerate(boxes):
-            for (g_min, g_max), (ref_min, ref_max) in zip(cons, oracle.constraint_corners(box)):
-                assert same_bits(g_min[i], ref_min) and same_bits(g_max[i], ref_max)
+            assert bool(mask[i]) == (oracle.admissible(box) is not oracle.Feasibility.INFEASIBLE)
             for half, ref in zip((2 * i, 2 * i + 1), oracle.split_box(box, norms)):
-                ref_lo, ref_hi = _box_rows([ref])
+                ref_lo, ref_hi = oracle.box_rows([ref])
                 assert halves[0][half].tolist() == ref_lo[0].tolist()
                 assert halves[1][half].tolist() == ref_hi[0].tolist()
 
