@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import time
 from typing import List, Optional
 
 from . import oracles
@@ -177,19 +179,23 @@ def _cmd_prove(args) -> int:
     if not configs:
         print("error: no certified configuration matches the filter", file=sys.stderr)
         return EXIT_ERROR
+    checkpoints = [args.checkpoint] * len(configs)
+    if args.checkpoint and len(configs) > 1:
+        checkpoints = [
+            f"{args.checkpoint}.{cfg.tag.value}.{cfg.orientation.value}" for cfg in configs
+        ]
+    if args.certificate and os.path.realpath(args.certificate) in {
+        os.path.realpath(ck) for ck in checkpoints if ck
+    }:
+        print(f"error: certificate {args.certificate} is a checkpoint file", file=sys.stderr)
+        return EXIT_ERROR
     cert_stream = None
     if args.certificate:
         cert_stream = _CertificateFile(args.certificate)
     any_failures = False
     try:
-        for cfg in configs:
-            ck = None
-            if args.checkpoint:
-                ck = (
-                    args.checkpoint
-                    if len(configs) == 1
-                    else f"{args.checkpoint}.{cfg.tag.value}.{cfg.orientation.value}"
-                )
+        for cfg, ck in zip(configs, checkpoints):
+            start = time.monotonic()
             report = prove_case(
                 cfg,
                 lambda_range=(args.lambda_min, args.lambda_max),
@@ -200,7 +206,7 @@ def _cmd_prove(args) -> int:
                 resume=args.resume,
                 certificate=cert_stream,
             )
-            print(f"{report.summary_line()} wall={report.wall_time:.3f}s")
+            print(f"{report.summary_line()} wall={time.monotonic() - start:.3f}s")
             if report.failures:
                 any_failures = True
                 print(

@@ -43,7 +43,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -321,27 +321,14 @@ class NearDisks:
         return _smallest_feasible_angle(angle_floor, cons, pull)
 
 
-def _near_index(center: Point, r: float, prev) -> NearDisks:
-    """`prev` itself when it is an index about center fit for radius r; else
-    a new index of the disks in the sequence prev."""
-    if not isinstance(prev, NearDisks):
-        return NearDisks(center, r, prev)
-    if prev.center != center or r > prev.r_max:
+def _place_at_anchor(
+    center: Point, anchor: float, angle_floor: float, near: NearDisks, r: float
+) -> Optional[PlacedDisk]:
+    if near.center != center or r > near.r_max:
         raise GeometryDomainError(
-            f"index about {prev.center} for radii up to {prev.r_max} cannot "
+            f"index about {near.center} for radii up to {near.r_max} cannot "
             f"place radius {r} about {center}"
         )
-    return prev
-
-
-def _place_at_anchor(
-    center: Point,
-    anchor: float,
-    angle_floor: float,
-    prev: Union[NearDisks, Sequence[PlacedDisk]],
-    r: float,
-) -> Optional[PlacedDisk]:
-    near = _near_index(center, r, prev)
     if anchor == 0.0:
         # Degenerate: the disk is concentric with the anchor circle.
         for q in near:
@@ -362,7 +349,8 @@ def place_tangent(
     boundary: ContainerDisk,
     r: float,
     angle_floor: float = 0.0,
-    prev: Union[NearDisks, Sequence[PlacedDisk]] = (),
+    *,
+    prev: NearDisks,
 ) -> Optional[PlacedDisk]:
     """Place a disk of radius r adjacent to the container boundary from inside.
 
@@ -370,7 +358,7 @@ def place_tangent(
     at the smallest polar angle >= angle_floor at which the disk overlaps no
     disk of prev (wrap-around past 2*pi is checked against every disk).
     Returns None (NO_FIT) when no such angle exists. prev is an index about
-    the container's center, or a sequence indexed on the spot.
+    the container's center for radii up to at least r.
     """
     if r > boundary.radius:
         raise GeometryDomainError(
@@ -384,12 +372,14 @@ def place_in_ring(
     side: Side,
     r: float,
     angle_floor: float = 0.0,
-    prev: Union[NearDisks, Sequence[PlacedDisk]] = (),
+    *,
+    prev: NearDisks,
 ) -> Optional[PlacedDisk]:
     """Place a disk of radius r inside a ring, adjacent to the chosen boundary.
 
     Raises RingWidthError when the disk cannot fit widthwise (2r > width);
     returns None (NO_FIT) when it fits widthwise but every angle is crowded.
+    prev is an index about the ring's center for radii up to at least r.
     """
     if 2.0 * r > ring.width + CLAMP_SLACK:
         raise RingWidthError(

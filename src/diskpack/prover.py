@@ -27,7 +27,6 @@ import multiprocessing
 import os
 import shutil
 import tempfile
-import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from enum import Enum
@@ -134,7 +133,6 @@ class ProofReport:
     max_depth: int = 0
     # Unresolved boxes as bound rows (see _bounds), in certificate order.
     failures: List[list] = field(default_factory=list)
-    wall_time: float = 0.0
     boxes_processed: int = 0
 
     @property
@@ -539,11 +537,6 @@ def _run_cell(task) -> List[dict]:
         depth += 1
 
 
-def _pool_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
 def _checkpoint_header(config, b_d, lambda_range, budget) -> dict:
     return {
         "case": config.tag.value,
@@ -587,22 +580,32 @@ def _read_checkpoint(path: str, header: dict, n_cells: int, arity: int) -> dict:
 
     The first complete line must be the run's header and every other one a
     well-formed record (_check_record); a checkpoint that breaks either rule
-    raises ValueError. A last line without its newline is the tail of a write
-    that was cut off: it is dropped, and the file is cut back to its last
-    complete line so that appended records start on a line of their own."""
+    raises ValueError, and a line that is not JSON a json.JSONDecodeError
+    naming the file and the line. A last line without its newline is the tail
+    of a write that was cut off: it is dropped, and the file is cut back to its
+    last complete line so that appended records start on a line of their own."""
     with open(path, "rb") as fh:
         data = fh.read()
     complete = data.rfind(b"\n") + 1
-    lines = data[:complete].decode("utf-8").splitlines()
+    text = data[:complete].decode("utf-8")
+    lines, pos = [], 0
+    for line in text.splitlines(keepends=True):
+        try:
+            lines.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            # Line and column counted in the whole file.
+            raise json.JSONDecodeError(
+                f"checkpoint {path}: {exc.msg}", text, pos + exc.pos
+            ) from None
+        pos += len(line)
     if lines:
-        first = json.loads(lines[0])
+        first = lines[0]
         if not (isinstance(first, dict) and "header" in first):
             raise ValueError(f"checkpoint {path} does not start with its header line")
         if first != {"header": header}:
-            raise ValueError("checkpoint header does not match current parameters")
+            raise ValueError(f"checkpoint {path} header does not match current parameters")
     done: dict = {}
-    for line in lines[1:]:
-        rec = json.loads(line)
+    for rec in lines[1:]:
         _check_record(rec, n_cells, 2 + 2 * arity, done)
         done[rec["cell"]] = rec
     if complete < len(data):
@@ -624,14 +627,14 @@ def prove_case(
 
     The verdict set is deterministic and independent of `workers`. The
     pending cells run in contiguous groups of ceil(pending / (2 * workers))
-    cells, at most _GROUP_CELLS. With `checkpoint`, the records of a group's
-    cells are appended to a JSONL file when the group finishes, and `resume`
+    cells, at most _GROUP_CELLS, and their results are taken in cell order:
+    a group's results wait for every earlier group. With `checkpoint`, each
+    cell's record is appended to a JSONL file as it is taken, and `resume`
     reads them back to skip finished work. `certificate`, when given a
-    writable text stream, receives one line per processed leaf box plus a
-    summary; it needs a fresh run, since skipped cells would write no box
-    lines."""
+    writable text stream, receives one line per processed leaf box, cell
+    after cell as they are taken, plus a summary; it needs a fresh run, since
+    skipped cells would write no box lines."""
     budget = budget or ProverBudget()
-    start = time.monotonic()
     root = make_root_box(config, lambda_range)
     norms = _normalizers(root)
     cells = _partition_cells(root, budget.cells)
@@ -646,7 +649,8 @@ def prove_case(
             f"checkpoint {checkpoint} already holds {len(done)} finished cell(s); "
             "a certificate needs a fresh run"
         )
-    # On any exit, the checkpoint is closed and the cell logs are removed.
+    # On any exit, the pool is stopped, the cell logs are removed and the
+    # checkpoint is closed.
     with ExitStack() as stack:
         ck = None
         if checkpoint:
@@ -655,14 +659,14 @@ def prove_case(
             if mode == "w":
                 ck.write(json.dumps({"header": header}) + "\n")
                 ck.flush()
-        cert_dir = None
+        # Contiguous groups of the pending cells, two or more per worker.
+        pending = [i for i in range(len(cells)) if i not in done]
+        logs = {}
         if certificate is not None:
             cert_dir = stack.enter_context(
                 tempfile.TemporaryDirectory(prefix="diskpack-cert-")
             )
-
-        # Contiguous groups of the pending cells, two or more per worker.
-        pending = [i for i in range(len(cells)) if i not in done]
+            logs = {i: os.path.join(cert_dir, f"cell{i:06d}.log") for i in pending}
         size = min(_GROUP_CELLS, math.ceil(len(pending) / (2 * max(1, workers)))) or 1
         tasks = [
             (
@@ -673,34 +677,29 @@ def prove_case(
                 budget.max_depth,
                 per_cell_budget,
                 norms,
-                [os.path.join(cert_dir, f"cell{i:06d}.log") for i in group]
-                if cert_dir
-                else None,
+                [logs[i] for i in group] if logs else None,
             )
             for group in (pending[k : k + size] for k in range(0, len(pending), size))
         ]
-
-        def record(recs: List[dict]) -> None:
+        if workers <= 1 or len(tasks) <= 1:
+            results = map(_run_cell, tasks)
+        else:
+            methods = multiprocessing.get_all_start_methods()
+            ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+            pool = stack.enter_context(ctx.Pool(processes=workers))
+            results = pool.imap(_run_cell, tasks)
+        # Groups are consumed in cell order, so the checkpoint and the
+        # certificate are the same whatever the workers and their timing.
+        for recs in results:
             for rec in recs:
                 done[rec["cell"]] = rec
                 if ck:
                     ck.write(json.dumps(rec) + "\n")
                     ck.flush()
-
-        if workers <= 1 or len(tasks) <= 1:
-            for t in tasks:
-                record(_run_cell(t))
-        else:
-            ctx = _pool_context()
-            with ctx.Pool(processes=workers) as pool:
-                for recs in pool.imap_unordered(_run_cell, tasks):
-                    record(recs)
-
-        if cert_dir is not None:
-            for i in range(len(cells)):
-                path = os.path.join(cert_dir, f"cell{i:06d}.log")
-                with open(path, "r", encoding="utf-8") as fh:
-                    shutil.copyfileobj(fh, certificate)
+                if logs:
+                    with open(logs[rec["cell"]], "r", encoding="utf-8") as fh:
+                        shutil.copyfileobj(fh, certificate)
+                    os.unlink(logs[rec["cell"]])
 
     report = ProofReport(config=config, bound=b_d)
     for idx in sorted(done):
@@ -710,7 +709,6 @@ def prove_case(
         report.boxes_processed += rec["processed"]
         report.max_depth = max(report.max_depth, rec["max_depth"])
         report.failures += rec["failures"]
-    report.wall_time = time.monotonic() - start
     if certificate is not None:
         certificate.write(report.summary_line() + "\n")
     return report

@@ -497,6 +497,29 @@ def test_cli_prove_certificate_needs_a_fresh_run(tmp_path, capsys):
     assert text.splitlines()[-1] == out.splitlines()[0].split(" wall=")[0]
 
 
+@pytest.mark.parametrize(
+    "case, checkpoint, certificate",
+    [("T1", "same.txt", "same.txt"), ("T2", "ck", "ck.T2.inner")],
+)
+def test_cli_prove_refuses_a_certificate_at_a_checkpoint_path(
+    tmp_path, capsys, case, checkpoint, certificate
+):
+    cert = os.fspath(tmp_path / certificate)
+    with open(cert, "w", encoding="utf-8") as fh:
+        fh.write("old file\n")
+    code, out, err = run_cli(
+        ["prove", "--case", case, "--lambda-max", "0.51", "--cells", "4",
+         "--checkpoint", os.fspath(tmp_path / checkpoint), "--certificate", cert],
+        capsys=capsys,
+    )
+    assert code == 1
+    assert err.startswith("error: ") and "checkpoint" in err
+    assert "SUMMARY" not in out
+    with open(cert, encoding="utf-8") as fh:
+        assert fh.read() == "old file\n"
+    assert os.listdir(tmp_path) == [certificate]
+
+
 def _record(line, **changes):
     return json.dumps({**json.loads(line), **changes}) + "\n"
 
@@ -519,6 +542,7 @@ def _record(line, **changes):
             lambda lines: lines[:1] + [_record(lines[1], failures=[[math.nan] * 6])],
             id="nan-row",
         ),
+        pytest.param(lambda lines: lines[:2] + ["not json\n"] + lines[3:], id="not-json"),
     ],
 )
 def test_cli_prove_resume_refuses_a_malformed_checkpoint(tmp_path, capsys, edit):

@@ -130,14 +130,14 @@ def test_angular_separation_symmetric_and_monotone(d1, d2, f):
 
 
 def test_place_tangent_first_disk_at_zero():
-    p = place_tangent(UNIT, 0.5)
+    p = place_tangent(UNIT, 0.5, prev=NearDisks(UNIT.center, 0.5))
     assert p is not None
     assert p.center == pytest.approx((0.5, 0.0), abs=1e-15)
 
 
 def test_place_tangent_antipodal_pair():
-    first = place_tangent(UNIT, 0.5)
-    second = place_tangent(UNIT, 0.5, prev=[first])
+    first = place_tangent(UNIT, 0.5, prev=NearDisks(UNIT.center, 0.5))
+    second = place_tangent(UNIT, 0.5, prev=NearDisks(UNIT.center, 0.5, [first]))
     assert second is not None
     assert second.center.x == pytest.approx(-0.5, abs=1e-12)
     assert second.center.y == pytest.approx(0.0, abs=1e-12)
@@ -153,7 +153,7 @@ def test_place_tangent_fills_then_no_fit():
     budget 2*pi / (2*asin(1/3)) allows exactly nine."""
     placed = []
     while True:
-        p = place_tangent(UNIT, 0.25, prev=placed)
+        p = place_tangent(UNIT, 0.25, prev=NearDisks(UNIT.center, 0.25, placed))
         if p is None:
             break
         placed.append(p)
@@ -165,14 +165,14 @@ def test_place_tangent_fills_then_no_fit():
 
 def test_place_tangent_oversized():
     with pytest.raises(GeometryDomainError):
-        place_tangent(UNIT, 1.5)
+        place_tangent(UNIT, 1.5, prev=NearDisks(UNIT.center, 1.5))
 
 
 def test_place_tangent_minimality_grid():
     """The returned angle is minimal: every grid angle below it overlaps."""
     prev = [disk(0.3, 0.7, 0.0), disk(0.2, 0.8 * math.cos(1.2), 0.8 * math.sin(1.2))]
     r = 0.25
-    p = place_tangent(UNIT, r, angle_floor=0.0, prev=prev)
+    p = place_tangent(UNIT, r, angle_floor=0.0, prev=NearDisks(UNIT.center, r, prev))
     assert p is not None
     beta = polar_angle(UNIT.center, p.center)
     anchor = 1.0 - r
@@ -186,7 +186,7 @@ def test_place_tangent_minimality_grid():
 
 
 def test_place_tangent_respects_floor():
-    p = place_tangent(UNIT, 0.1, angle_floor=2.0)
+    p = place_tangent(UNIT, 0.1, angle_floor=2.0, prev=NearDisks(UNIT.center, 0.1))
     assert polar_angle(UNIT.center, p.center) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -196,7 +196,7 @@ def test_place_tangent_respects_floor():
 
 def test_place_in_ring_spanning_disk_touches_both():
     ring = RingShape(Point(0.0, 0.0), 1.0, 0.5)
-    p = place_in_ring(ring, Side.OUTER, 0.25)
+    p = place_in_ring(ring, Side.OUTER, 0.25, prev=NearDisks(ring.center, 0.25))
     assert p.center == pytest.approx((0.75, 0.0), abs=1e-15)
     assert dist(p.center, ring.center) + p.radius == pytest.approx(1.0, abs=1e-12)
     assert dist(p.center, ring.center) - p.radius == pytest.approx(0.5, abs=1e-12)
@@ -204,7 +204,7 @@ def test_place_in_ring_spanning_disk_touches_both():
 
 def test_place_in_ring_inner_anchor():
     ring = RingShape(Point(0.0, 0.0), 1.0, 0.5)
-    p = place_in_ring(ring, Side.INNER, 0.1)
+    p = place_in_ring(ring, Side.INNER, 0.1, prev=NearDisks(ring.center, 0.1))
     assert dist(p.center, ring.center) == pytest.approx(0.6, abs=1e-15)
     assert polar_angle(ring.center, p.center) == pytest.approx(0.0, abs=1e-12)
 
@@ -212,7 +212,7 @@ def test_place_in_ring_inner_anchor():
 def test_place_in_ring_next_angle_law_of_cosines():
     ring = RingShape(Point(0.0, 0.0), 1.0, 0.8)
     prev = [disk(0.1, 0.9, 0.0)]
-    p = place_in_ring(ring, Side.OUTER, 0.1, prev=prev)
+    p = place_in_ring(ring, Side.OUTER, 0.1, prev=NearDisks(ring.center, 0.1, prev))
     beta = polar_angle(ring.center, p.center)
     expected = math.acos((0.81 + 0.81 - 0.04) / 1.62)
     assert beta == pytest.approx(expected, abs=1e-12)
@@ -232,14 +232,14 @@ def test_place_in_ring_next_angle_law_of_cosines():
 def test_place_in_ring_too_wide():
     ring = RingShape(Point(0.0, 0.0), 1.0, 0.9)
     with pytest.raises(RingWidthError):
-        place_in_ring(ring, Side.OUTER, 0.2)
+        place_in_ring(ring, Side.OUTER, 0.2, prev=NearDisks(ring.center, 0.2))
 
 
 def test_place_in_ring_crowded_is_no_fit_not_error():
     ring = RingShape(Point(0.0, 0.0), 1.0, 0.5)
     placed = []
     while True:
-        p = place_in_ring(ring, Side.OUTER, 0.25, prev=placed)
+        p = place_in_ring(ring, Side.OUTER, 0.25, prev=NearDisks(ring.center, 0.25, placed))
         if p is None:
             break
         placed.append(p)
@@ -282,8 +282,8 @@ def test_inscribed_after_two_fallback_radius():
 
 
 def test_inscribed_after_two_asymmetric_tangency():
-    first = place_tangent(UNIT, 0.5)
-    second = place_tangent(UNIT, 0.4, prev=[first])
+    first = place_tangent(UNIT, 0.5, prev=NearDisks(UNIT.center, 0.5))
+    second = place_tangent(UNIT, 0.4, prev=NearDisks(UNIT.center, 0.4, [first]))
     c = inscribed_disk_after_two(UNIT, first, second)
     assert dist(c.center, UNIT.center) + c.radius == pytest.approx(1.0, abs=1e-9)
     for d in (first, second):
@@ -314,7 +314,7 @@ def test_center_penetration_examples():
 def test_placement_invariants(radii, floor):
     placed = []
     for r in sorted(radii, reverse=True):
-        p = place_tangent(UNIT, r, angle_floor=floor, prev=placed)
+        p = place_tangent(UNIT, r, angle_floor=floor, prev=NearDisks(UNIT.center, r, placed))
         if p is None:
             continue
         anchor = 1.0 - r
@@ -608,7 +608,8 @@ def test_index_needs_the_full_circle():
     # window above a floor just past 0.
     placed = []
     for _ in range(10):
-        placed.append(place_tangent(UNIT, 0.2, angle_floor=0.0, prev=placed))
+        near = NearDisks(UNIT.center, 0.2, placed)
+        placed.append(place_tangent(UNIT, 0.2, angle_floor=0.0, prev=near))
     floor = polar_angle(UNIT.center, placed[0].center) + 1e-3
     near = NearDisks(UNIT.center, 0.1, placed)
     got = near.free_angle(0.9, 0.1, floor)

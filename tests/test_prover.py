@@ -6,6 +6,7 @@ import os
 import random
 import re
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -240,26 +241,19 @@ def test_prove_case_empty_domain_all_pruned():
 
 
 def test_prove_case_worker_count_invariance():
-    results = []
-    for workers in (1, 2, 5):
-        rep = prove_case(
+    reports = [
+        prove_case(
             T1_OUT,
             lambda_range=(0.5, 0.53),
             budget=ProverBudget(cells=32),
             workers=workers,
         )
-        results.append(
-            (
-                rep.boxes_proven,
-                rep.boxes_pruned_infeasible,
-                rep.boxes_processed,
-                len(rep.failures),
-            )
-        )
-    assert results[0] == results[1] == results[2]
+        for workers in (1, 2, 5)
+    ]
+    assert reports[0] == reports[1] == reports[2]
     # A budget-cut range: its 64 cells (40 rounded up by the pre-split) run
     # in groups of 16, 16, 11 and 7 cells, the last two with a short tail
-    # group, and give the same failures and certificate text.
+    # group, and give the same report and certificate text.
     runs = []
     for workers in (1, 2, 3, 5):
         buf = io.StringIO()
@@ -270,9 +264,33 @@ def test_prove_case_worker_count_invariance():
             workers=workers,
             certificate=buf,
         )
-        runs.append((rep.failures, buf.getvalue()))
-    assert runs[0][0]
+        runs.append((rep, buf.getvalue()))
+    assert runs[0][0].failures
     assert all(run == runs[0] for run in runs[1:])
+
+
+def _run_cell_slow_on_cell_0(task):
+    """_run_cell, delayed in the group that holds cell 0 so that the later
+    groups finish first; at module level, so that a worker pool can pickle it."""
+    if 0 in task[0]:
+        time.sleep(0.5)
+    return _run_cell(task)
+
+
+def test_checkpoint_bytes_do_not_depend_on_workers_or_timing(tmp_path, monkeypatch):
+    """Groups finishing out of order still write their records in cell order,
+    so the checkpoint is the same file for any worker count."""
+    monkeypatch.setattr(prover, "_run_cell", _run_cell_slow_on_cell_0)
+    run = {"lambda_range": (0.5, 0.505), "budget": ProverBudget(cells=8)}
+    texts = []
+    for workers in (1, 2, 3):
+        ck = os.fspath(tmp_path / f"ck{workers}.jsonl")
+        prove_case(T1_OUT, **run, workers=workers, checkpoint=ck)
+        with open(ck, "rb") as fh:
+            texts.append(fh.read())
+    assert [json.loads(line)["cell"] for line in texts[0].splitlines()[1:]] == list(range(8))
+    assert texts[1] == texts[0]
+    assert texts[2] == texts[0]
 
 
 def test_cells_round_up_to_a_power_of_two(monkeypatch):
@@ -445,6 +463,21 @@ def test_checkpoint_malformed_inner_line_raises(tmp_path):
         prove_case(
             T1_OUT, **WEAK, budget=budget, checkpoint=ck, resume=True
         )
+
+
+def test_checkpoint_line_that_is_not_json_names_the_file_and_line(tmp_path):
+    ck = os.fspath(tmp_path / "t1.jsonl")
+    budget = ProverBudget(cells=4)
+    prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck)
+    with open(ck, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    lines[2] = "not json\n"
+    with open(ck, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    with pytest.raises(json.JSONDecodeError) as exc:
+        prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck, resume=True)
+    assert (exc.value.lineno, exc.value.colno) == (3, 1)
+    assert str(exc.value).startswith(f"checkpoint {ck}: Expecting value: line 3 column 1")
 
 
 def test_certificate_refuses_a_resumed_run(tmp_path):
