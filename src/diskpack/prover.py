@@ -30,6 +30,7 @@ import tempfile
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -383,7 +384,7 @@ def _partition_cells(root, n_cells: int) -> List[list]:
     lo, hi = root
     while len(lo) < n_cells:
         lo, hi = _split_box(lo, hi, norms)
-    return _bounds(lo, hi)
+    return _bounds(lo, hi).tolist()
 
 
 _PRUNED, _PROVEN, _UNDECIDED = 0, 1, 2
@@ -419,9 +420,54 @@ def _verdicts(config, lo, hi, b_d, with_density):
     return status, density
 
 
-def _bounds(lo: np.ndarray, hi: np.ndarray) -> List[list]:
-    """Rows as lists (lambda.lo, lambda.hi, r1.lo, r1.hi, ...)."""
-    return np.stack((lo, hi), axis=2).reshape(len(lo), 2 * lo.shape[1]).tolist()
+def _bounds(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Bound rows (lambda.lo, lambda.hi, r1.lo, r1.hi, ...) as an array."""
+    return np.stack((lo, hi), axis=2).reshape(len(lo), 2 * lo.shape[1])
+
+
+# Certificate verdict of each status. An undecided box reaches the
+# certificate only as one that its cell stopped on.
+_VERDICTS = ("pruned", "proven", "failed")
+
+
+def _write_lines(config, logs, owner, rows, status, density=None) -> None:
+    """Append the certificate line of each bound row of `rows` (an array or
+    a list of rows) to the log of its cell, logs[owner[i]] for row i, where
+    `owner` is ascending. A line holds the verdict of the row's status
+    (_VERDICTS) and, where the pair of arrays `density` is given and not NaN,
+    its density enclosure.
+
+    Lines are built in slices of _BATCH_ROWS rows, column by column, and each
+    cell's lines of a slice go out with one write. A slice formats each
+    distinct value once, with repr; values are told apart by their bits, so
+    -0.0 and 0.0 stay distinct. A NaN's repr is "nan"."""
+    names = ["λ"] + [f"r{k}" for k in range(1, config.arity + 1)]
+    seps = [sep for name in names for sep in (f"] {name}=[", ",")]
+    seps[0] = f"CASE {config.tag.value} ORIENT {config.orientation.value} BOX λ=["
+    verdicts = np.array([f"] VERDICT {v}" for v in _VERDICTS], dtype=object)
+    values = np.ascontiguousarray(
+        rows if density is None else np.column_stack((rows, *density)), dtype=np.float64
+    )
+    for start in range(0, len(values), _BATCH_ROWS):
+        part = slice(start, start + _BATCH_ROWS)
+        chunk = values[part]
+        bits, inverse = np.unique(chunk.view(np.int64).ravel(), return_inverse=True)
+        text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        cols = text[inverse.reshape(chunk.shape)].T.tolist()
+        if density is None:
+            ends = ["\n"] * len(chunk)
+        else:
+            ends = [
+                "\n" if d_lo == "nan" else f" DENSITY [{d_lo},{d_hi}]\n"
+                for d_lo, d_hi in zip(cols[-2], cols[-1])
+            ]
+        pieces = [x for sep, col in zip(seps, cols) for x in (repeat(sep), col)]
+        pieces += [verdicts[status[part]].tolist(), ends]
+        lines = list(map("".join, zip(*pieces)))
+        cells = owner[part]
+        cuts = (np.flatnonzero(np.diff(cells)) + 1).tolist()
+        for a, b in zip([0] + cuts, cuts + [len(lines)]):
+            logs[cells[a]].write("".join(lines[a:b]))
 
 
 def _open_boxes(splits, open_rows, lo, hi) -> List[list]:
@@ -441,11 +487,11 @@ def _open_boxes(splits, open_rows, lo, hi) -> List[list]:
         j = np.flatnonzero((rows[:-1] % 2 == 0) & (rows[1:] == rows[:-1] + 1))
         keep = np.ones(len(rows), dtype=bool)
         keep[j] = keep[j + 1] = False
-        out += _bounds(lo[keep], hi[keep])
+        out += _bounds(lo[keep], hi[keep]).tolist()
         rows = np.flatnonzero(split)[rows[j] // 2]
         lo = np.minimum(lo[j], lo[j + 1])
         hi = np.maximum(hi[j], hi[j + 1])
-    return out + _bounds(lo, hi)
+    return out + _bounds(lo, hi).tolist()
 
 
 def _run_cell(task) -> List[dict]:
@@ -467,14 +513,10 @@ def _run_cell(task) -> List[dict]:
     undecided boxes of the other cells are split, lower half before upper
     half, so siblings stay adjacent and the split masks of the whole
     frontier map each cell's rows to their parents. Only the current level's
-    bounds are held, plus one split mask byte per box of the earlier levels."""
+    bounds are held, plus one split mask byte per box of the earlier levels.
+    A cell's log is opened once and closed when the cell stops, and gets one
+    write per slice of a level that holds its rows (_write_lines)."""
     indices, config, cells, b_d, max_depth, max_boxes, norms, cert_paths = task
-    names = ["λ"] + [f"r{k}" for k in range(1, config.arity + 1)]
-    box_format = (
-        f"CASE {config.tag.value} ORIENT {config.orientation.value} BOX "
-        + " ".join(f"{name}=[%r,%r]" for name in names)
-        + " VERDICT %s"
-    )
     n = len(cells)
     lo, hi = np.array([c[0::2] for c in cells]), np.array([c[1::2] for c in cells])
     owner = np.arange(n, dtype=np.int32)
@@ -483,58 +525,56 @@ def _run_cell(task) -> List[dict]:
     splits: List[np.ndarray] = []
     records: list = [None] * n
     depth = 0
-    while True:
-        status, density = _verdicts(config, lo, hi, b_d, cert_paths is not None)
-        processed += np.bincount(owner, minlength=n)
-        proven += np.bincount(owner[status == _PROVEN], minlength=n)
-        pruned += np.bincount(owner[status == _PRUNED], minlength=n)
-        undecided = status == _UNDECIDED
-        if cert_paths is not None:
-            # Each cell's leaves are one run of rows. Pruned rows have no
-            # density (NaN), nor do rows whose area enclosure contains zero.
-            leaves = np.flatnonzero(~undecided)
-            for run in np.split(leaves, np.flatnonzero(np.diff(owner[leaves])) + 1):
-                if not run.size:
-                    continue
-                with open(cert_paths[owner[run[0]]], "a", encoding="utf-8") as log:
-                    for start in range(0, len(run), _BATCH_ROWS):
-                        rows = run[start : start + _BATCH_ROWS]
-                        for box, s, d_lo, d_hi in zip(
-                            _bounds(lo[rows], hi[rows]),
-                            status[rows].tolist(),
-                            density[0][rows].tolist(),
-                            density[1][rows].tolist(),
-                        ):
-                            line = box_format % (*box, ("pruned", "proven")[s])
-                            if not math.isnan(d_lo):
-                                line += f" DENSITY [{d_lo!r},{d_hi!r}]"
-                            log.write(line + "\n")
-        n_open = np.bincount(owner[undecided], minlength=n)
-        stop = live & (
-            (n_open == 0) | (depth >= max_depth) | (processed + 2 * n_open > max_boxes)
-        )
-        for c in np.flatnonzero(stop).tolist():
-            failures = _open_boxes(splits, undecided & (owner == c), lo, hi) if n_open[c] else []
-            if cert_paths is not None and failures:
-                with open(cert_paths[c], "a", encoding="utf-8") as log:
-                    for box in failures:
-                        log.write(box_format % (*box, "failed") + "\n")
-            records[c] = {
-                "cell": indices[c],
-                "proven": int(proven[c]),
-                "pruned": int(pruned[c]),
-                "processed": int(processed[c]),
-                "max_depth": depth,
-                "failures": failures,
-            }
-        live &= ~stop
-        if not live.any():
-            return records
-        split = undecided & live[owner]
-        splits.append(split)
-        lo, hi = _split_box(lo[split], hi[split], norms)
-        owner = np.repeat(owner[split], 2)
-        depth += 1
+    with ExitStack() as stack:
+        logs = [
+            stack.enter_context(open(path, "w", encoding="utf-8")) for path in cert_paths or ()
+        ]
+        while True:
+            status, density = _verdicts(config, lo, hi, b_d, bool(logs))
+            processed += np.bincount(owner, minlength=n)
+            proven += np.bincount(owner[status == _PROVEN], minlength=n)
+            pruned += np.bincount(owner[status == _PRUNED], minlength=n)
+            undecided = status == _UNDECIDED
+            if logs:
+                # Pruned rows have no density (NaN), nor do rows whose area
+                # enclosure contains zero.
+                leaves = ~undecided
+                _write_lines(
+                    config,
+                    logs,
+                    owner[leaves],
+                    _bounds(lo[leaves], hi[leaves]),
+                    status[leaves],
+                    (density[0][leaves], density[1][leaves]),
+                )
+            n_open = np.bincount(owner[undecided], minlength=n)
+            stop = live & (
+                (n_open == 0) | (depth >= max_depth) | (processed + 2 * n_open > max_boxes)
+            )
+            for c in np.flatnonzero(stop).tolist():
+                failures = (
+                    _open_boxes(splits, undecided & (owner == c), lo, hi) if n_open[c] else []
+                )
+                if logs:
+                    cell = np.full(len(failures), c)
+                    _write_lines(config, logs, cell, failures, np.full(len(failures), _UNDECIDED))
+                    logs[c].close()
+                records[c] = {
+                    "cell": indices[c],
+                    "proven": int(proven[c]),
+                    "pruned": int(pruned[c]),
+                    "processed": int(processed[c]),
+                    "max_depth": depth,
+                    "failures": failures,
+                }
+            live &= ~stop
+            if not live.any():
+                return records
+            split = undecided & live[owner]
+            splits.append(split)
+            lo, hi = _split_box(lo[split], hi[split], norms)
+            owner = np.repeat(owner[split], 2)
+            depth += 1
 
 
 def _checkpoint_header(config, b_d, lambda_range, budget) -> dict:
@@ -555,13 +595,13 @@ def _check_record(rec, n_cells: int, row_len: int, done: dict) -> None:
     that is not in `done`, with integer counts and its failures as bound rows
     of `row_len` finite floats."""
     if not isinstance(rec, dict):
-        raise ValueError(f"checkpoint record is not an object: {rec!r}")
+        raise ValueError(f"record is not an object: {rec!r}")
     cell = rec.get("cell")
     if type(cell) is not int or not 0 <= cell < n_cells or cell in done:
-        raise ValueError(f"checkpoint record has a bad or repeated cell index: {cell!r}")
+        raise ValueError(f"record has a bad or repeated cell index: {cell!r}")
     for key in ("proven", "pruned", "processed", "max_depth"):
         if type(rec.get(key)) is not int:
-            raise ValueError(f"checkpoint record of cell {cell} has no integer {key!r}")
+            raise ValueError(f"record of cell {cell} has no integer {key!r}")
     rows = rec.get("failures")
     if not isinstance(rows, list) or not all(
         type(row) is list
@@ -570,7 +610,7 @@ def _check_record(rec, n_cells: int, row_len: int, done: dict) -> None:
         for row in rows
     ):
         raise ValueError(
-            f"checkpoint record of cell {cell} needs failures as rows of "
+            f"record of cell {cell} needs failures as rows of "
             f"{row_len} finite floats"
         )
 
@@ -580,10 +620,11 @@ def _read_checkpoint(path: str, header: dict, n_cells: int, arity: int) -> dict:
 
     The first complete line must be the run's header and every other one a
     well-formed record (_check_record); a checkpoint that breaks either rule
-    raises ValueError, and a line that is not JSON a json.JSONDecodeError
-    naming the file and the line. A last line without its newline is the tail
-    of a write that was cut off: it is dropped, and the file is cut back to its
-    last complete line so that appended records start on a line of their own."""
+    raises ValueError, and a line that is not JSON a json.JSONDecodeError,
+    each naming the file, and the line for a record. A last line without its
+    newline is the tail of a write that was cut off: it is dropped, and the
+    file is cut back to its last complete line so that appended records start
+    on a line of their own."""
     with open(path, "rb") as fh:
         data = fh.read()
     complete = data.rfind(b"\n") + 1
@@ -605,8 +646,11 @@ def _read_checkpoint(path: str, header: dict, n_cells: int, arity: int) -> dict:
         if first != {"header": header}:
             raise ValueError(f"checkpoint {path} header does not match current parameters")
     done: dict = {}
-    for rec in lines[1:]:
-        _check_record(rec, n_cells, 2 + 2 * arity, done)
+    for number, rec in enumerate(lines[1:], start=2):
+        try:
+            _check_record(rec, n_cells, 2 + 2 * arity, done)
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {path} line {number}: {exc}") from None
         done[rec["cell"]] = rec
     if complete < len(data):
         os.truncate(path, complete)

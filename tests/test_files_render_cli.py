@@ -558,3 +558,21 @@ def test_cli_prove_resume_refuses_a_malformed_checkpoint(tmp_path, capsys, edit)
     assert code == 1
     assert err.startswith("error: ") and "checkpoint" in err
     assert "SUMMARY" not in out
+
+
+def test_cli_prove_resume_names_the_file_and_line_of_a_bad_record(tmp_path, capsys):
+    """With two configurations, each with its own checkpoint, a bad record
+    in the second is reported with that file's path and the record's line."""
+    ck = os.fspath(tmp_path / "ck")
+    args = ["prove", "--case", "T2", "--bound", "0.3", "--lambda-max", "0.51",
+            "--cells", "4", "--checkpoint", ck]
+    assert run_cli(args, capsys=capsys)[0] == 0
+    with open(ck + ".T2.inner", "a", encoding="utf-8") as fh:
+        fh.write("[1, 2]\n")
+    code, out, err = run_cli(args + ["--resume"], capsys=capsys)
+    assert code == 1
+    assert "SUMMARY case=T2 orient=outer" in out
+    assert "orient=inner" not in out
+    assert err == (
+        f"error: checkpoint {ck}.T2.inner line 6: record is not an object: [1, 2]\n"
+    )

@@ -30,11 +30,13 @@ from diskpack.prover import (
     _sector_terms,
 )
 
+from oracle_certificate import box_line
 from oracle_pointeval import point_density
 from oracle_sector_terms import iv_point
 
 T1_OUT = ConfigType(ConfigTag.T1, Orientation.OUTER_FIRST)
 T2_OUT = ConfigType(ConfigTag.T2, Orientation.OUTER_FIRST)
+T7_IN = ConfigType(ConfigTag.T7, Orientation.INNER_FIRST)
 
 
 def box(*bounds):
@@ -594,6 +596,126 @@ def test_certificate_pinned_across_commits(workers):
     )
     assert text.count("\n") == 461
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CERT_T1_098_SHA256
+
+
+# SHA-256 of certificates with proven lines, and so with DENSITY suffixes, in
+# both arities: (config, lambda range, budget, proven, pruned, failed, lines,
+# hash). Recorded before certificate lines were formatted in batches.
+CERTS_WITH_DENSITY = [
+    (
+        T1_OUT,
+        (0.5, 0.501),
+        ProverBudget(cells=4, max_boxes=4000),
+        (197, 443, 137),
+        778,
+        "7a5c935e35f5c84d17c46399ecc59a03ba3e4981feed55aab273275bc7e5871a",
+    ),
+    (
+        T7_IN,
+        (0.5, 0.501),
+        ProverBudget(cells=4, max_boxes=20000),
+        (1313, 2887, 892),
+        5093,
+        "04560ca1f7ddff99d506d60937210f0a6faa805a8d0fe4e4e3341fc5fb5a5e83",
+    ),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", range(len(CERTS_WITH_DENSITY)))
+def test_certificate_with_density_pinned_across_commits(case, workers):
+    cfg, lambda_range, budget, counts, n_lines, digest = CERTS_WITH_DENSITY[case]
+    buf = io.StringIO()
+    rep = prove_case(
+        cfg, lambda_range=lambda_range, budget=budget, workers=workers, certificate=buf
+    )
+    text = buf.getvalue()
+    assert (rep.boxes_proven, rep.boxes_pruned_infeasible, len(rep.failures)) == counts
+    assert text.count("\n") == n_lines
+    assert text.count(" DENSITY [") == rep.boxes_proven
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def _hand_built_rows(arity):
+    """Bound rows whose values stress repr and the de-duplication: signed
+    zeros side by side, the smallest subnormal, neighbours one ulp apart,
+    17-digit values, values repeated across columns, and np.float64 scalars."""
+    tiny = 5e-324
+    third = 1.0 / 3.0
+    up = float(np.nextafter(third, 1.0))
+    specials = [
+        [-0.0, 0.0], [0.0, -0.0], [tiny, tiny], [third, up], [up, third],
+        [0.1 + 0.2, 0.30000000000000004], [0.1, np.float64(0.1)],
+        [np.float64(0.98), float(np.nextafter(0.98, 0.0))], [0.5, 0.99],
+        [1e-300, 1.7976931348623157e308], [2.0 ** -1074 * 3, 0.1234567890123456789],
+    ]
+    width = 2 + 2 * arity
+    return [
+        [x for k in range(width // 2) for x in specials[(i + 3 * k) % len(specials)]]
+        for i in range(3 * len(specials))
+    ]
+
+
+def _lines(cfg, rows, status, density=None):
+    """The lines _write_lines appends for rows that all belong to one cell."""
+    log = io.StringIO()
+    prover._write_lines(cfg, [log], np.zeros(len(rows), dtype=int), rows, status, density)
+    return log.getvalue().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("cfg", [T1_OUT, T7_IN], ids=["arity2", "arity3"])
+def test_certificate_lines_equal_the_per_line_oracle(cfg):
+    rows = _hand_built_rows(cfg.arity)
+    n = len(rows)
+    status = np.array([(prover._PRUNED, prover._PROVEN)[i % 2] for i in range(n)])
+    d_lo = np.array([np.nan if i % 3 == 0 else rows[i][(i % 4)] for i in range(n)])
+    d_hi = np.array([np.nan if i % 3 == 0 else rows[i][-1 - (i % 4)] for i in range(n)])
+    got = _lines(cfg, np.array(rows), status, (d_lo, d_hi))
+    want = [
+        box_line(cfg, row, ("pruned", "proven")[s], lo, hi)
+        for row, s, lo, hi in zip(rows, status.tolist(), d_lo.tolist(), d_hi.tolist())
+    ]
+    assert got == want
+    text = "".join(got)
+    assert "np.float64" not in text and "'" not in text
+    assert "λ=[-0.0,0.0]" in text and "λ=[0.0,-0.0]" in text
+    # Failed rows: a list of rows with no density, as _run_cell passes them.
+    failed = _lines(cfg, rows, np.full(n, prover._UNDECIDED))
+    assert failed == [box_line(cfg, row, "failed") for row in rows]
+
+
+class _CountingLog(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_certificate_lines_go_to_their_cells_one_write_per_slice(monkeypatch):
+    """Rows of three cells, cut into slices of 7 rows: each log gets its own
+    rows' lines in order, with one write per slice that holds its rows, and
+    the text does not depend on the slicing. No rows write nothing."""
+    rows = np.array(_hand_built_rows(2)[:20])
+    owner = np.repeat([0, 1, 2], [5, 12, 3])
+    status = np.full(len(rows), prover._PROVEN)
+    density = (rows[:, 2].copy(), rows[:, 5].copy())
+    want = [
+        [box_line(T1_OUT, row, "proven", lo, hi)
+         for row, lo, hi, o in zip(rows, *density, owner) if o == c]
+        for c in range(3)
+    ]
+    for batch_rows, writes in ((2048, [1, 1, 1]), (7, [1, 3, 1])):
+        monkeypatch.setattr(prover, "_BATCH_ROWS", batch_rows)
+        logs = [_CountingLog() for _ in range(3)]
+        prover._write_lines(T1_OUT, logs, owner, rows, status, density)
+        assert [log.getvalue().splitlines(keepends=True) for log in logs] == want
+        assert [log.writes for log in logs] == writes
+    log = _CountingLog()
+    prover._write_lines(T1_OUT, [log], np.zeros(0, dtype=int), [], np.zeros(0, dtype=int))
+    assert log.writes == 0
 
 
 _CERT_BOUNDS = re.compile(r"(?:λ|r\d)=\[([^,\]]+),([^\]]+)\]")
