@@ -129,40 +129,23 @@ _ORACLE_FUNCTIONS = {
 
 
 def _cmd_oracle(args) -> int:
-    if args.fn is None:
-        for name, fn in _ORACLE_CONSTANTS.items():
-            print(f"{name}={format(fn(), '.17g')}")
+    if args.fn in _ORACLE_FUNCTIONS:
+        if not args.at:
+            print(f"error: --fn {args.fn} requires --at", file=sys.stderr)
+            return EXIT_ERROR
+        fn = _ORACLE_FUNCTIONS[args.fn]
+        for x in args.at:
+            print(f"{args.fn}({format(x, '.17g')})={format(fn(x), '.17g')}")
         return EXIT_OK
-    if args.fn in _ORACLE_CONSTANTS:
-        print(f"{args.fn}={format(_ORACLE_CONSTANTS[args.fn](), '.17g')}")
-        return EXIT_OK
-    fn = _ORACLE_FUNCTIONS[args.fn]
-    if not args.at:
-        print(f"error: --fn {args.fn} requires --at", file=sys.stderr)
+    if args.at:
+        print(
+            f"error: --at needs --fn {' or '.join(sorted(_ORACLE_FUNCTIONS))}",
+            file=sys.stderr,
+        )
         return EXIT_ERROR
-    for x in args.at:
-        print(f"{args.fn}({format(x, '.17g')})={format(fn(x), '.17g')}")
+    for name in [args.fn] if args.fn else _ORACLE_CONSTANTS:
+        print(f"{name}={format(_ORACLE_CONSTANTS[name](), '.17g')}")
     return EXIT_OK
-
-
-class _CertificateFile:
-    """The --certificate stream. The file is opened for appending at once, so
-    that a path that cannot be written fails before any work, and emptied at
-    the first write. prove_case writes only after its checkpoint checks, so a
-    refused run leaves an existing certificate as it was."""
-
-    def __init__(self, path: str):
-        self._fh = open(path, "a", encoding="utf-8")
-        self._emptied = False
-
-    def write(self, text: str) -> None:
-        if not self._emptied:
-            self._fh.truncate(0)
-            self._emptied = True
-        self._fh.write(text)
-
-    def close(self) -> None:
-        self._fh.close()
 
 
 def _cmd_prove(args) -> int:
@@ -184,14 +167,19 @@ def _cmd_prove(args) -> int:
         checkpoints = [
             f"{args.checkpoint}.{cfg.tag.value}.{cfg.orientation.value}" for cfg in configs
         ]
-    if args.certificate and os.path.realpath(args.certificate) in {
-        os.path.realpath(ck) for ck in checkpoints if ck
-    }:
-        print(f"error: certificate {args.certificate} is a checkpoint file", file=sys.stderr)
-        return EXIT_ERROR
-    cert_stream = None
+    cert = None
     if args.certificate:
-        cert_stream = _CertificateFile(args.certificate)
+        part = args.certificate + ".part"
+        taken = {os.path.realpath(ck) for ck in checkpoints if ck}
+        if taken & {os.path.realpath(args.certificate), os.path.realpath(part)}:
+            print(
+                f"error: certificate {args.certificate} or {part} is a checkpoint file",
+                file=sys.stderr,
+            )
+            return EXIT_ERROR
+        # The certificate is written to PATH.part and moved onto PATH only by
+        # a finished run, so PATH is always a whole certificate or untouched.
+        cert = open(part, "w", encoding="utf-8")
     any_failures = False
     try:
         for cfg, ck in zip(configs, checkpoints):
@@ -204,7 +192,7 @@ def _cmd_prove(args) -> int:
                 workers=args.threads,
                 checkpoint=ck,
                 resume=args.resume,
-                certificate=cert_stream,
+                certificate=cert,
             )
             print(f"{report.summary_line()} wall={time.monotonic() - start:.3f}s")
             if report.failures:
@@ -214,9 +202,14 @@ def _cmd_prove(args) -> int:
                     "UNPROVEN on them (never disproven)",
                     file=sys.stderr,
                 )
-    finally:
-        if cert_stream is not None:
-            cert_stream.close()
+        if cert is not None:
+            cert.close()
+            os.replace(part, args.certificate)
+    except BaseException:
+        if cert is not None:
+            cert.close()
+            os.unlink(part)
+        raise
     return EXIT_UNPROVEN if any_failures else EXIT_OK
 
 
@@ -327,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument(
         "--certificate", default=None,
         help="write one line per leaf box and a summary per configuration "
-        "(needs a fresh run)",
+        "(needs a fresh run); PATH is replaced only when the run finishes",
     )
     pr.set_defaults(func=_cmd_prove)
     return ap
@@ -338,10 +331,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (FileFormatError, InstanceError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (FileFormatError, InstanceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

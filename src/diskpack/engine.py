@@ -60,10 +60,6 @@ class InstanceSpec:
     def of(radii: Sequence[float]) -> "InstanceSpec":
         return InstanceSpec(tuple(float(r) for r in radii))
 
-    @property
-    def total_area(self) -> float:
-        return math.pi * sum(r * r for r in self.radii)
-
 
 @dataclass
 class PackingState:

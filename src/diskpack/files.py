@@ -73,18 +73,22 @@ class PackingFile:
     trace: Optional[Tuple[dict, ...]] = None
 
 
+def _array_items(items) -> list:
+    """The lines of a JSON array's items, one item per line indented four
+    spaces, with a comma after each item but the last."""
+    return [f"    {item}," for item in items[:-1]] + [f"    {item}" for item in items[-1:]]
+
+
 def dumps_instance(inst: InstanceFile) -> str:
     lines = [
         "{",
         f'  "format_version": {INSTANCE_FORMAT_VERSION},',
         f'  "container_radius": {_fmt(inst.container_radius)},',
         '  "radii": [',
+        *_array_items([_fmt(r) for r in inst.radii]),
+        "  ]",
+        "}",
     ]
-    for i, r in enumerate(inst.radii):
-        comma = "," if i + 1 < len(inst.radii) else ""
-        lines.append(f"    {_fmt(r)}{comma}")
-    lines.append("  ]")
-    lines.append("}")
     return "\n".join(lines) + "\n"
 
 
@@ -136,22 +140,19 @@ def dumps_packing(p: PackingFile) -> str:
         f'  "instance_digest": "{p.instance_digest}",',
         f'  "complete": {"true" if p.complete else "false"},',
         '  "placements": [',
+        *_array_items([
+            f'{{"radius": {_fmt(r)}, "x": {_fmt(x)}, "y": {_fmt(y)}}}'
+            for r, x, y in p.placements
+        ]),
+        "  ],",
     ]
-    for i, (r, x, y) in enumerate(p.placements):
-        comma = "," if i + 1 < len(p.placements) else ""
-        lines.append(
-            f'    {{"radius": {_fmt(r)}, "x": {_fmt(x)}, "y": {_fmt(y)}}}{comma}'
-        )
-    lines.append("  ],")
     unplaced = ", ".join(_fmt(r) for r in p.unplaced)
     if p.trace is None:
         lines.append(f'  "unplaced": [{unplaced}]')
     else:
         lines.append(f'  "unplaced": [{unplaced}],')
         lines.append('  "trace": [')
-        for i, ev in enumerate(p.trace):
-            comma = "," if i + 1 < len(p.trace) else ""
-            lines.append(f"    {_dump_trace_event(ev)}{comma}")
+        lines += _array_items([_dump_trace_event(ev) for ev in p.trace])
         lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -226,14 +227,12 @@ def dumps_report(report: VerificationReport) -> str:
         f'  "density": {_fmt(report.density)},',
         f'  "epsilon": {_fmt(report.epsilon)},',
         '  "violations": [',
+        *_array_items([
+            f'{{"kind": "{v.kind.value}", "indices": [{", ".join(map(str, v.indices))}], '
+            f'"magnitude": {_fmt(v.magnitude)}}}'
+            for v in report.violations
+        ]),
+        "  ]",
+        "}",
     ]
-    for i, v in enumerate(report.violations):
-        comma = "," if i + 1 < len(report.violations) else ""
-        idx = ", ".join(str(j) for j in v.indices)
-        lines.append(
-            f'    {{"kind": "{v.kind.value}", "indices": [{idx}], '
-            f'"magnitude": {_fmt(v.magnitude)}}}{comma}'
-        )
-    lines.append("  ]")
-    lines.append("}")
     return "\n".join(lines) + "\n"

@@ -430,12 +430,12 @@ def _bounds(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 _VERDICTS = ("pruned", "proven", "failed")
 
 
-def _write_lines(config, logs, owner, rows, status, density=None) -> None:
-    """Append the certificate line of each bound row of `rows` (an array or
-    a list of rows) to the log of its cell, logs[owner[i]] for row i, where
-    `owner` is ascending. A line holds the verdict of the row's status
-    (_VERDICTS) and, where the pair of arrays `density` is given and not NaN,
-    its density enclosure.
+def _write_lines(config, logs, owner, rows, status, density) -> None:
+    """Append the certificate line of each bound row of the array `rows` to
+    the log of its cell, logs[owner[i]] for row i, where `owner` is
+    ascending. A line holds the verdict of the row's status (_VERDICTS) and,
+    where the row's entry in the pair of arrays `density` is not NaN, its
+    density enclosure.
 
     Lines are built in slices of _BATCH_ROWS rows, column by column, and each
     cell's lines of a slice go out with one write. A slice formats each
@@ -445,22 +445,17 @@ def _write_lines(config, logs, owner, rows, status, density=None) -> None:
     seps = [sep for name in names for sep in (f"] {name}=[", ",")]
     seps[0] = f"CASE {config.tag.value} ORIENT {config.orientation.value} BOX λ=["
     verdicts = np.array([f"] VERDICT {v}" for v in _VERDICTS], dtype=object)
-    values = np.ascontiguousarray(
-        rows if density is None else np.column_stack((rows, *density)), dtype=np.float64
-    )
+    values = np.column_stack((rows, *density))
     for start in range(0, len(values), _BATCH_ROWS):
         part = slice(start, start + _BATCH_ROWS)
         chunk = values[part]
         bits, inverse = np.unique(chunk.view(np.int64).ravel(), return_inverse=True)
         text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
         cols = text[inverse.reshape(chunk.shape)].T.tolist()
-        if density is None:
-            ends = ["\n"] * len(chunk)
-        else:
-            ends = [
-                "\n" if d_lo == "nan" else f" DENSITY [{d_lo},{d_hi}]\n"
-                for d_lo, d_hi in zip(cols[-2], cols[-1])
-            ]
+        ends = [
+            "\n" if d_lo == "nan" else f" DENSITY [{d_lo},{d_hi}]\n"
+            for d_lo, d_hi in zip(cols[-2], cols[-1])
+        ]
         pieces = [x for sep, col in zip(seps, cols) for x in (repeat(sep), col)]
         pieces += [verdicts[status[part]].tolist(), ends]
         lines = list(map("".join, zip(*pieces)))
@@ -470,15 +465,16 @@ def _write_lines(config, logs, owner, rows, status, density=None) -> None:
             logs[cells[a]].write("".join(lines[a:b]))
 
 
-def _open_boxes(splits, open_rows, lo, hi) -> List[list]:
+def _open_boxes(splits, open_rows, lo, hi) -> np.ndarray:
     """The unresolved boxes of a cell whose last level has the undecided rows
     `open_rows` (a mask) and the bounds `lo`, `hi`: those rows, with every
     sibling pair that is open as a whole replaced by its parent, repeated up
-    the levels. `splits` holds each earlier level's split mask; rows 2k and
-    2k+1 of a level are the halves of the k-th split row of the level above,
-    and a parent's bounds are the elementwise min of its halves' lo and max of
-    their hi (bit-exact, since the halves share the midpoint). Deepest level
-    first, in row order within a level."""
+    the levels, as one array of bound rows. `splits` holds each earlier
+    level's split mask; rows 2k and 2k+1 of a level are the halves of the
+    k-th split row of the level above, and a parent's bounds are the
+    elementwise min of its halves' lo and max of their hi (bit-exact, since
+    the halves share the midpoint). Deepest level first, in row order within
+    a level."""
     rows = np.flatnonzero(open_rows)
     lo, hi = lo[rows], hi[rows]
     out = []
@@ -487,11 +483,12 @@ def _open_boxes(splits, open_rows, lo, hi) -> List[list]:
         j = np.flatnonzero((rows[:-1] % 2 == 0) & (rows[1:] == rows[:-1] + 1))
         keep = np.ones(len(rows), dtype=bool)
         keep[j] = keep[j + 1] = False
-        out += _bounds(lo[keep], hi[keep]).tolist()
+        out.append(_bounds(lo[keep], hi[keep]))
         rows = np.flatnonzero(split)[rows[j] // 2]
         lo = np.minimum(lo[j], lo[j + 1])
         hi = np.maximum(hi[j], hi[j + 1])
-    return out + _bounds(lo, hi).tolist()
+    out.append(_bounds(lo, hi))
+    return np.concatenate(out)
 
 
 def _run_cell(task) -> List[dict]:
@@ -552,12 +549,13 @@ def _run_cell(task) -> List[dict]:
                 (n_open == 0) | (depth >= max_depth) | (processed + 2 * n_open > max_boxes)
             )
             for c in np.flatnonzero(stop).tolist():
-                failures = (
-                    _open_boxes(splits, undecided & (owner == c), lo, hi) if n_open[c] else []
-                )
+                failures = _bounds(lo[:0], hi[:0])
+                if n_open[c]:
+                    failures = _open_boxes(splits, undecided & (owner == c), lo, hi)
                 if logs:
-                    cell = np.full(len(failures), c)
-                    _write_lines(config, logs, cell, failures, np.full(len(failures), _UNDECIDED))
+                    nan = np.full(len(failures), np.nan)
+                    cell, failed = np.full(len(failures), c), np.full(len(failures), _UNDECIDED)
+                    _write_lines(config, logs, cell, failures, failed, (nan, nan))
                     logs[c].close()
                 records[c] = {
                     "cell": indices[c],
@@ -565,7 +563,7 @@ def _run_cell(task) -> List[dict]:
                     "pruned": int(pruned[c]),
                     "processed": int(processed[c]),
                     "max_depth": depth,
-                    "failures": failures,
+                    "failures": failures.tolist(),
                 }
             live &= ~stop
             if not live.any():

@@ -215,7 +215,7 @@ def test_pack_guarantee_random_sample():
 @pytest.mark.parametrize("edge", list(ThresholdEdge))
 def test_pack_near_threshold_families(edge):
     inst = gen_near_threshold(edge)
-    assert inst.total_area <= math.pi / 2 + 1e-12
+    assert math.pi * sum(r * r for r in inst.radii) <= math.pi / 2 + 1e-12
     res = pack(inst)
     assert res.complete
     assert verify(res.placements, inst.radii, epsilon=1e-7).valid

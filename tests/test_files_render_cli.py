@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from diskpack import prover
 from diskpack.cli import main
 from diskpack.engine import InstanceSpec, pack
 from diskpack.files import (
@@ -364,6 +365,14 @@ def test_cli_oracle_function_needs_at(capsys, monkeypatch):
     assert "--at" in err
 
 
+@pytest.mark.parametrize("args", [["--at", "0.3"], ["--fn", "rho", "--at", "0.3"]])
+def test_cli_oracle_refuses_at_without_a_function(capsys, args):
+    code, out, err = run_cli(["oracle", *args], capsys=capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "--at" in err
+
+
 @pytest.mark.parametrize(
     "args, expected",
     [
@@ -499,7 +508,8 @@ def test_cli_prove_certificate_needs_a_fresh_run(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "case, checkpoint, certificate",
-    [("T1", "same.txt", "same.txt"), ("T2", "ck", "ck.T2.inner")],
+    [("T1", "same.txt", "same.txt"), ("T2", "ck", "ck.T2.inner"),
+     ("T1", "same.txt.part", "same.txt")],
 )
 def test_cli_prove_refuses_a_certificate_at_a_checkpoint_path(
     tmp_path, capsys, case, checkpoint, certificate
@@ -518,6 +528,88 @@ def test_cli_prove_refuses_a_certificate_at_a_checkpoint_path(
     with open(cert, encoding="utf-8") as fh:
         assert fh.read() == "old file\n"
     assert os.listdir(tmp_path) == [certificate]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["--lambda-min", "0.7", "--lambda-max", "0.6"], id="empty-lambda-range"),
+        pytest.param(["--lambda-max", "0.51", "--resume"], id="resume-over-finished-cells"),
+    ],
+)
+def test_cli_prove_refused_run_leaves_no_certificate(tmp_path, capsys, args):
+    ck = os.fspath(tmp_path / "ck.jsonl")
+    base = ["prove", "--case", "T1", "--bound", "0.3", "--cells", "4", "--checkpoint", ck]
+    assert run_cli(base + ["--lambda-max", "0.51"], capsys=capsys)[0] == 0
+    cert = os.fspath(tmp_path / "new.cert")
+    code, out, err = run_cli(base + args + ["--certificate", cert], capsys=capsys)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "SUMMARY" not in out
+    assert sorted(os.listdir(tmp_path)) == ["ck.jsonl"]
+
+
+def test_cli_prove_interrupted_run_leaves_the_certificate_as_it_was(
+    tmp_path, capsys, monkeypatch
+):
+    """The interrupt comes after the first group of cells has gone into the
+    certificate."""
+    cert = os.fspath(tmp_path / "cert.log")
+    with open(cert, "w", encoding="utf-8") as fh:
+        fh.write("old certificate\n")
+    run_cell = prover._run_cell
+    calls = []
+
+    def interrupted(task):
+        calls.append(task)
+        if len(calls) > 1:
+            raise KeyboardInterrupt
+        return run_cell(task)
+
+    monkeypatch.setattr(prover, "_run_cell", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["prove", "--case", "T1", "--lambda-max", "0.51", "--cells", "4",
+              "--certificate", cert])
+    assert len(calls) == 2
+    with open(cert, encoding="utf-8") as fh:
+        assert fh.read() == "old certificate\n"
+    assert os.listdir(tmp_path) == ["cert.log"]
+
+
+def test_cli_prove_certificate_in_a_missing_directory_fails_before_any_cell(
+    tmp_path, capsys, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(prover, "_run_cell", calls.append)
+    cert = os.fspath(tmp_path / "missing" / "cert.log")
+    code, out, err = run_cli(
+        ["prove", "--case", "T1", "--lambda-max", "0.51", "--cells", "4",
+         "--certificate", cert],
+        capsys=capsys,
+    )
+    assert code == 1
+    assert err.startswith("error: ")
+    assert out == "" and calls == []
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_prove_unproven_run_replaces_the_certificate(tmp_path, capsys):
+    cert = os.fspath(tmp_path / "cert.log")
+    with open(cert, "w", encoding="utf-8") as fh:
+        fh.write("old certificate\n")
+    code, out, _ = run_cli(
+        ["prove", "--case", "T1", "--bound", "0.99", "--lambda-max", "0.51",
+         "--cells", "4", "--max-boxes", "2000", "--max-depth", "16",
+         "--certificate", cert],
+        capsys=capsys,
+    )
+    assert code == 3
+    with open(cert, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.startswith("CASE T1 ORIENT outer BOX ")
+    assert "VERDICT failed" in text
+    assert text.splitlines()[-1] == out.splitlines()[0].split(" wall=")[0]
+    assert os.listdir(tmp_path) == ["cert.log"]
 
 
 def _record(line, **changes):

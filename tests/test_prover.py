@@ -656,7 +656,7 @@ def _hand_built_rows(arity):
     ]
 
 
-def _lines(cfg, rows, status, density=None):
+def _lines(cfg, rows, status, density):
     """The lines _write_lines appends for rows that all belong to one cell."""
     log = io.StringIO()
     prover._write_lines(cfg, [log], np.zeros(len(rows), dtype=int), rows, status, density)
@@ -679,8 +679,9 @@ def test_certificate_lines_equal_the_per_line_oracle(cfg):
     text = "".join(got)
     assert "np.float64" not in text and "'" not in text
     assert "λ=[-0.0,0.0]" in text and "λ=[0.0,-0.0]" in text
-    # Failed rows: a list of rows with no density, as _run_cell passes them.
-    failed = _lines(cfg, rows, np.full(n, prover._UNDECIDED))
+    # Failed rows: NaN densities, as _run_cell passes them.
+    nan = np.full(n, np.nan)
+    failed = _lines(cfg, np.array(rows), np.full(n, prover._UNDECIDED), (nan, nan))
     assert failed == [box_line(cfg, row, "failed") for row in rows]
 
 
@@ -714,7 +715,11 @@ def test_certificate_lines_go_to_their_cells_one_write_per_slice(monkeypatch):
         assert [log.getvalue().splitlines(keepends=True) for log in logs] == want
         assert [log.writes for log in logs] == writes
     log = _CountingLog()
-    prover._write_lines(T1_OUT, [log], np.zeros(0, dtype=int), [], np.zeros(0, dtype=int))
+    empty = np.zeros(0)
+    prover._write_lines(
+        T1_OUT, [log], np.zeros(0, dtype=int), np.zeros((0, 6)), np.zeros(0, dtype=int),
+        (empty, empty),
+    )
     assert log.writes == 0
 
 
