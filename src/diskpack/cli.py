@@ -162,20 +162,16 @@ def _cmd_prove(args) -> int:
     if not configs:
         print("error: no certified configuration matches the filter", file=sys.stderr)
         return EXIT_ERROR
-    checkpoints = [args.checkpoint] * len(configs)
-    if args.checkpoint and len(configs) > 1:
-        checkpoints = [
-            f"{args.checkpoint}.{cfg.tag.value}.{cfg.orientation.value}" for cfg in configs
-        ]
+    checkpoints = [
+        f"{args.checkpoint}.{cfg.tag.value}.{cfg.orientation.value}" if args.checkpoint else None
+        for cfg in configs
+    ]
     cert = None
     if args.certificate:
         part = args.certificate + ".part"
         taken = {os.path.realpath(ck) for ck in checkpoints if ck}
-        if taken & {os.path.realpath(args.certificate), os.path.realpath(part)}:
-            print(
-                f"error: certificate {args.certificate} or {part} is a checkpoint file",
-                file=sys.stderr,
-            )
+        if os.path.realpath(args.certificate) in taken:
+            print(f"error: certificate {args.certificate} is a checkpoint file", file=sys.stderr)
             return EXIT_ERROR
         # The certificate is written to PATH.part and moved onto PATH only by
         # a finished run, so PATH is always a whole certificate or untouched.
@@ -191,7 +187,6 @@ def _cmd_prove(args) -> int:
                 budget=budget,
                 workers=args.threads,
                 checkpoint=ck,
-                resume=args.resume,
                 certificate=cert,
             )
             print(f"{report.summary_line()} wall={time.monotonic() - start:.3f}s")
@@ -310,17 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pr.add_argument(
         "--checkpoint", default=None,
-        help="JSONL file that records each finished cell (PATH.<tag>.<orient> "
-        "when more than one configuration runs)",
-    )
-    pr.add_argument(
-        "--resume", action="store_true",
-        help="skip the cells already in the checkpoint",
+        help="record each finished cell in the JSONL file PATH.<tag>.<orient>; "
+        "a file there with this run's header is resumed, any other is replaced",
     )
     pr.add_argument(
         "--certificate", default=None,
-        help="write one line per leaf box and a summary per configuration "
-        "(needs a fresh run); PATH is replaced only when the run finishes",
+        help="write one line per leaf box and a summary per configuration; "
+        "the run then writes its checkpoints afresh, and PATH is replaced only "
+        "when the run finishes",
     )
     pr.set_defaults(func=_cmd_prove)
     return ap

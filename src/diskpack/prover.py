@@ -575,8 +575,9 @@ def _run_cell(task) -> List[dict]:
             depth += 1
 
 
-def _checkpoint_header(config, b_d, lambda_range, budget) -> dict:
-    return {
+def _checkpoint_header(config, b_d, lambda_range, budget) -> str:
+    """The checkpoint's first line: the run's parameters."""
+    header = {
         "case": config.tag.value,
         "orient": config.orientation.value,
         "bound": b_d,
@@ -586,6 +587,7 @@ def _checkpoint_header(config, b_d, lambda_range, budget) -> dict:
         "max_boxes": budget.max_boxes,
         "evaluator": EVALUATOR_VERSION,
     }
+    return json.dumps({"header": header}) + "\n"
 
 
 def _check_record(rec, n_cells: int, row_len: int, done: dict) -> None:
@@ -613,43 +615,43 @@ def _check_record(rec, n_cells: int, row_len: int, done: dict) -> None:
         )
 
 
-def _read_checkpoint(path: str, header: dict, n_cells: int, arity: int) -> dict:
-    """Records of the finished cells in a checkpoint, by cell index.
+def _read_checkpoint(path: str, header: str, n_cells: int, arity: int) -> dict:
+    """Records of the finished cells in a checkpoint, by cell index; none
+    when its first line is not the run's `header` line.
 
-    The first complete line must be the run's header and every other one a
-    well-formed record (_check_record); a checkpoint that breaks either rule
-    raises ValueError, and a line that is not JSON a json.JSONDecodeError,
-    each naming the file, and the line for a record. A last line without its
-    newline is the tail of a write that was cut off: it is dropped, and the
-    file is cut back to its last complete line so that appended records start
-    on a line of their own."""
+    Every other line must be a well-formed UTF-8 record (_check_record): a
+    bad one raises ValueError, and a line that is not JSON a json.JSONDecodeError,
+    each naming the file and the line. A last line without its newline is
+    the tail of a write that was cut off: it is dropped, and the file is cut
+    back to its last complete line so that appended records start on a line
+    of their own."""
     with open(path, "rb") as fh:
         data = fh.read()
+    if not data.startswith(header.encode()):
+        return {}
     complete = data.rfind(b"\n") + 1
-    text = data[:complete].decode("utf-8")
-    lines, pos = [], 0
-    for line in text.splitlines(keepends=True):
+    try:
+        text = data[:complete].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        number = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"checkpoint {path} line {number}: record is not UTF-8") from None
+    lines = text.splitlines(keepends=True)
+    done: dict = {}
+    pos = len(lines[0])
+    for number, line in enumerate(lines[1:], start=2):
         try:
-            lines.append(json.loads(line))
+            rec = json.loads(line)
         except json.JSONDecodeError as exc:
             # Line and column counted in the whole file.
             raise json.JSONDecodeError(
                 f"checkpoint {path}: {exc.msg}", text, pos + exc.pos
             ) from None
-        pos += len(line)
-    if lines:
-        first = lines[0]
-        if not (isinstance(first, dict) and "header" in first):
-            raise ValueError(f"checkpoint {path} does not start with its header line")
-        if first != {"header": header}:
-            raise ValueError(f"checkpoint {path} header does not match current parameters")
-    done: dict = {}
-    for number, rec in enumerate(lines[1:], start=2):
         try:
             _check_record(rec, n_cells, 2 + 2 * arity, done)
         except ValueError as exc:
             raise ValueError(f"checkpoint {path} line {number}: {exc}") from None
         done[rec["cell"]] = rec
+        pos += len(line)
     if complete < len(data):
         os.truncate(path, complete)
     return done
@@ -662,7 +664,6 @@ def prove_case(
     budget: Optional[ProverBudget] = None,
     workers: int = 1,
     checkpoint: Optional[str] = None,
-    resume: bool = False,
     certificate=None,
 ) -> ProofReport:
     """Certify density >= b_d for one configuration over its admissible domain.
@@ -671,11 +672,14 @@ def prove_case(
     pending cells run in contiguous groups of ceil(pending / (2 * workers))
     cells, at most _GROUP_CELLS, and their results are taken in cell order:
     a group's results wait for every earlier group. With `checkpoint`, each
-    cell's record is appended to a JSONL file as it is taken, and `resume`
-    reads them back to skip finished work. `certificate`, when given a
-    writable text stream, receives one line per processed leaf box, cell
-    after cell as they are taken, plus a summary; it needs a fresh run, since
-    skipped cells would write no box lines."""
+    cell's record is appended to a JSONL file as it is taken, after a header
+    line holding the run's parameters. A file already at that path whose
+    first line is this run's header holds records this run would write, so
+    its finished cells are read back and skipped (_read_checkpoint); any
+    other file there is replaced. `certificate`, when given a writable text
+    stream, receives one line per processed leaf box, cell after cell as they
+    are taken, plus a summary; a certified run writes its checkpoint afresh,
+    since skipped cells would write no box lines."""
     budget = budget or ProverBudget()
     root = make_root_box(config, lambda_range)
     norms = _normalizers(root)
@@ -684,13 +688,8 @@ def prove_case(
 
     header = _checkpoint_header(config, b_d, lambda_range, budget)
     done: dict = {}
-    if resume and checkpoint and os.path.exists(checkpoint):
+    if checkpoint and certificate is None and os.path.exists(checkpoint):
         done = _read_checkpoint(checkpoint, header, len(cells), config.arity)
-    if done and certificate is not None:
-        raise ValueError(
-            f"checkpoint {checkpoint} already holds {len(done)} finished cell(s); "
-            "a certificate needs a fresh run"
-        )
     # On any exit, the pool is stopped, the cell logs are removed and the
     # checkpoint is closed.
     with ExitStack() as stack:
@@ -699,7 +698,7 @@ def prove_case(
             mode = "a" if done else "w"
             ck = stack.enter_context(open(checkpoint, mode, encoding="utf-8"))
             if mode == "w":
-                ck.write(json.dumps({"header": header}) + "\n")
+                ck.write(header)
                 ck.flush()
         # Contiguous groups of the pending cells, two or more per worker.
         pending = [i for i in range(len(cells)) if i not in done]
@@ -728,7 +727,7 @@ def prove_case(
         else:
             methods = multiprocessing.get_all_start_methods()
             ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-            pool = stack.enter_context(ctx.Pool(processes=workers))
+            pool = stack.enter_context(ctx.Pool(processes=min(workers, len(tasks))))
             results = pool.imap(_run_cell, tasks)
         # Groups are consumed in cell order, so the checkpoint and the
         # certificate are the same whatever the workers and their timing.

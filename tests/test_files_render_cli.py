@@ -400,38 +400,42 @@ def test_cli_gen_bad_params_exit_1(capsys, monkeypatch):
     assert "error" in err
 
 
+def _spy_run_cell(monkeypatch):
+    """The indices of each group of cells prover._run_cell is called on."""
+    groups = []
+    run_cell = prover._run_cell
+
+    def spy(task):
+        groups.append(list(task[0]))
+        return run_cell(task)
+
+    monkeypatch.setattr(prover, "_run_cell", spy)
+    return groups
+
+
+def _read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def test_cli_prove_small_run_and_exit_codes(tmp_path, capsys, monkeypatch):
     cert = os.fspath(tmp_path / "cert.log")
     ck = os.fspath(tmp_path / "ck.jsonl")
-    code, out, _ = run_cli(
-        [
-            "prove",
-            "--case", "T1",
-            "--lambda-max", "0.52",
-            "--cells", "8",
-            "--checkpoint", ck,
-            "--certificate", cert,
-        ],
-        capsys=capsys,
-    )
+    args = ["prove", "--case", "T1", "--lambda-max", "0.52", "--cells", "8",
+            "--checkpoint", ck]
+    code, out, _ = run_cli(args + ["--certificate", cert], capsys=capsys)
     assert code == 0
     assert "SUMMARY case=T1 orient=outer" in out
-    assert os.path.exists(cert) and os.path.exists(ck)
+    assert os.path.exists(cert) and not os.path.exists(ck)
     cert_text = open(cert, encoding="utf-8").read()
     assert "VERDICT proven" in cert_text
-    # resume over a finished checkpoint re-reports without re-running
-    code, out2, _ = run_cli(
-        [
-            "prove",
-            "--case", "T1",
-            "--lambda-max", "0.52",
-            "--cells", "8",
-            "--checkpoint", ck,
-            "--resume",
-        ],
-        capsys=capsys,
-    )
+    # A rerun over the finished checkpoint re-reports without running a cell.
+    written = _read_bytes(ck + ".T1.outer")
+    groups = _spy_run_cell(monkeypatch)
+    code, out2, _ = run_cli(args, capsys=capsys)
     assert code == 0
+    assert groups == []
+    assert _read_bytes(ck + ".T1.outer") == written
     line = [l for l in out.splitlines() if l.startswith("SUMMARY")][0]
     line2 = [l for l in out2.splitlines() if l.startswith("SUMMARY")][0]
     strip = lambda s: s.split(" wall=")[0]
@@ -458,7 +462,7 @@ def test_cli_prove_unproven_exit_3(capsys, monkeypatch):
     assert "UNPROVEN" in err
 
 
-def test_cli_prove_names_a_checkpoint_per_configuration(tmp_path, capsys):
+def test_cli_prove_names_a_checkpoint_per_configuration(tmp_path, capsys, monkeypatch):
     ck = os.fspath(tmp_path / "ck")
     code, out, _ = run_cli(
         [
@@ -477,39 +481,53 @@ def test_cli_prove_names_a_checkpoint_per_configuration(tmp_path, capsys):
     assert all("case=T6" in l and "failed=0" in l for l in summaries)
     assert os.path.exists(ck + ".T6.outer") and os.path.exists(ck + ".T6.inner")
     assert not os.path.exists(ck)
-
-
-def test_cli_prove_certificate_needs_a_fresh_run(tmp_path, capsys):
-    ck = os.fspath(tmp_path / "ck.jsonl")
-    cert = os.fspath(tmp_path / "cert.log")
-    args = ["prove", "--case", "T1", "--bound", "0.3", "--lambda-max", "0.6",
-            "--cells", "8", "--checkpoint", ck]
-    code, _, _ = run_cli(args, capsys=capsys)
+    # A single configuration's checkpoint has the same name, so `--case all`
+    # over the same PATH reuses T1/outer's file and runs every other one.
+    args = ["prove", "--bound", "0.3", "--lambda-max", "0.505", "--cells", "4",
+            "--checkpoint", ck]
+    assert run_cli(args + ["--case", "T1"], capsys=capsys)[0] == 0
+    written = _read_bytes(ck + ".T1.outer")
+    groups = _spy_run_cell(monkeypatch)
+    code, out, _ = run_cli(args, capsys=capsys)
     assert code == 0
+    assert len([l for l in out.splitlines() if l.startswith("SUMMARY")]) == 14
+    assert sum(map(len, groups)) == 13 * 4
+    assert _read_bytes(ck + ".T1.outer") == written
+
+
+def test_cli_prove_certified_run_starts_fresh(tmp_path, capsys, monkeypatch):
+    """A certified run over a set of checkpoints, one missing and one
+    finished, runs every cell of both configurations, rewrites both files,
+    and writes the certificate of the same run in an empty directory."""
+    args = ["prove", "--case", "T2", "--lambda-max", "0.52", "--cells", "8"]
+    for name in ("old", "new"):
+        os.mkdir(tmp_path / name)
+    ck, cert = os.fspath(tmp_path / "old" / "ck"), os.fspath(tmp_path / "old" / "c.txt")
+    assert run_cli(args + ["--checkpoint", ck], capsys=capsys)[0] == 0
+    os.unlink(ck + ".T2.outer")
     with open(cert, "w", encoding="utf-8") as fh:
         fh.write("old certificate\n")
-    code, out, err = run_cli(
-        args + ["--resume", "--certificate", cert], capsys=capsys
+    groups = _spy_run_cell(monkeypatch)
+    code, out, err = run_cli(args + ["--checkpoint", ck, "--certificate", cert], capsys=capsys)
+    assert (code, err) == (0, "")
+    assert [i for group in groups for i in group] == list(range(8)) * 2
+    new = os.fspath(tmp_path / "new")
+    code, out2, _ = run_cli(
+        args + ["--checkpoint", new + "/ck", "--certificate", new + "/c.txt"], capsys=capsys
     )
-    assert code == 1
-    assert "error:" in err and "fresh run" in err
-    assert "SUMMARY" not in out
-    # The refused run leaves the existing certificate as it was; a fresh run
-    # replaces it.
-    with open(cert, encoding="utf-8") as fh:
-        assert fh.read() == "old certificate\n"
-    code, out, _ = run_cli(args[:-2] + ["--certificate", cert], capsys=capsys)
     assert code == 0
-    with open(cert, encoding="utf-8") as fh:
-        text = fh.read()
-    assert text.startswith("CASE T1 ORIENT outer BOX ")
-    assert text.splitlines()[-1] == out.splitlines()[0].split(" wall=")[0]
+    strip = lambda text: [line.split(" wall=")[0] for line in text.splitlines()]
+    assert strip(out) == strip(out2)
+    for name in ("c.txt", "ck.T2.outer", "ck.T2.inner"):
+        assert _read_bytes(os.path.join(tmp_path, "old", name)) == _read_bytes(
+            os.path.join(new, name)
+        )
+    assert sorted(os.listdir(tmp_path / "old")) == ["c.txt", "ck.T2.inner", "ck.T2.outer"]
 
 
 @pytest.mark.parametrize(
     "case, checkpoint, certificate",
-    [("T1", "same.txt", "same.txt"), ("T2", "ck", "ck.T2.inner"),
-     ("T1", "same.txt.part", "same.txt")],
+    [("T1", "same.txt", "same.txt.T1.outer"), ("T2", "ck", "ck.T2.inner")],
 )
 def test_cli_prove_refuses_a_certificate_at_a_checkpoint_path(
     tmp_path, capsys, case, checkpoint, certificate
@@ -534,7 +552,6 @@ def test_cli_prove_refuses_a_certificate_at_a_checkpoint_path(
     "args",
     [
         pytest.param(["--lambda-min", "0.7", "--lambda-max", "0.6"], id="empty-lambda-range"),
-        pytest.param(["--lambda-max", "0.51", "--resume"], id="resume-over-finished-cells"),
     ],
 )
 def test_cli_prove_refused_run_leaves_no_certificate(tmp_path, capsys, args):
@@ -546,7 +563,7 @@ def test_cli_prove_refused_run_leaves_no_certificate(tmp_path, capsys, args):
     assert code == 1
     assert err.startswith("error: ")
     assert "SUMMARY" not in out
-    assert sorted(os.listdir(tmp_path)) == ["ck.jsonl"]
+    assert sorted(os.listdir(tmp_path)) == ["ck.jsonl.T1.outer"]
 
 
 def test_cli_prove_interrupted_run_leaves_the_certificate_as_it_was(
@@ -619,7 +636,6 @@ def _record(line, **changes):
 @pytest.mark.parametrize(
     "edit",
     [
-        pytest.param(lambda lines: lines[1:], id="no-header"),
         pytest.param(lambda lines: lines[:1] + ['{"foo": 1}\n'], id="no-cell"),
         pytest.param(lambda lines: lines[:1] + ["[1, 2]\n"], id="not-an-object"),
         pytest.param(lambda lines: lines[:1] + ['{"cell": 0}\n'], id="no-counts"),
@@ -635,24 +651,25 @@ def _record(line, **changes):
             id="nan-row",
         ),
         pytest.param(lambda lines: lines[:2] + ["not json\n"] + lines[3:], id="not-json"),
+        pytest.param(lambda lines: lines[:2] + ["\udcff\n"] + lines[3:], id="not-utf-8"),
     ],
 )
-def test_cli_prove_resume_refuses_a_malformed_checkpoint(tmp_path, capsys, edit):
+def test_cli_prove_refuses_a_malformed_checkpoint(tmp_path, capsys, edit):
     ck = os.fspath(tmp_path / "ck.jsonl")
     args = ["prove", "--case", "T1", "--bound", "0.3", "--lambda-max", "0.51",
             "--cells", "4", "--checkpoint", ck]
     assert run_cli(args, capsys=capsys)[0] == 0
-    with open(ck, encoding="utf-8") as fh:
+    with open(ck + ".T1.outer", encoding="utf-8") as fh:
         lines = fh.readlines()
-    with open(ck, "w", encoding="utf-8") as fh:
+    with open(ck + ".T1.outer", "w", encoding="utf-8", errors="surrogateescape") as fh:
         fh.writelines(edit(lines))
-    code, out, err = run_cli(args + ["--resume"], capsys=capsys)
+    code, out, err = run_cli(args, capsys=capsys)
     assert code == 1
     assert err.startswith("error: ") and "checkpoint" in err
     assert "SUMMARY" not in out
 
 
-def test_cli_prove_resume_names_the_file_and_line_of_a_bad_record(tmp_path, capsys):
+def test_cli_prove_names_the_file_and_line_of_a_bad_record(tmp_path, capsys):
     """With two configurations, each with its own checkpoint, a bad record
     in the second is reported with that file's path and the record's line."""
     ck = os.fspath(tmp_path / "ck")
@@ -661,7 +678,7 @@ def test_cli_prove_resume_names_the_file_and_line_of_a_bad_record(tmp_path, caps
     assert run_cli(args, capsys=capsys)[0] == 0
     with open(ck + ".T2.inner", "a", encoding="utf-8") as fh:
         fh.write("[1, 2]\n")
-    code, out, err = run_cli(args + ["--resume"], capsys=capsys)
+    code, out, err = run_cli(args, capsys=capsys)
     assert code == 1
     assert "SUMMARY case=T2 orient=outer" in out
     assert "orient=inner" not in out

@@ -360,43 +360,55 @@ def test_prove_monotone_children_of_proven_box():
     assert checked > 50
 
 
-def test_checkpoint_resume(tmp_path):
+def _spy_run_cell(monkeypatch):
+    """The indices of each group of cells _run_cell is called on, in call
+    order."""
+    groups = []
+
+    def spy(task):
+        groups.append(list(task[0]))
+        return _run_cell(task)
+
+    monkeypatch.setattr(prover, "_run_cell", spy)
+    return groups
+
+
+def _read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def test_rerun_over_a_finished_checkpoint_runs_no_cell(tmp_path, monkeypatch):
     ck = os.fspath(tmp_path / "t1.jsonl")
-    full = prove_case(
-        T1_OUT, lambda_range=(0.5, 0.51), budget=ProverBudget(cells=8)
-    )
-    first = prove_case(
-        T1_OUT,
-        lambda_range=(0.5, 0.51),
-        budget=ProverBudget(cells=8),
-        checkpoint=ck,
-    )
-    assert os.path.exists(ck)
-    resumed = prove_case(
-        T1_OUT,
-        lambda_range=(0.5, 0.51),
-        budget=ProverBudget(cells=8),
-        checkpoint=ck,
-        resume=True,
-    )
-    for rep in (first, resumed):
-        assert (rep.boxes_proven, rep.boxes_pruned_infeasible) == (
-            full.boxes_proven,
-            full.boxes_pruned_infeasible,
-        )
+    run = {"lambda_range": (0.5, 0.51), "budget": ProverBudget(cells=8)}
+    full = prove_case(T1_OUT, **run)
+    first = prove_case(T1_OUT, **run, checkpoint=ck)
+    assert first == full
+    written = _read_bytes(ck)
+    groups = _spy_run_cell(monkeypatch)
+    again = prove_case(T1_OUT, **run, checkpoint=ck)
+    assert groups == []
+    assert again == first
+    assert _read_bytes(ck) == written
 
 
-def test_checkpoint_header_mismatch(tmp_path):
+def _rerun_replaces(ck, run, monkeypatch, tmp_path):
+    """Run `run` over the checkpoint at `ck` and check that it reused no
+    record: every cell ran, and the report and the file at `ck` are those of
+    a run over no checkpoint."""
+    groups = _spy_run_cell(monkeypatch)
+    rep = prove_case(T1_OUT, **run, checkpoint=ck)
+    assert sorted(i for group in groups for i in group) == list(range(run["budget"].cells))
+    fresh = os.fspath(tmp_path / "fresh.jsonl")
+    assert rep == prove_case(T1_OUT, **run, checkpoint=fresh)
+    assert _read_bytes(ck) == _read_bytes(fresh)
+
+
+def test_checkpoint_of_another_lambda_range_is_replaced(tmp_path, monkeypatch):
     ck = os.fspath(tmp_path / "t1.jsonl")
     prove_case(T1_OUT, lambda_range=(0.5, 0.505), budget=ProverBudget(cells=4), checkpoint=ck)
-    with pytest.raises(ValueError):
-        prove_case(
-            T1_OUT,
-            lambda_range=(0.5, 0.51),
-            budget=ProverBudget(cells=4),
-            checkpoint=ck,
-            resume=True,
-        )
+    run = {"lambda_range": (0.5, 0.51), "budget": ProverBudget(cells=4)}
+    _rerun_replaces(ck, run, monkeypatch, tmp_path)
 
 
 # A bound far below the true one certifies in a few hundred boxes, which is
@@ -404,8 +416,14 @@ def test_checkpoint_header_mismatch(tmp_path):
 WEAK = {"lambda_range": (0.5, 0.6), "b_d": 0.3}
 
 
+def _record(line, **changes):
+    return json.dumps({**json.loads(line), **changes}) + "\n"
+
+
 @pytest.mark.parametrize("evaluator", [None, "scalar-0", "levels-1"])
-def test_checkpoint_refuses_another_evaluator(tmp_path, evaluator):
+def test_checkpoint_of_another_evaluator_is_replaced(tmp_path, monkeypatch, evaluator):
+    """A checkpoint whose header names another evaluator, or none, has its
+    records ignored, even records this evaluator could not have written."""
     ck = os.fspath(tmp_path / "t1.jsonl")
     budget = ProverBudget(cells=4)
     prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck)
@@ -418,38 +436,49 @@ def test_checkpoint_refuses_another_evaluator(tmp_path, evaluator):
     else:
         header["header"]["evaluator"] = evaluator
     with open(ck, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header) + "\n" + "".join(lines[1:3]))
-    with pytest.raises(ValueError, match="header"):
-        prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck, resume=True)
+        fh.write(json.dumps(header) + "\n" + _record(lines[1], proven=10**9) + lines[2])
+    _rerun_replaces(ck, {**WEAK, "budget": budget}, monkeypatch, tmp_path)
 
 
-def test_checkpoint_resume_after_torn_last_line(tmp_path):
+@pytest.mark.parametrize(
+    "first_line",
+    [
+        pytest.param(b"not json\n", id="not-json"),
+        pytest.param(b"\xff\xfe\n", id="not-utf-8"),
+        pytest.param(b"", id="no-header"),
+        pytest.param(None, id="header-without-newline"),
+    ],
+)
+def test_checkpoint_without_this_runs_header_is_replaced(tmp_path, monkeypatch, first_line):
+    """The first line alone decides: the records after a first line that is
+    not this run's header are never parsed, so even a torn header or a first
+    line that is not text leaves a checkpoint that is simply written anew."""
+    ck = os.fspath(tmp_path / "t1.jsonl")
+    budget = ProverBudget(cells=4)
+    prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck)
+    lines = _read_bytes(ck).splitlines(keepends=True)
+    if first_line is None:
+        first_line = lines[0][:-1]
+    with open(ck, "wb") as fh:
+        fh.write(first_line + b"".join(lines[1:]) + b"[1, 2]\n")
+    _rerun_replaces(ck, {**WEAK, "budget": budget}, monkeypatch, tmp_path)
+
+
+def test_checkpoint_resume_after_torn_last_line(tmp_path, monkeypatch):
     ck = os.fspath(tmp_path / "t1.jsonl")
     budget = ProverBudget(cells=8)
     full = prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck)
+    written = _read_bytes(ck)
     with open(ck, encoding="utf-8") as fh:
         lines = fh.read().splitlines(keepends=True)
     # A run killed while writing its fourth cell record.
     with open(ck, "w", encoding="utf-8") as fh:
         fh.write("".join(lines[:4]) + lines[4][: len(lines[4]) // 2])
-    resumed = prove_case(
-        T1_OUT, **WEAK, budget=budget, checkpoint=ck, resume=True
-    )
-    assert (
-        resumed.boxes_proven,
-        resumed.boxes_pruned_infeasible,
-        resumed.boxes_processed,
-        len(resumed.failures),
-    ) == (
-        full.boxes_proven,
-        full.boxes_pruned_infeasible,
-        full.boxes_processed,
-        len(full.failures),
-    )
-    with open(ck, encoding="utf-8") as fh:
-        records = [json.loads(line) for line in fh]
-    assert len(records) == 1 + budget.cells
-    assert sorted(r["cell"] for r in records[1:]) == list(range(budget.cells))
+    groups = _spy_run_cell(monkeypatch)
+    resumed = prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck)
+    assert sorted(i for group in groups for i in group) == list(range(3, budget.cells))
+    assert resumed == full
+    assert _read_bytes(ck) == written
 
 
 def test_checkpoint_malformed_inner_line_raises(tmp_path):
@@ -462,9 +491,7 @@ def test_checkpoint_malformed_inner_line_raises(tmp_path):
     with open(ck, "w", encoding="utf-8") as fh:
         fh.write("".join(lines))
     with pytest.raises(json.JSONDecodeError):
-        prove_case(
-            T1_OUT, **WEAK, budget=budget, checkpoint=ck, resume=True
-        )
+        prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck)
 
 
 def test_checkpoint_line_that_is_not_json_names_the_file_and_line(tmp_path):
@@ -477,49 +504,75 @@ def test_checkpoint_line_that_is_not_json_names_the_file_and_line(tmp_path):
     with open(ck, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
     with pytest.raises(json.JSONDecodeError) as exc:
-        prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck, resume=True)
+        prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck)
     assert (exc.value.lineno, exc.value.colno) == (3, 1)
     assert str(exc.value).startswith(f"checkpoint {ck}: Expecting value: line 3 column 1")
 
 
-def test_certificate_refuses_a_resumed_run(tmp_path):
+def test_certified_run_writes_its_checkpoint_afresh(tmp_path, monkeypatch):
+    """A checkpoint with this run's header and three finished cells, one of
+    them malformed, is neither read nor reused by a run with a certificate:
+    every cell runs, and the certificate and the checkpoint are those of a run
+    over no checkpoint."""
     ck = os.fspath(tmp_path / "t1.jsonl")
     budget = ProverBudget(cells=8)
     prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck)
     with open(ck, encoding="utf-8") as fh:
         head = fh.readlines()[:4]
     with open(ck, "w", encoding="utf-8") as fh:
-        fh.writelines(head)
+        fh.writelines(head + ["[1, 2]\n"])
     buf = io.StringIO()
-    with pytest.raises(ValueError, match="fresh run"):
-        prove_case(
-            T1_OUT,
-            **WEAK,
-            budget=budget,
-            checkpoint=ck,
-            resume=True,
-            certificate=buf,
-        )
-    assert buf.getvalue() == ""
-    # A resume over a checkpoint with no finished cell is a fresh run.
-    with open(ck, "w", encoding="utf-8") as fh:
-        fh.writelines(head[:1])
-    rep = prove_case(
-        T1_OUT,
-        **WEAK,
-        budget=budget,
-        checkpoint=ck,
-        resume=True,
-        certificate=buf,
+    groups = _spy_run_cell(monkeypatch)
+    rep = prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck, certificate=buf)
+    assert sorted(i for group in groups for i in group) == list(range(8))
+    fresh_buf = io.StringIO()
+    fresh = os.fspath(tmp_path / "fresh.jsonl")
+    assert rep == prove_case(
+        T1_OUT, **WEAK, budget=budget, checkpoint=fresh, certificate=fresh_buf
     )
+    assert buf.getvalue() == fresh_buf.getvalue()
+    assert _read_bytes(ck) == _read_bytes(fresh)
     leaves = rep.boxes_proven + rep.boxes_pruned_infeasible + len(rep.failures)
     assert buf.getvalue().count("\n") == leaves + 1
+
+
+class _FakeContext:
+    """A multiprocessing context whose Pool records its size and runs the
+    tasks in this process."""
+
+    def __init__(self):
+        self.processes = []
+
+    def Pool(self, processes):
+        self.processes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("workers, pool", [(64, 4), (3, 3)])
+def test_pool_has_no_more_processes_than_groups(monkeypatch, workers, pool):
+    """Four cells make four groups of one cell on 3 or 64 workers, so the
+    pool gets 3 or 4 processes, and the verdicts are those of one worker."""
+    ctx = _FakeContext()
+    monkeypatch.setattr(prover.multiprocessing, "get_context", lambda method: ctx)
+    run = {"lambda_range": (0.5, 0.505), "budget": ProverBudget(cells=4)}
+    rep = prove_case(T1_OUT, **run, workers=workers)
+    assert ctx.processes == [pool]
+    assert rep == prove_case(T1_OUT, **run)
 
 
 def test_interrupted_certified_run_leaves_no_cell_logs(tmp_path, monkeypatch):
     """A run stopped in its second group of cells removes its cell logs and
     leaves a checkpoint with the header and the first group's records, which
-    a resume finishes by running the other cells only."""
+    a plain rerun finishes by running the other cells only."""
     monkeypatch.setattr(tempfile, "tempdir", os.fspath(tmp_path))
     ck = os.fspath(tmp_path / "t1.jsonl")
     run = {"lambda_range": (0.5, 0.505), "budget": ProverBudget(cells=4)}
@@ -542,10 +595,10 @@ def test_interrupted_certified_run_leaves_no_cell_logs(tmp_path, monkeypatch):
 
     ran.clear()
     stop.clear()
-    resumed = prove_case(T1_OUT, **run, checkpoint=ck, resume=True)
+    resumed = prove_case(T1_OUT, **run, checkpoint=ck)
     assert ran == [[2], [3]]
     full = prove_case(T1_OUT, **run)
-    assert (resumed.boxes_processed, resumed.failures) == (full.boxes_processed, full.failures)
+    assert resumed == full
 
 
 def test_certificate_log_format():
@@ -762,7 +815,7 @@ def test_budget_cut_cells_stay_in_budget_and_tile_the_domain(tmp_path):
 
 def test_failures_are_the_certificates_failed_rows(tmp_path):
     """ProofReport.failures of a budget-cut run holds the bound rows of the
-    certificate's `failed` lines, in their order, and a run resumed from the
+    certificate's `failed` lines, in their order, and a plain rerun over the
     checkpoint (two cells read back, two run again) reports the same rows."""
     ck = os.fspath(tmp_path / "t1.jsonl")
     buf = io.StringIO()
@@ -779,7 +832,7 @@ def test_failures_are_the_certificates_failed_rows(tmp_path):
         head = fh.readlines()[:3]
     with open(ck, "w", encoding="utf-8") as fh:
         fh.writelines(head)
-    resumed = prove_case(T1_OUT, **run, checkpoint=ck, resume=True)
+    resumed = prove_case(T1_OUT, **run, checkpoint=ck)
     assert resumed.failures == rows
 
 
