@@ -5,7 +5,9 @@ results of the pointwise operation over the operand intervals (enclosure).
 Outward rounding is realized by widening each bound with ``math.nextafter``:
 1 ulp for the correctly-rounded operations (+, -, *, /, sqrt) and 4 ulp for
 asin/acos, which covers the documented worst-case error of common libm
-implementations (<= 2 ulp) with a safety factor of two.
+implementations (<= 2 ulp) with a safety factor of two. The array operations
+add asinc(z) = asin(z)/z, enclosed from the same asin with one more ulp for
+the division (av_asinc).
 
 Because no FPU rounding mode is ever switched, all operations are plain value
 computations: they are deterministic and safe to use concurrently from any
@@ -37,8 +39,8 @@ __all__ = [
     "av_sub",
     "av_mul",
     "av_div",
-    "av_asin",
-    "av_acos",
+    "av_sqrt",
+    "av_asinc",
     "av_min",
     "av_max",
     "av_neg",
@@ -198,16 +200,17 @@ def iv_acos(a: Interval) -> Interval:
 # ---------------------------------------------------------------------------
 # Interval arrays
 #
-# The operations above on arrays of intervals, each held as a (lo, hi) pair of
-# float64 arrays; either side of an operand may be a float constant. Lane by
-# lane, every result has the same bits as the scalar operation: the same IEEE
+# The operations above on arrays of intervals, plus asinc, each interval held
+# as a (lo, hi) pair of float64 arrays; either side of an operand may be a
+# float constant. Lane by lane, every result has the same bits as the scalar
+# operation (asinc's scalar form is the tests' oracle iv_asinc): the same IEEE
 # operation followed by the same np.nextafter steps, and np.minimum/np.maximum
 # where the scalar code uses min/max. These two may return the other zero on a
 # tie between 0.0 and -0.0, which changes no later result, since np.nextafter
-# takes both zeros to the same neighbour. asin and acos call math.asin and
-# math.acos once per element: numpy's arcsin and arccos take another libm path
-# and differ from them in the last bits on many inputs. A lane outside a real
-# domain raises UndefinedIntervalError for the whole array.
+# takes both zeros to the same neighbour. asinc calls math.asin once per
+# element: numpy's arcsin takes another libm path and differs from it in the
+# last bits on many inputs. A lane outside a real domain raises
+# UndefinedIntervalError for the whole array.
 
 
 def _libm(fn, x: np.ndarray) -> np.ndarray:
@@ -268,38 +271,44 @@ def av_div(a, b):
     )
 
 
-def _check_unit(a, name: str) -> None:
-    if np.any(a[0] < -1.0) or np.any(a[1] > 1.0):
-        raise UndefinedIntervalError(f"{name} of an interval outside [-1, 1]")
+def av_sqrt(a):
+    if np.any(a[0] < 0.0):
+        raise UndefinedIntervalError("sqrt of an interval with a negative part")
+    lo = np.maximum(0.0, np.nextafter(np.sqrt(a[0]), -_INF))
+    return lo, np.nextafter(np.sqrt(a[1]), _INF)
 
 
-def av_asin(a):
-    _check_unit(a, "asin")
-    alo, ahi = a
-    lo = _awiden(_libm(_asin, alo), _LIBM_ULPS, -_INF)
-    hi = _awiden(_libm(_asin, ahi), _LIBM_ULPS, _INF)
-    near = np.flatnonzero((ahi > 0.9) | (alo < -0.9))
-    if near.size:
-        # iv_asin's acos complement, on the lanes near +-1 only.
-        half_pi_lo = _nextafter(0.5 * math.pi, -_INF)
-        half_pi_hi = _nextafter(0.5 * math.pi, _INF)
-        lo_c = np.nextafter(
-            half_pi_lo - _awiden(_libm(_acos, alo[near]), _LIBM_ULPS, _INF), -_INF
-        )
-        hi_c = np.nextafter(
-            half_pi_hi - _awiden(_libm(_acos, ahi[near]), _LIBM_ULPS, -_INF), _INF
-        )
-        new_lo = np.maximum(lo[near], lo_c)
-        new_hi = np.minimum(hi[near], hi_c)
-        take = (lo_c <= hi_c) & (new_lo <= new_hi)
-        lo[near[take]] = new_lo[take]
-        hi[near[take]] = new_hi[take]
-    return lo, hi
+# An upper bound of pi/2: the float nearest to it lies below it.
+_HALF_PI_HI = _nextafter(0.5 * math.pi, _INF)
 
 
-def av_acos(a):
-    _check_unit(a, "acos")
+def _asinc_end(z: np.ndarray, direction: float) -> np.ndarray:
+    """asinc at each z in [0, 1], rounded towards `direction` (see av_asinc)."""
+    s = _awiden(_libm(_asin, z), _LIBM_ULPS, direction)
+    pos = z > 0.0
+    out = np.ones_like(z)
+    out[pos] = np.nextafter(s[pos] / z[pos], direction)
+    return out
+
+
+def av_asinc(a):
+    """Enclosure of asinc(z) = asin(z)/z, with asinc(0) = 1, over each
+    interval of z intersected with [0, 1], where asinc is defined. asinc
+    increases on [0, 1], from 1 to pi/2, so the enclosure runs from its value
+    at the lower end to its value at the upper end. Each end value is asin(z)
+    from libm, widened by _LIBM_ULPS ulps away from the true value, divided
+    by z, rounded to nearest and widened by 1 ulp more: 4 + 1 ulps in all.
+    With libm's asin within 2 ulps, an end lies within (4 + 2) * pi/2 + 1.5,
+    under 11, ulps of 1.0 of the true value. An end at z = 0 is 1 exactly,
+    and the ends are kept within [1, pi/2], which also bounds the enclosure
+    where z is subnormal and an ulp of asin is a large part of it. A lane
+    whose interval misses [0, 1] raises UndefinedIntervalError for the whole
+    array."""
+    lo = np.maximum(a[0], 0.0)
+    hi = np.minimum(a[1], 1.0)
+    if np.any(lo > hi):
+        raise UndefinedIntervalError("asinc of an interval outside [0, 1]")
     return (
-        np.maximum(0.0, _awiden(_libm(_acos, a[1]), _LIBM_ULPS, -_INF)),
-        _awiden(_libm(_acos, a[0]), _LIBM_ULPS, _INF),
+        np.maximum(_asinc_end(lo, -_INF), 1.0),
+        np.minimum(_asinc_end(hi, _INF), _HALF_PI_HI),
     )

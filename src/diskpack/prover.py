@@ -1,12 +1,20 @@
 """Interval branch-and-bound certification of the ring-sector density bound.
 
 For each edge-configuration type (T1..T8) over its admissible variable domain
-(ring proportion lambda in [1/2, 0.99] with outer radius 1, disk radii
-r1 >= r2 (>= r3)), the prover certifies that the sector density is at least a
-target bound b_d by subdividing the domain into hypercuboids and evaluating
-the density in interval arithmetic. A box counts as proven only when the
-enclosure guarantees potential - b_d * area >= 0 for every point of the box;
-the prover can therefore never certify a false bound, only fail to certify.
+(ring proportion lambda in [1/2, 0.99] by default, or up to 1, with outer
+radius 1, disk radii r1 >= r2 (>= r3)), the prover certifies that the sector
+density is at least a target bound b_d by subdividing the domain into
+hypercuboids and evaluating the density in interval arithmetic. A box counts
+as proven only when the enclosure guarantees potential - b_d * area >= 0 for
+every point of the box; the prover can therefore never certify a false
+bound, only fail to certify.
+
+The search runs in scale-free coordinates: the ring width mu = 1 - lambda
+and the radii relative to it, rho_i = r_i / mu, each in [0, 1/2]. Back in
+the paper's terms, lambda = 1 - mu and r_i = mu * rho_i. The ring and its
+disks shrink together as lambda -> 1, so a box of given size in (mu, rho)
+holds the same shape of configuration at any mu, where in (lambda, r) the
+admissible part of the domain thins like (1 - lambda)^2.
 
 A run pre-splits the domain into a fixed number of cells, independent of the
 worker count, and hands the cells to the workers in contiguous groups. A group
@@ -36,14 +44,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .intervals import (
-    av_acos,
     av_add,
-    av_asin,
+    av_asinc,
     av_div,
     av_max,
     av_min,
     av_mul,
     av_neg,
+    av_sqrt,
     av_sub,
     iv_pi,
 )
@@ -68,7 +76,7 @@ LAMBDA_MAX = 0.99
 # Version of the box evaluation, written into checkpoint headers so that a
 # resume never mixes verdicts of two evaluators. Change it with any change
 # to the evaluation that could move a verdict.
-EVALUATOR_VERSION = "levels-2"
+EVALUATOR_VERSION = "mu-rho-1"
 
 class ConfigTag(Enum):
     T1 = "T1"
@@ -132,7 +140,8 @@ class ProofReport:
     boxes_proven: int = 0
     boxes_pruned_infeasible: int = 0
     max_depth: int = 0
-    # Unresolved boxes as bound rows (see _bounds), in certificate order.
+    # Unresolved boxes as bound rows (mu.lo, mu.hi, rho1.lo, rho1.hi, ...;
+    # see _bounds), in certificate order.
     failures: List[list] = field(default_factory=list)
     boxes_processed: int = 0
 
@@ -153,9 +162,10 @@ class ProofReport:
 # Box rows
 #
 # The prover evaluates boxes in batches: row i of the (n, 1 + arity) arrays
-# `lo` and `hi` holds the bounds of box i, lambda in column 0 and r1, r2 (, r3)
-# after it. Outside a batch, a box travels as one flat bound row (_bounds):
-# cells, checkpoint records, certificate lines and ProofReport.failures.
+# `lo` and `hi` holds the bounds of box i in the searched coordinates, mu in
+# column 0 and rho1, rho2 (, rho3) after it (_coordinates names them). Outside
+# a batch, a box travels as one flat bound row (_bounds): cells, checkpoint
+# records, certificate lines and ProofReport.failures.
 #
 # The kernel functions (admissible, _sector_terms, eval_density, _split_box)
 # are module globals called through their names, so that a profiler can wrap
@@ -166,26 +176,31 @@ class ProofReport:
 # Admissibility
 #
 # Constraint system (all must hold for a point to be admissible):
-#   2*r1 <= 1 - lambda          (the largest disk fits the ring widthwise)
-#   r2 >= (1 - lambda - 2*r1)/2 (else r2 would start a new ring: pass bound)
-#   r2 <= r1, and for arity 3:  r3 <= r2, r3 >= (1 - lambda - 2*r2)/2
+#   2*rho1 <= 1            (the largest disk fits the ring widthwise)
+#   rho1 + rho2 >= 1/2     (else disk 2 would start a new ring: pass bound)
+#   rho2 <= rho1, and for arity 3:  rho2 + rho3 >= 1/2, rho3 <= rho2
+# These are the constraints on lambda and r divided by mu = 1 - lambda, so
+# none involves mu.
 #
-# Every constraint is affine, so its minimum over a box sits at a corner.
+# Every constraint is affine, so its minimum over a box sits at a corner. A
+# corner minimum is a difference of two floats, exact in sign, with at most
+# one rounded sum in it, and rounding to nearest never carries a sum past a
+# constant it can represent (1/2), so a box is pruned only when its exact
+# minimum is positive.
 
 
 def admissible(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Mask of the rows that may hold an admissible point: those on which no
     constraint g <= 0 fails at every point of the box (corner minimum > 0)."""
-    lam_lo, lam_hi = lo[:, 0], hi[:, 0]
-    r_lo = [lo[:, k] for k in range(1, lo.shape[1])]
-    r_hi = [hi[:, k] for k in range(1, hi.shape[1])]
+    rho_lo = [lo[:, k] for k in range(1, lo.shape[1])]
+    rho_hi = [hi[:, k] for k in range(1, hi.shape[1])]
     g_min = [
-        2.0 * r_lo[0] + lam_lo - 1.0,  # g = 2*r1 + lambda - 1
-        (1.0 - lam_hi) / 2.0 - r_hi[0] - r_hi[1],  # g = (1 - lambda)/2 - r1 - r2
-        r_lo[1] - r_hi[0],  # g = r2 - r1
+        2.0 * rho_lo[0] - 1.0,  # g = 2*rho1 - 1
+        0.5 - (rho_hi[0] + rho_hi[1]),  # g = 1/2 - (rho1 + rho2)
+        rho_lo[1] - rho_hi[0],  # g = rho2 - rho1
     ]
-    if len(r_lo) == 3:
-        g_min += [(1.0 - lam_hi) / 2.0 - r_hi[1] - r_hi[2], r_lo[2] - r_hi[1]]
+    if len(rho_lo) == 3:
+        g_min += [0.5 - (rho_hi[1] + rho_hi[2]), rho_lo[2] - rho_hi[1]]
     fails = np.zeros(len(lo), dtype=bool)
     for g in g_min:
         fails |= g > 0.0
@@ -194,57 +209,96 @@ def admissible(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Configuration geometry (interval arithmetic on rows)
+#
+# A disk of radius r = mu*rho on the outer ring boundary has its centre at
+# distance d = 1 - mu*rho from the ring's centre, one on the inner boundary at
+# d = lambda + r = 1 - mu*(1 - rho). Every angle is carried divided by mu,
+# through asinc(z) = asin(z)/z, and every area term divided by mu^2:
+#   half-width  h/mu     = asinc(mu*rho/d) * rho/d      (h = asin(r/d))
+#   tangency    theta/mu = 2q * asinc(mu*q),  q = sqrt(F/(4*d1*d2))
+#                 (sin(theta/2) = mu*q, the half-angle form of the law of
+#                 cosines, with F = 2*rho_a + 2*rho_b - 1 for a pair with one
+#                 disk on each boundary and F = 4*rho_a*rho_b for a pair on
+#                 the same boundary)
+#   ring slice  k_ring/mu = (1 - lambda^2)/(2*mu) = (2 - mu)/2
+#   band        k_m/mu    = 2*d_m*rho_m
+#   potential   pot/mu^2  = the same formula in rho as in r.
+# Area and potential are both divided by mu^2, so their ratio is the density
+# and the margin potential - b*area keeps its sign; nothing divides by mu, and
+# mu = 0 (lambda = 1) is the straight-strip limit.
 
 _ZERO = (0.0, 0.0)
 _ONE = (1.0, 1.0)
 _HALF = (0.5, 0.5)
 _TWO = (2.0, 2.0)
+_FOUR = (4.0, 4.0)
 _PI = (iv_pi().lo, iv_pi().hi)
 
 
-def _cos_tangency(d1, d2, gap):
-    """Enclosures of the law-of-cosines cosine for the tangency angle,
-    intersected with [-1, 1], and the rows where that intersection is not
-    empty. Points with cosine outside [-1, 1] violate the admissibility
-    constraints, so they lie outside the quantified domain; an empty
-    intersection means the whole box is infeasible. Such rows get the cosine
-    [0, 0], so that the rest of the batch evaluates without error."""
-    num = av_sub(av_add(av_mul(d1, d1), av_mul(d2, d2)), av_mul(gap, gap))
-    den = av_mul(_TWO, av_mul(d1, d2))
-    c_lo, c_hi = av_div(num, den)
-    lo = np.maximum(c_lo, -1.0)
-    hi = np.minimum(c_hi, 1.0)
-    ok = lo <= hi
-    return (np.where(ok, lo, 0.0), np.where(ok, hi, 0.0)), ok
+def _distance(mu, rho, outer: bool):
+    """Centre distance of a disk on the outer (1 - mu*rho) or the inner
+    (1 - mu*(1 - rho)) ring boundary."""
+    return av_sub(_ONE, av_mul(mu, rho if outer else av_sub(_ONE, rho)))
+
+
+def _half_width(mu, rho, d):
+    """h/mu = asinc(mu*rho/d) * rho/d: half the angle a disk subtends at the
+    ring's centre, divided by mu."""
+    t = av_div(rho, d)
+    return av_mul(av_asinc(av_mul(mu, t)), t)
+
+
+def _tangency(mu, f, d1, d2):
+    """theta/mu = 2q * asinc(mu*q), q = sqrt(F/(4*d1*d2)): the angle between
+    the centres of two tangent disks, divided by mu, and the rows where it is
+    defined. Points with (mu*q)^2 outside [0, 1], the cosine of theta outside
+    [-1, 1], violate the admissibility constraints, so they lie outside the
+    quantified domain; q^2 and mu*q are clamped to it, and a row where that
+    clamp is empty holds no such point. Such rows get the angle of q = 0, so
+    that the rest of the batch evaluates without error."""
+    q2 = av_div(f, av_mul(_FOUR, av_mul(d1, d2)))
+    ok = q2[1] >= 0.0
+    q = av_sqrt((np.maximum(q2[0], 0.0), np.where(ok, q2[1], 0.0)))
+    z = av_mul(mu, q)
+    ok &= z[0] <= 1.0
+    q = (np.where(ok, q[0], 0.0), np.where(ok, q[1], 0.0))
+    z = (np.where(ok, z[0], 0.0), np.where(ok, z[1], 0.0))
+    return av_mul(_TWO, av_mul(q, av_asinc(z))), ok
+
+
+def _cross(rho_a, rho_b):
+    """F = 2*rho_a + 2*rho_b - 1 of a pair with one disk on each boundary."""
+    return av_sub(av_mul(_TWO, av_add(rho_a, rho_b)), _ONE)
 
 
 def _sector_terms(config: ConfigType, lo: np.ndarray, hi: np.ndarray):
     """(ok, area, potential) for each row: `ok` is False on the rows where the
     tangency system is infeasible over the entire box, and area and potential
-    are (lo, hi) array enclosures, meaningful where `ok` holds."""
+    are (lo, hi) array enclosures of the area divided by mu^2 and of the
+    potential divided by mu^2, meaningful where `ok` holds."""
     outer_first = config.orientation is Orientation.OUTER_FIRST
-    lam = (lo[:, 0], hi[:, 0])
-    r1 = (lo[:, 1], hi[:, 1])
+    mu = (lo[:, 0], hi[:, 0])
+    rho1 = (lo[:, 1], hi[:, 1])
 
-    k_ring = av_mul(av_sub(_ONE, av_mul(lam, lam)), _HALF)
-    d_j = av_sub(_ONE, r1) if outer_first else av_add(lam, r1)
-    h_j = av_asin(av_div(r1, d_j))
+    k_ring = av_mul(av_sub(_TWO, mu), _HALF)
+    d_j = _distance(mu, rho1, outer_first)
+    h_j = _half_width(mu, rho1, d_j)
     tag = config.tag
 
     if config.arity == 2:
-        rm = (lo[:, 2], hi[:, 2])
-        d_m = av_add(lam, rm) if outer_first else av_sub(_ONE, rm)
-        cos_m, ok = _cos_tangency(d_j, d_m, av_add(r1, rm))
-        th_m = av_acos(cos_m)
-        h_m = av_asin(av_div(rm, d_m))
-        k_m = av_mul(_TWO, av_mul(d_m, rm))
+        rho_m = (lo[:, 2], hi[:, 2])
+        d_m = _distance(mu, rho_m, not outer_first)
+        th_m, ok = _tangency(mu, _cross(rho1, rho_m), d_j, d_m)
+        h_m = _half_width(mu, rho_m, d_m)
+        k_m = av_mul(_TWO, av_mul(d_m, rho_m))
+        sq1, sq2 = av_mul(rho1, rho1), av_mul(rho_m, rho_m)
         if tag is ConfigTag.T1:
             span = av_max(av_add(th_m, h_j), h_m)
             area = av_mul(span, k_ring)
-            pot = av_mul(_PI, av_add(av_mul(r1, r1), av_mul(av_mul(rm, rm), _HALF)))
+            pot = av_mul(_PI, av_add(sq1, av_mul(sq2, _HALF)))
         elif tag is ConfigTag.T2:
             area = av_mul(th_m, k_ring)
-            pot = av_mul(_PI, av_mul(av_add(av_mul(r1, r1), av_mul(rm, rm)), _HALF))
+            pot = av_mul(_PI, av_mul(av_add(sq1, sq2), _HALF))
         elif tag is ConfigTag.T3:
             # Exposed part of the R_m band: max(th+h_m, 2h_m) - min(h_j, th+h_m),
             # expanded so each angle enters each min/max argument once.
@@ -254,7 +308,7 @@ def _sector_terms(config: ConfigType, lo: np.ndarray, hi: np.ndarray):
                 av_max(av_add(h_m, s), av_sub(h_m, th_m)),
             )
             area = av_add(av_mul(h_j, k_ring), av_mul(exposed, k_m))
-            pot = av_mul(_PI, av_add(av_mul(av_mul(r1, r1), _HALF), av_mul(rm, rm)))
+            pot = av_mul(_PI, av_add(av_mul(sq1, _HALF), sq2))
         else:  # T4
             # Exposed part of the R_m band:
             # 2h_m - max(0, min(h_j, th+h_m) - max(-h_j, th-h_m))
@@ -267,22 +321,21 @@ def _sector_terms(config: ConfigType, lo: np.ndarray, hi: np.ndarray):
             area = av_add(
                 av_mul(av_mul(_TWO, h_j), k_ring), av_mul(exposed, k_m)
             )
-            pot = av_mul(_PI, av_add(av_mul(r1, r1), av_mul(rm, rm)))
+            pot = av_mul(_PI, av_add(sq1, sq2))
         return ok, area, pot
 
-    rp = (lo[:, 2], hi[:, 2])
-    rm = (lo[:, 3], hi[:, 3])
-    d_p = av_add(lam, rp) if outer_first else av_sub(_ONE, rp)
-    d_m = av_sub(_ONE, rm) if outer_first else av_add(lam, rm)
-    cos_p, ok_p = _cos_tangency(d_j, d_p, av_add(r1, rp))
-    cos_m, ok_m = _cos_tangency(d_j, d_m, av_add(r1, rm))
+    rho_p = (lo[:, 2], hi[:, 2])
+    rho_m = (lo[:, 3], hi[:, 3])
+    d_p = _distance(mu, rho_p, not outer_first)
+    d_m = _distance(mu, rho_m, outer_first)
+    th_p, ok_p = _tangency(mu, _cross(rho1, rho_p), d_j, d_p)
+    # The m-disk shares disk j's boundary.
+    th_m, ok_m = _tangency(mu, av_mul(_FOUR, av_mul(rho1, rho_m)), d_j, d_m)
     ok = ok_p & ok_m
-    th_p = av_acos(cos_p)
-    th_m = av_acos(cos_m)
-    h_p = av_asin(av_div(rp, d_p))
-    h_m = av_asin(av_div(rm, d_m))
-    k_m = av_mul(_TWO, av_mul(d_m, rm))
-    sq1, sq2, sq3 = av_mul(r1, r1), av_mul(rp, rp), av_mul(rm, rm)
+    h_p = _half_width(mu, rho_p, d_p)
+    h_m = _half_width(mu, rho_m, d_m)
+    k_m = av_mul(_TWO, av_mul(d_m, rho_m))
+    sq1, sq2, sq3 = av_mul(rho1, rho1), av_mul(rho_p, rho_p), av_mul(rho_m, rho_m)
 
     if tag is ConfigTag.T5:
         span = av_max(av_add(th_m, h_j), av_add(av_sub(th_m, th_p), h_p))
@@ -339,18 +392,23 @@ def eval_density(area, pot):
 def make_root_box(
     config: ConfigType, lambda_range: Tuple[float, float] = (0.5, LAMBDA_MAX)
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The configuration's domain for `lambda_range`, clipped to [0.5,
-    LAMBDA_MAX], as a one-row (lo, hi) pair; every radius spans
-    [0, (1 - lambda.lo)/2]."""
+    """The configuration's domain for `lambda_range`, clipped to [0.5, 1], as
+    a one-row (lo, hi) pair in the searched coordinates: mu = 1 - lambda over
+    [1 - lambda.hi, 1 - lambda.lo], both ends exact for lambda in [0.5, 1],
+    and every rho_i = r_i / mu over [0, 1/2]."""
     lam_lo = max(0.5, lambda_range[0])
-    lam_hi = min(LAMBDA_MAX, lambda_range[1])
+    lam_hi = min(1.0, lambda_range[1])
     if lam_lo > lam_hi:
         raise ValueError(f"empty lambda range {lambda_range}")
-    r1_hi = (1.0 - lam_lo) / 2.0
     return (
-        np.array([[lam_lo] + [0.0] * config.arity]),
-        np.array([[lam_hi] + [r1_hi] * config.arity]),
+        np.array([[1.0 - lam_hi] + [0.0] * config.arity]),
+        np.array([[1.0 - lam_lo] + [0.5] * config.arity]),
     )
+
+
+def _coordinates(config: ConfigType) -> List[str]:
+    """Names of the columns of a box row: mu, rho1, rho2 (, rho3)."""
+    return ["mu"] + [f"rho{k}" for k in range(1, config.arity + 1)]
 
 
 def _normalizers(root) -> Tuple[float, ...]:
@@ -421,7 +479,7 @@ def _verdicts(config, lo, hi, b_d, with_density):
 
 
 def _bounds(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Bound rows (lambda.lo, lambda.hi, r1.lo, r1.hi, ...) as an array."""
+    """Bound rows (mu.lo, mu.hi, rho1.lo, rho1.hi, ...) as an array."""
     return np.stack((lo, hi), axis=2).reshape(len(lo), 2 * lo.shape[1])
 
 
@@ -441,9 +499,9 @@ def _write_lines(config, logs, owner, rows, status, density) -> None:
     cell's lines of a slice go out with one write. A slice formats each
     distinct value once, with repr; values are told apart by their bits, so
     -0.0 and 0.0 stay distinct. A NaN's repr is "nan"."""
-    names = ["λ"] + [f"r{k}" for k in range(1, config.arity + 1)]
+    names = _coordinates(config)
     seps = [sep for name in names for sep in (f"] {name}=[", ",")]
-    seps[0] = f"CASE {config.tag.value} ORIENT {config.orientation.value} BOX λ=["
+    seps[0] = f"CASE {config.tag.value} ORIENT {config.orientation.value} BOX {names[0]}=["
     verdicts = np.array([f"] VERDICT {v}" for v in _VERDICTS], dtype=object)
     values = np.column_stack((rows, *density))
     for start in range(0, len(values), _BATCH_ROWS):
@@ -586,6 +644,7 @@ def _checkpoint_header(config, b_d, lambda_range, budget) -> str:
         "max_depth": budget.max_depth,
         "max_boxes": budget.max_boxes,
         "evaluator": EVALUATOR_VERSION,
+        "box": _coordinates(config),
     }
     return json.dumps({"header": header}) + "\n"
 

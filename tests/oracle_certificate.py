@@ -1,6 +1,6 @@
 """Per-line reference for the prover's certificate lines.
 
-Independent oracle for `prover._box_lines`: it formats one line at a time,
+Independent oracle for `prover._write_lines`: it formats one line at a time,
 with `%r` on every bound and on the density enclosure, as the prover wrote
 its certificate before it formatted lines in batches. The batch formatter
 must give the same text, line for line.
@@ -12,10 +12,10 @@ import math
 
 
 def box_line(config, row, verdict: str, d_lo=math.nan, d_hi=math.nan) -> str:
-    """The certificate line of one box: `row` is its bound row (lambda.lo,
-    lambda.hi, r1.lo, r1.hi, ...), and the density enclosure follows the
+    """The certificate line of one box: `row` is its bound row (mu.lo, mu.hi,
+    rho1.lo, rho1.hi, ...), and the density enclosure follows the
     verdict when it is not NaN."""
-    names = ["λ"] + [f"r{k}" for k in range(1, config.arity + 1)]
+    names = ["mu"] + [f"rho{k}" for k in range(1, config.arity + 1)]
     box_format = (
         f"CASE {config.tag.value} ORIENT {config.orientation.value} BOX "
         + " ".join(f"{name}=[%r,%r]" for name in names)

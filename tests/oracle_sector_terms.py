@@ -2,13 +2,13 @@
 
 Independent oracle for `prover._sector_terms`, `prover.admissible`,
 `prover.eval_density`, `prover._split_box` and `prover._run_cell`:
-one-box-at-a-time interval code in the form the prover had before its kernel
-evaluated whole levels of a cell's search tree as numpy batches, and a search
-that builds the tree of one cell explicitly, one node per box. A box here is a
-`CaseBox` of scalar intervals, where the prover holds boxes only as rows of
-bound arrays (`box_rows` converts). It uses only the scalar operations of
-`diskpack.intervals` and the point, min and max enclosures below, which only
-the tests use. The batched kernel must give the same bits box by box, and
+one-box-at-a-time interval code in the scale-free coordinates mu = 1 - lambda,
+rho_i = r_i / mu with the half-angle tangency angle, and a search that builds
+the tree of one cell explicitly, one node per box. A box here is a `CaseBox`
+of scalar intervals, where the prover holds boxes only as rows of bound arrays
+(`box_rows` converts). It uses only the scalar operations of
+`diskpack.intervals` and the point, min, max and asinc enclosures below, which
+only the tests use. The batched kernel must give the same bits box by box, and
 `_run_cell`, which searches a group of cells as one frontier, the same record
 and certificate lines for each cell of the group.
 """
@@ -19,17 +19,18 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
+import math
+
 import numpy as np
 
 from diskpack.intervals import (
     Interval,
     UndefinedIntervalError,
     iv_add,
-    iv_acos,
-    iv_asin,
     iv_div,
     iv_mul,
     iv_pi,
+    iv_sqrt,
     iv_sub,
 )
 from diskpack.prover import ConfigTag, ConfigType, Orientation
@@ -38,15 +39,20 @@ _ZERO = Interval(0.0, 0.0)
 _ONE = Interval(1.0, 1.0)
 _HALF = Interval(0.5, 0.5)
 _TWO = Interval(2.0, 2.0)
+_FOUR = Interval(4.0, 4.0)
 _PI = iv_pi()
+_HALF_PI_HI = math.nextafter(0.5 * math.pi, math.inf)
+# Ulps by which libm's asin is widened (the prover's intervals._LIBM_ULPS).
+_ASIN_ULPS = 4
 
 
 @dataclass(frozen=True)
 class CaseBox:
-    """A box of a configuration's domain: lambda and the radii r1, r2 (, r3)."""
+    """A box of a configuration's domain: the ring width mu = 1 - lambda and
+    the relative radii rho_i = r_i / mu (rho1, rho2 (, rho3))."""
 
-    lambda_: Interval
-    r: Tuple[Interval, ...]
+    mu: Interval
+    rho: Tuple[Interval, ...]
     config: ConfigType
 
 
@@ -58,8 +64,8 @@ class Feasibility(Enum):
 
 def box_rows(boxes: Sequence[CaseBox]) -> Tuple[np.ndarray, np.ndarray]:
     """The boxes as the prover's (lo, hi) bound arrays, one row per box."""
-    lo = np.array([[b.lambda_.lo] + [iv.lo for iv in b.r] for b in boxes])
-    hi = np.array([[b.lambda_.hi] + [iv.hi for iv in b.r] for b in boxes])
+    lo = np.array([[b.mu.lo] + [iv.lo for iv in b.rho] for b in boxes])
+    hi = np.array([[b.mu.hi] + [iv.hi for iv in b.rho] for b in boxes])
     return lo, hi
 
 
@@ -79,27 +85,17 @@ def iv_max(a: Interval, b: Interval) -> Interval:
 
 
 def constraint_corners(box: CaseBox):
-    lam, r = box.lambda_, box.r
+    rho = box.rho
     cons = []
-    # g = 2*r1 + lambda - 1 <= 0
-    cons.append((2.0 * r[0].lo + lam.lo - 1.0, 2.0 * r[0].hi + lam.hi - 1.0))
-    # g = (1 - lambda)/2 - r1 - r2 <= 0
-    cons.append(
-        (
-            (1.0 - lam.hi) / 2.0 - r[0].hi - r[1].hi,
-            (1.0 - lam.lo) / 2.0 - r[0].lo - r[1].lo,
-        )
-    )
-    # g = r2 - r1 <= 0
-    cons.append((r[1].lo - r[0].hi, r[1].hi - r[0].lo))
-    if len(r) == 3:
-        cons.append(
-            (
-                (1.0 - lam.hi) / 2.0 - r[1].hi - r[2].hi,
-                (1.0 - lam.lo) / 2.0 - r[1].lo - r[2].lo,
-            )
-        )
-        cons.append((r[2].lo - r[1].hi, r[2].hi - r[1].lo))
+    # g = 2*rho1 - 1 <= 0
+    cons.append((2.0 * rho[0].lo - 1.0, 2.0 * rho[0].hi - 1.0))
+    # g = 1/2 - (rho1 + rho2) <= 0
+    cons.append((0.5 - (rho[0].hi + rho[1].hi), 0.5 - (rho[0].lo + rho[1].lo)))
+    # g = rho2 - rho1 <= 0
+    cons.append((rho[1].lo - rho[0].hi, rho[1].hi - rho[0].lo))
+    if len(rho) == 3:
+        cons.append((0.5 - (rho[1].hi + rho[2].hi), 0.5 - (rho[1].lo + rho[2].lo)))
+        cons.append((rho[2].lo - rho[1].hi, rho[2].hi - rho[1].lo))
     return cons
 
 
@@ -114,50 +110,91 @@ def admissible(box: CaseBox) -> Feasibility:
     return Feasibility.FEASIBLE if all_satisfied else Feasibility.UNDECIDED
 
 
-def cos_tangency(d1: Interval, d2: Interval, gap: Interval) -> Optional[Interval]:
-    """Enclosure of the law-of-cosines cosine for the tangency angle,
-    intersected with [-1, 1]. Points with cosine outside [-1, 1] violate the
-    admissibility constraints, so they lie outside the quantified domain; an
-    empty intersection means the whole box is infeasible (returns None)."""
-    num = iv_sub(iv_add(iv_mul(d1, d1), iv_mul(d2, d2)), iv_mul(gap, gap))
-    den = iv_mul(_TWO, iv_mul(d1, d2))
-    c = iv_div(num, den)
-    lo = max(c.lo, -1.0)
-    hi = min(c.hi, 1.0)
+def _asinc_end(z: float, direction: float) -> float:
+    """asinc(z) = asin(z)/z at z in [0, 1], rounded towards `direction`: libm's
+    asin widened by _ASIN_ULPS ulps, then the quotient widened by one."""
+    if z == 0.0:
+        return 1.0
+    s = math.asin(z)
+    for _ in range(_ASIN_ULPS):
+        s = math.nextafter(s, direction)
+    return math.nextafter(s / z, direction)
+
+
+def iv_asinc(a: Interval) -> Interval:
+    """Enclosure of asinc over the part of `a` in [0, 1], where asinc
+    increases from 1 to pi/2: its values at the two ends, kept within
+    [1, pi/2]."""
+    lo, hi = max(a.lo, 0.0), min(a.hi, 1.0)
     if lo > hi:
+        raise UndefinedIntervalError(f"asinc of an interval outside [0, 1]: {a}")
+    return Interval(
+        max(_asinc_end(lo, -math.inf), 1.0), min(_asinc_end(hi, math.inf), _HALF_PI_HI)
+    )
+
+
+def distance(mu: Interval, rho: Interval, outer: bool) -> Interval:
+    """Centre distance of a disk on the outer or the inner ring boundary."""
+    return iv_sub(_ONE, iv_mul(mu, rho if outer else iv_sub(_ONE, rho)))
+
+
+def half_width(mu: Interval, rho: Interval, d: Interval) -> Interval:
+    """h/mu = asinc(mu*rho/d) * rho/d."""
+    t = iv_div(rho, d)
+    return iv_mul(iv_asinc(iv_mul(mu, t)), t)
+
+
+def tangency(mu: Interval, f: Interval, d1: Interval, d2: Interval) -> Optional[Interval]:
+    """theta/mu = 2q * asinc(mu*q) with q = sqrt(F/(4*d1*d2)), over the points
+    where (mu*q)^2 lies in [0, 1], the cosine of theta in [-1, 1]. Points
+    outside violate the admissibility constraints, so they lie outside the
+    quantified domain; when no point of the box is inside, the whole box is
+    infeasible (returns None)."""
+    q2 = iv_div(f, iv_mul(_FOUR, iv_mul(d1, d2)))
+    if q2.hi < 0.0:
         return None
-    return Interval(lo, hi)
+    q = iv_sqrt(Interval(max(q2.lo, 0.0), q2.hi))
+    z = iv_mul(mu, q)
+    if z.lo > 1.0:
+        return None
+    return iv_mul(_TWO, iv_mul(q, iv_asinc(z)))
+
+
+def cross(rho_a: Interval, rho_b: Interval) -> Interval:
+    """F = 2*rho_a + 2*rho_b - 1 of a pair with one disk on each boundary."""
+    return iv_sub(iv_mul(_TWO, iv_add(rho_a, rho_b)), _ONE)
 
 
 def sector_terms(box: CaseBox) -> Optional[Tuple[Interval, Interval]]:
-    """(area, potential) enclosures for the box's configuration, or None when
-    the tangency system is infeasible over the entire box."""
+    """(area, potential) enclosures for the box's configuration, both divided
+    by mu^2, or None when the tangency system is infeasible over the entire
+    box."""
     cfg = box.config
-    lam = box.lambda_
+    mu = box.mu
     outer_first = cfg.orientation is Orientation.OUTER_FIRST
-    r1 = box.r[0]
+    rho1 = box.rho[0]
 
-    k_ring = iv_mul(iv_sub(_ONE, iv_mul(lam, lam)), _HALF)
-    d_j = iv_sub(_ONE, r1) if outer_first else iv_add(lam, r1)
-    h_j = iv_asin(iv_div(r1, d_j))
+    k_ring = iv_mul(iv_sub(_TWO, mu), _HALF)
+    d_j = distance(mu, rho1, outer_first)
+    h_j = half_width(mu, rho1, d_j)
     tag = cfg.tag
 
     if cfg.arity == 2:
-        rm = box.r[1]
-        d_m = iv_add(lam, rm) if outer_first else iv_sub(_ONE, rm)
-        cos_m = cos_tangency(d_j, d_m, iv_add(r1, rm))
-        if cos_m is None:
+        rho_m = box.rho[1]
+        d_m = distance(mu, rho_m, not outer_first)
+        th_m = tangency(mu, cross(rho1, rho_m), d_j, d_m)
+        if th_m is None:
             return None
-        th_m = iv_acos(cos_m)
-        h_m = iv_asin(iv_div(rm, d_m))
-        k_m = iv_mul(_TWO, iv_mul(d_m, rm))
+        h_m = half_width(mu, rho_m, d_m)
+        k_m = iv_mul(_TWO, iv_mul(d_m, rho_m))
+        sq1, sq2 = iv_mul(rho1, rho1), iv_mul(rho_m, rho_m)
         if tag is ConfigTag.T1:
             span = iv_max(iv_add(th_m, h_j), h_m)
             area = iv_mul(span, k_ring)
-            pot = iv_mul(_PI, iv_add(iv_mul(r1, r1), iv_mul(iv_mul(rm, rm), _HALF)))
+            pot = iv_mul(_PI, iv_add(sq1, iv_mul(sq2, _HALF)))
         elif tag is ConfigTag.T2:
             area = iv_mul(th_m, k_ring)
-            pot = iv_mul(_PI, iv_mul(iv_add(iv_mul(r1, r1), iv_mul(rm, rm)), _HALF))
+            pot = iv_mul(_PI, iv_mul(iv_add(sq1, sq2), _HALF))
         elif tag is ConfigTag.T3:
             # Exposed part of the R_m band: max(th+h_m, 2h_m) - min(h_j, th+h_m),
             # expanded so each angle enters each min/max argument once.
@@ -167,7 +204,7 @@ def sector_terms(box: CaseBox) -> Optional[Tuple[Interval, Interval]]:
                 iv_max(iv_add(h_m, s), iv_sub(h_m, th_m)),
             )
             area = iv_add(iv_mul(h_j, k_ring), iv_mul(exposed, k_m))
-            pot = iv_mul(_PI, iv_add(iv_mul(iv_mul(r1, r1), _HALF), iv_mul(rm, rm)))
+            pot = iv_mul(_PI, iv_add(iv_mul(sq1, _HALF), sq2))
         else:  # T4
             # Exposed part of the R_m band:
             # 2h_m - max(0, min(h_j, th+h_m) - max(-h_j, th-h_m))
@@ -180,22 +217,20 @@ def sector_terms(box: CaseBox) -> Optional[Tuple[Interval, Interval]]:
             area = iv_add(
                 iv_mul(iv_mul(_TWO, h_j), k_ring), iv_mul(exposed, k_m)
             )
-            pot = iv_mul(_PI, iv_add(iv_mul(r1, r1), iv_mul(rm, rm)))
+            pot = iv_mul(_PI, iv_add(sq1, sq2))
         return area, pot
 
-    rp, rm = box.r[1], box.r[2]
-    d_p = iv_add(lam, rp) if outer_first else iv_sub(_ONE, rp)
-    d_m = iv_sub(_ONE, rm) if outer_first else iv_add(lam, rm)
-    cos_p = cos_tangency(d_j, d_p, iv_add(r1, rp))
-    cos_m = cos_tangency(d_j, d_m, iv_add(r1, rm))
-    if cos_p is None or cos_m is None:
+    rho_p, rho_m = box.rho[1], box.rho[2]
+    d_p = distance(mu, rho_p, not outer_first)
+    d_m = distance(mu, rho_m, outer_first)
+    th_p = tangency(mu, cross(rho1, rho_p), d_j, d_p)
+    th_m = tangency(mu, iv_mul(_FOUR, iv_mul(rho1, rho_m)), d_j, d_m)
+    if th_p is None or th_m is None:
         return None
-    th_p = iv_acos(cos_p)
-    th_m = iv_acos(cos_m)
-    h_p = iv_asin(iv_div(rp, d_p))
-    h_m = iv_asin(iv_div(rm, d_m))
-    k_m = iv_mul(_TWO, iv_mul(d_m, rm))
-    sq1, sq2, sq3 = iv_mul(r1, r1), iv_mul(rp, rp), iv_mul(rm, rm)
+    h_p = half_width(mu, rho_p, d_p)
+    h_m = half_width(mu, rho_m, d_m)
+    k_m = iv_mul(_TWO, iv_mul(d_m, rho_m))
+    sq1, sq2, sq3 = iv_mul(rho1, rho1), iv_mul(rho_p, rho_p), iv_mul(rho_m, rho_m)
 
     if tag is ConfigTag.T5:
         span = iv_max(iv_add(th_m, h_j), iv_add(iv_sub(th_m, th_p), h_p))
@@ -235,7 +270,7 @@ def sector_terms(box: CaseBox) -> Optional[Tuple[Interval, Interval]]:
 
 
 def split_box(box: CaseBox, norms: Sequence[float]) -> Tuple[CaseBox, CaseBox]:
-    dims = [box.lambda_] + list(box.r)
+    dims = [box.mu] + list(box.rho)
     rel = [iv.width / norms[i] for i, iv in enumerate(dims)]
     k = max(range(len(rel)), key=lambda i: rel[i])
     target = dims[k]
@@ -245,10 +280,10 @@ def split_box(box: CaseBox, norms: Sequence[float]) -> Tuple[CaseBox, CaseBox]:
 
     def rebuild(part: Interval) -> CaseBox:
         if k == 0:
-            return CaseBox(part, box.r, box.config)
-        rs = list(box.r)
-        rs[k - 1] = part
-        return CaseBox(box.lambda_, tuple(rs), box.config)
+            return CaseBox(part, box.rho, box.config)
+        rhos = list(box.rho)
+        rhos[k - 1] = part
+        return CaseBox(box.mu, tuple(rhos), box.config)
 
     return rebuild(lo_part), rebuild(hi_part)
 
@@ -319,10 +354,10 @@ def run_cell(task) -> dict:
             f"CASE {config.tag.value}",
             f"ORIENT {config.orientation.value}",
             "BOX",
-            f"λ=[{box.lambda_.lo!r},{box.lambda_.hi!r}]",
+            f"mu=[{box.mu.lo!r},{box.mu.hi!r}]",
         ]
-        for i, iv in enumerate(box.r, start=1):
-            parts.append(f"r{i}=[{iv.lo!r},{iv.hi!r}]")
+        for i, iv in enumerate(box.rho, start=1):
+            parts.append(f"rho{i}=[{iv.lo!r},{iv.hi!r}]")
         parts.append(f"VERDICT {verdict}")
         if density is not None:
             parts.append(f"DENSITY [{density.lo!r},{density.hi!r}]")
@@ -372,7 +407,7 @@ def run_cell(task) -> dict:
         "processed": processed,
         "max_depth": len(levels) - 1,
         "failures": [
-            [x for iv in (node.box.lambda_, *node.box.r) for x in (iv.lo, iv.hi)]
+            [x for iv in (node.box.mu, *node.box.rho) for x in (iv.lo, iv.hi)]
             for node in unresolved
         ],
     }

@@ -14,6 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from diskpack.cli import main
 from diskpack.engine import InstanceSpec, pack
 from diskpack.files import InstanceFile, dumps_packing, packing_from_result
 from diskpack.geometry import PlacedDisk, Point, unit_container, inscribed_disk_after_two
@@ -346,12 +347,13 @@ def test_criterion_5_interval_soundness():
             (d_lo,), (d_hi,) = eval_density(area, pot)
             if math.isnan(d_lo):
                 continue
-            lam = np_rng.uniform(lo[0, 0], hi[0, 0], 100)
-            rs = [np_rng.uniform(lo[0, k], hi[0, k], 100) for k in range(1, 1 + cfg.arity)]
+            # Interior points in mu, rho, evaluated at lambda = 1 - mu, r = mu*rho.
+            mu = np_rng.uniform(lo[0, 0], hi[0, 0], 100)
+            rs = [mu * np_rng.uniform(lo[0, k], hi[0, k], 100) for k in range(1, 1 + cfg.arity)]
             vals = point_density(
                 cfg.tag.value,
                 cfg.orientation.value,
-                lam,
+                1.0 - mu,
                 rs[0],
                 rs[1],
                 rs[2] if cfg.arity == 3 else None,
@@ -368,23 +370,24 @@ def test_criterion_5_interval_soundness():
 
 
 def _sample_box(rng, cfg):
-    lam = rng.uniform(0.5, 0.99)
-    r1max = (1 - lam) / 2
-    r1 = rng.uniform(0.02 * r1max, r1max)
-    lo2 = max(0.0, (1 - lam - 2 * r1) / 2)
-    if lo2 > r1:
+    """A box of the searched coordinates around an admissible point with
+    lambda in [0.5, 0.99]: mu = 1 - lambda in [0.01, 0.5], rho_i = r_i / mu."""
+    mu = rng.uniform(0.01, 0.5)
+    rho1 = rng.uniform(0.01, 0.5)
+    lo2 = max(0.0, 0.5 - rho1)
+    if lo2 > rho1:
         return None
-    r2 = rng.uniform(lo2, r1)
-    dims = [lam, r1, r2]
+    rho2 = rng.uniform(lo2, rho1)
+    dims = [mu, rho1, rho2]
     if cfg.arity == 3:
-        lo3 = max(0.0, (1 - lam - 2 * r2) / 2)
-        if lo3 > r2:
+        lo3 = max(0.0, 0.5 - rho2)
+        if lo3 > rho2:
             return None
-        dims.append(rng.uniform(lo3, r2))
+        dims.append(rng.uniform(lo3, rho2))
     w = 10.0 ** rng.uniform(-6, -2.3)
     lo = [max(0.0, v - w / 2) for v in dims]
     hi = [v + w / 2 for v in dims]
-    lo[0], hi[0] = max(0.5, lo[0]), min(0.99, hi[0])
+    lo[0], hi[0] = max(0.01, lo[0]), min(0.5, hi[0])
     box = np.array([lo]), np.array([hi])
     if not _sector_terms(cfg, *box)[0][0]:
         return None
@@ -404,11 +407,11 @@ def test_criterion_6_prover_desk_scale():
 
 
 # Desk-scale counts (proven, pruned, processed) of the criterion-6 runs, as
-# the scalar prover gave them at commit 922cdba (ROADMAP item 3).
+# the evaluator in mu = 1 - lambda, rho = r / mu gives them ("mu-rho-1").
 DESK_COUNTS = {
-    "T1/outer": (186976, 11156, 396200),
-    "T2/outer": (299618, 6965, 613102),
-    "T2/inner": (96679, 6889, 207072),
+    "T1/outer": (13712, 1748, 30856),
+    "T2/outer": (12769, 624, 26722),
+    "T2/inner": (4075, 652, 9390),
 }
 
 
@@ -435,6 +438,30 @@ def test_criterion_7_prover_canary():
             budget=ProverBudget(cells=8, max_boxes=8000, max_depth=30),
         )
         assert rep.failures, "prover claimed an impossible bound"
+
+
+@pytest.mark.parametrize(
+    "flags, lambda_max",
+    [([], 0.99), (["--lambda-max", "1"], 1.0)],
+    ids=["default", "lambda-max-1"],
+)
+def test_criterion_10_full_reproduction_certifies(capsys, flags, lambda_max):
+    """The full reproduction: `diskpack prove --case all` at default flags,
+    and with lambda up to 1, certifies the bound on all 14 configurations
+    with no unresolved box."""
+    with criterion(10, f"full reproduction certifies on lambda [0.5, {lambda_max}]"):
+        code = main(["prove", "--case", "all", *flags])
+        captured = capsys.readouterr()
+        summaries = [line for line in captured.out.splitlines() if line.startswith("SUMMARY ")]
+        configs = [c for tag in ConfigTag for c in certified_configs(tag)]
+        assert len(summaries) == len(configs) == 14
+        for line, cfg in zip(summaries, configs):
+            assert line.startswith(
+                f"SUMMARY case={cfg.tag.value} orient={cfg.orientation.value} "
+            ), line
+            assert " failed=0 " in line, line
+        assert "unresolved" not in captured.err
+        assert code == 0
 
 
 def test_criterion_8_pocket_family():

@@ -40,12 +40,12 @@ T7_IN = ConfigType(ConfigTag.T7, Orientation.INNER_FIRST)
 
 
 def box(*bounds):
-    """A one-row (lo, hi) box from (lo, hi) pairs: lambda, r1, r2 (, r3)."""
+    """A one-row (lo, hi) box from (lo, hi) pairs: mu, rho1, rho2 (, rho3)."""
     return np.array([[b[0] for b in bounds]]), np.array([[b[1] for b in bounds]])
 
 
-def point_box(lam, *rs):
-    return box(*((v, v) for v in (lam, *rs)))
+def point_box(mu, *rhos):
+    return box(*((v, v) for v in (mu, *rhos)))
 
 
 def density(cfg, lo, hi):
@@ -60,25 +60,33 @@ def density(cfg, lo, hi):
 
 
 def test_admissible_width_violation():
-    assert not admissible(*point_box(0.5, 0.3, 0.1))[0]
+    assert not admissible(*point_box(0.5, 0.6, 0.2))[0]  # 2*rho1 > 1
 
 
 def test_admissible_exact_fit():
-    assert admissible(*point_box(0.5, 0.25, 0.25))[0]
+    assert admissible(*point_box(0.5, 0.5, 0.5))[0]
 
 
 def test_admissible_straddling_box():
-    assert admissible(*box((0.5, 0.6), (0.1, 0.2), (0.0, 0.01)))[0]
+    # Admissible only at its corner rho1 = 1/2, rho2 = 0, on the pass bound.
+    assert admissible(*box((0.4, 0.5), (0.25, 0.5), (0.0, 0.02)))[0]
+    assert not admissible(*box((0.4, 0.5), (0.25, 0.49), (0.0, 0.005)))[0]
 
 
 def test_admissible_ordering_constraint():
-    assert not admissible(*point_box(0.6, 0.1, 0.15))[0]  # r2 > r1
+    assert not admissible(*point_box(0.4, 0.25, 0.375))[0]  # rho2 > rho1
 
 
 def test_admissible_arity3_pass_bound():
-    # r3 below its pass bound (1-lambda-2*r2)/2 = 0.1
-    assert not admissible(*point_box(0.5, 0.2, 0.15, 0.05))[0]
-    assert admissible(*point_box(0.5, 0.2, 0.15, 0.12))[0]
+    # rho3 below its pass bound 1/2 - rho2 = 0.2
+    assert not admissible(*point_box(0.5, 0.4, 0.3, 0.1))[0]
+    assert admissible(*point_box(0.5, 0.4, 0.3, 0.24))[0]
+
+
+def test_admissible_does_not_involve_mu():
+    for mu in (0.0, 1e-12, 0.01, 0.5):
+        assert admissible(*point_box(mu, 0.3, 0.2))[0]
+        assert not admissible(*point_box(mu, 0.3, 0.19))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +94,8 @@ def test_admissible_arity3_pass_bound():
 
 
 def test_eval_density_t1_point_matches_oracle():
-    ok, d_lo, d_hi = density(T1_OUT, *point_box(0.5, 0.25, 0.25))
+    # lambda = 0.5, r1 = r2 = 0.25
+    ok, d_lo, d_hi = density(T1_OUT, *point_box(0.5, 0.5, 0.5))
     p = float(point_density("T1", "outer", 0.5, 0.25, 0.25))
     assert ok
     assert d_lo <= p <= d_hi
@@ -95,7 +104,7 @@ def test_eval_density_t1_point_matches_oracle():
 
 
 def test_eval_density_t2_point_matches_oracle():
-    ok, d_lo, d_hi = density(T2_OUT, *point_box(0.5, 0.25, 0.25))
+    ok, d_lo, d_hi = density(T2_OUT, *point_box(0.5, 0.5, 0.5))
     p = float(point_density("T2", "outer", 0.5, 0.25, 0.25))
     assert ok
     assert d_lo <= p <= d_hi
@@ -103,15 +112,16 @@ def test_eval_density_t2_point_matches_oracle():
 
 
 def test_eval_density_contains_midpoint():
-    ok, d_lo, d_hi = density(T2_OUT, *box((0.52, 0.525), (0.16, 0.165), (0.12, 0.125)))
-    p = float(point_density("T2", "outer", 0.5225, 0.1625, 0.1225))
+    ok, d_lo, d_hi = density(T2_OUT, *box((0.475, 0.48), (0.338, 0.343), (0.254, 0.259)))
+    mu = 0.4775
+    p = float(point_density("T2", "outer", 1.0 - mu, mu * 0.3405, mu * 0.2565))
     assert ok
     assert d_lo <= p <= d_hi
 
 
 def test_eval_density_undefined_on_infeasible_box_and_zero_area():
     # Tiny radii in a wide ring: tangency impossible anywhere in the box.
-    ok, _, _ = density(T2_OUT, *box((0.5, 0.5), (0.001, 0.002), (0.001, 0.002)))
+    ok, _, _ = density(T2_OUT, *box((0.5, 0.5), (0.002, 0.004), (0.002, 0.004)))
     assert not ok
     # An area enclosure that contains zero gives no density (NaN), row by row.
     d_lo, d_hi = eval_density(
@@ -123,24 +133,25 @@ def test_eval_density_undefined_on_infeasible_box_and_zero_area():
 
 
 def _random_feasible_box(rng, cfg, max_width):
+    """A box around an admissible point with lambda in [0.5, 0.99], as mu and
+    rho bounds."""
     for _ in range(200):
-        lam = rng.uniform(0.5, 0.99)
-        r1max = (1 - lam) / 2
-        r1 = rng.uniform(0.02 * r1max, r1max)
-        lo2 = max(0.0, (1 - lam - 2 * r1) / 2)
-        if lo2 > r1:
+        mu = rng.uniform(0.01, 0.5)
+        rho1 = rng.uniform(0.01, 0.5)
+        lo2 = max(0.0, 0.5 - rho1)
+        if lo2 > rho1:
             continue
-        r2 = rng.uniform(lo2, r1)
-        rs = [r1, r2]
+        rho2 = rng.uniform(lo2, rho1)
+        rhos = [rho1, rho2]
         if cfg.arity == 3:
-            lo3 = max(0.0, (1 - lam - 2 * r2) / 2)
-            if lo3 > r2:
+            lo3 = max(0.0, 0.5 - rho2)
+            if lo3 > rho2:
                 continue
-            rs.append(rng.uniform(lo3, r2))
+            rhos.append(rng.uniform(lo3, rho2))
         w = rng.uniform(1e-6, max_width)
-        dims = [lam] + rs
+        dims = [mu] + rhos
         bounds = [(max(0.0, v - w / 2), v + w / 2) for v in dims]
-        bounds[0] = (max(0.5, bounds[0][0]), min(0.99, bounds[0][1]))
+        bounds[0] = (max(0.01, bounds[0][0]), min(0.5, bounds[0][1]))
         lo, hi = box(*bounds)
         if _sector_terms(cfg, lo, hi)[0][0]:
             return lo, hi
@@ -159,15 +170,15 @@ def test_eval_density_enclosure_fuzz_small():
         _, d_lo, d_hi = density(cfg, lo, hi)
         if np.isnan(d_lo):
             continue
-        lam = np.random.default_rng(i).uniform(lo[0, 0], hi[0, 0], 40)
+        mu = np.random.default_rng(i).uniform(lo[0, 0], hi[0, 0], 40)
         rs = [
-            np.random.default_rng(1000 + i + k).uniform(lo[0, 1 + k], hi[0, 1 + k], 40)
+            mu * np.random.default_rng(1000 + i + k).uniform(lo[0, 1 + k], hi[0, 1 + k], 40)
             for k in range(cfg.arity)
         ]
         vals = point_density(
             cfg.tag.value,
             cfg.orientation.value,
-            lam,
+            1.0 - mu,
             rs[0],
             rs[1],
             rs[2] if cfg.arity == 3 else None,
@@ -183,10 +194,18 @@ def test_eval_density_enclosure_fuzz_small():
 
 
 def test_make_root_box_respects_limits():
+    """lambda is clipped to [0.5, 1]; the box holds mu = 1 - lambda, with both
+    ends exact, and every rho over [0, 1/2]."""
     lo, hi = make_root_box(T1_OUT, (0.4, 1.5))
     assert lo.shape == hi.shape == (1, 3)
-    assert (lo[0, 0], hi[0, 0]) == (0.5, 0.99)
-    assert hi[0, 1] == pytest.approx(0.25)
+    assert lo[0].tolist() == [0.0, 0.0, 0.0]
+    assert hi[0].tolist() == [0.5, 0.5, 0.5]
+    lo, hi = make_root_box(T7_IN)
+    assert lo.shape == hi.shape == (1, 4)
+    assert (1.0 - lo[0, 0], 1.0 - hi[0, 0]) == (0.99, 0.5)
+    assert lo[0, 1:].tolist() == [0.0] * 3 and hi[0, 1:].tolist() == [0.5] * 3
+    with pytest.raises(ValueError):
+        make_root_box(T1_OUT, (0.7, 0.6))
 
 
 def test_split_box_halves_widest():
@@ -204,9 +223,9 @@ def test_split_box_halves_widest():
     assert hi[0, k] == lo[1, k]
     assert hi[1, k] == root_hi[0, k]
     # Widest normalized dimension wins: on the fresh root all are width 1.0
-    # relative, so the tie goes to the first dimension (lambda).
+    # relative, so the tie goes to the first dimension (mu).
     assert k == 0
-    # After splitting lambda, a much wider r1 must be chosen next.
+    # After splitting mu, a much wider rho1 must be chosen next.
     a_lo, a_hi = lo[:1], hi[:1]
     aa_lo, aa_hi = _split_box(a_lo, a_hi, norms)
     assert (aa_lo[0].tolist(), aa_hi[0].tolist()) != (a_lo[0].tolist(), a_hi[0].tolist())
@@ -234,7 +253,7 @@ def test_prove_case_canary_never_proves_a_falsehood():
 
 
 def test_prove_case_empty_domain_all_pruned():
-    cell = [0.5, 0.5, 0.3, 0.31, 0.0, 0.1]
+    cell = [0.5, 0.5, 0.6, 0.62, 0.0, 0.2]  # 2*rho1 > 1 throughout
     (rec,) = _run_cell(([0], T2_OUT, [cell], 0.5642, 60, 1000, (1.0, 1.0, 1.0), None))
     assert rec["proven"] == 0
     assert not rec["failures"]
@@ -420,7 +439,7 @@ def _record(line, **changes):
     return json.dumps({**json.loads(line), **changes}) + "\n"
 
 
-@pytest.mark.parametrize("evaluator", [None, "scalar-0", "levels-1"])
+@pytest.mark.parametrize("evaluator", [None, "scalar-0", "levels-1", "levels-2"])
 def test_checkpoint_of_another_evaluator_is_replaced(tmp_path, monkeypatch, evaluator):
     """A checkpoint whose header names another evaluator, or none, has its
     records ignored, even records this evaluator could not have written."""
@@ -615,7 +634,7 @@ def test_certificate_log_format():
     body = lines[:-1]
     assert body
     for line in body:
-        assert line.startswith("CASE T1 ORIENT outer BOX λ=[")
+        assert line.startswith("CASE T1 ORIENT outer BOX mu=[")
         assert " VERDICT " in line
         verdict = line.split(" VERDICT ")[1].split()[0]
         assert verdict in {"proven", "pruned", "failed"}
@@ -626,9 +645,9 @@ def test_certificate_log_format():
 
 # SHA-256 of the certificate that T1/outer on lambda in [0.98, 0.99] with
 # ProverBudget(cells=4, max_boxes=2000) writes under the rule that stops a
-# cell between levels and merges its open boxes (evaluator "levels-2"; 461
-# lines: 0 proven, 283 pruned, 177 failed, and the SUMMARY line).
-CERT_T1_098_SHA256 = "116f622af7075db6b737b3a2d2f5b243d97fe31ef0a2fae85ecd3449e269897f"
+# cell between levels and merges its open boxes (evaluator "mu-rho-1"; 309
+# lines: 96 proven, 168 pruned, 44 failed, and the SUMMARY line).
+CERT_T1_098_SHA256 = "c36fd494764733db1e00b0d82e3cad6788a9720e977b4a4a8bd6536ab57c2ea5"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -643,33 +662,33 @@ def test_certificate_pinned_across_commits(workers):
     )
     text = buf.getvalue()
     assert (rep.boxes_proven, rep.boxes_pruned_infeasible, len(rep.failures)) == (
-        0,
-        283,
-        177,
+        96,
+        168,
+        44,
     )
-    assert text.count("\n") == 461
+    assert text.count("\n") == 309
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CERT_T1_098_SHA256
 
 
 # SHA-256 of certificates with proven lines, and so with DENSITY suffixes, in
 # both arities: (config, lambda range, budget, proven, pruned, failed, lines,
-# hash). Recorded before certificate lines were formatted in batches.
+# hash), for evaluator "mu-rho-1".
 CERTS_WITH_DENSITY = [
     (
         T1_OUT,
         (0.5, 0.501),
         ProverBudget(cells=4, max_boxes=4000),
-        (197, 443, 137),
-        778,
-        "7a5c935e35f5c84d17c46399ecc59a03ba3e4981feed55aab273275bc7e5871a",
+        (335, 164, 122),
+        622,
+        "b44696dc75c95b19755b6b324451bb5edcf1e3e906f196373e337a352733deff",
     ),
     (
         T7_IN,
         (0.5, 0.501),
         ProverBudget(cells=4, max_boxes=20000),
-        (1313, 2887, 892),
-        5093,
-        "04560ca1f7ddff99d506d60937210f0a6faa805a8d0fe4e4e3341fc5fb5a5e83",
+        (1586, 1734, 508),
+        3829,
+        "697c8c6eb74e32cc1b07c07070e46669c6c18b7f9e641f09a65a0e00f886b1c2",
     ),
 ]
 
@@ -731,7 +750,7 @@ def test_certificate_lines_equal_the_per_line_oracle(cfg):
     assert got == want
     text = "".join(got)
     assert "np.float64" not in text and "'" not in text
-    assert "λ=[-0.0,0.0]" in text and "λ=[0.0,-0.0]" in text
+    assert "mu=[-0.0,0.0]" in text and "mu=[0.0,-0.0]" in text
     # Failed rows: NaN densities, as _run_cell passes them.
     nan = np.full(n, np.nan)
     failed = _lines(cfg, np.array(rows), np.full(n, prover._UNDECIDED), (nan, nan))
@@ -776,7 +795,7 @@ def test_certificate_lines_go_to_their_cells_one_write_per_slice(monkeypatch):
     assert log.writes == 0
 
 
-_CERT_BOUNDS = re.compile(r"(?:λ|r\d)=\[([^,\]]+),([^\]]+)\]")
+_CERT_BOUNDS = re.compile(r"(?:mu|rho\d)=\[([^,\]]+),([^\]]+)\]")
 
 
 def test_budget_cut_cells_stay_in_budget_and_tile_the_domain(tmp_path):
@@ -826,7 +845,7 @@ def test_failures_are_the_certificates_failed_rows(tmp_path):
         for line in buf.getvalue().splitlines()
         if line.endswith(" VERDICT failed")
     ]
-    assert len(rows) == 177
+    assert len(rows) == 44
     assert rep.failures == rows
     with open(ck, encoding="utf-8") as fh:
         head = fh.readlines()[:3]
@@ -845,7 +864,8 @@ def test_budget_exhaustion_reports_failures():
     assert rep.failures
     for row in rep.failures:
         assert len(row) == 2 + 2 * T1_OUT.arity
-        assert 0.5 <= row[0] <= row[1] <= 0.6
+        assert 0.4 <= row[0] <= row[1] <= 0.5  # mu = 1 - lambda
+        assert all(0.0 <= x <= 0.5 for x in row[2:])
 
 
 def test_certified_configs_orientations():

@@ -13,17 +13,16 @@ from hypothesis import strategies as st
 import oracle_sector_terms as oracle
 from diskpack.intervals import (
     Interval,
-    av_acos,
     av_add,
-    av_asin,
+    av_asinc,
     av_div,
     av_mul,
+    av_sqrt,
     av_sub,
-    iv_acos,
     iv_add,
-    iv_asin,
     iv_div,
     iv_mul,
+    iv_sqrt,
     iv_sub,
 )
 from diskpack.prover import (
@@ -36,6 +35,7 @@ from diskpack.prover import (
     _run_cell,
     _sector_terms,
     _split_box,
+    _tangency,
     admissible,
     certified_configs,
     make_root_box,
@@ -50,24 +50,22 @@ def same_bits(x, y) -> bool:
 
 
 def make_box(cfg, params):
-    """A box in the root domain. `params` is (kind, lambda, u1, u2, u3,
-    widths): kind 0 places r1, r2 (, r3) between their admissibility limits
-    (fractions u of the way), kind 1 anywhere in [0, 0.25], which gives many
-    infeasible boxes and empty cosines."""
-    kind, lam, u1, u2, u3, widths = params
+    """A box in the root domain for lambda in [0.5, 1]. `params` is (kind,
+    mu, u1, u2, u3, widths): kind 0 places rho1, rho2 (, rho3) between their
+    admissibility limits (fractions u of the way), kind 1 anywhere in
+    [0, 0.5], which gives many infeasible boxes and empty clamps."""
+    kind, mu, u1, u2, u3, widths = params
     if kind == 0:
-        r1 = u1 * (1.0 - lam) / 2.0
-        lo2 = max(0.0, (1.0 - lam - 2.0 * r1) / 2.0)
-        r2 = lo2 + u2 * (r1 - lo2)
-        lo3 = max(0.0, (1.0 - lam - 2.0 * r2) / 2.0)
-        r3 = lo3 + u3 * (r2 - lo3)
+        rho1 = u1 * 0.5
+        lo2 = max(0.0, 0.5 - rho1)
+        rho2 = lo2 + u2 * (rho1 - lo2)
+        lo3 = max(0.0, 0.5 - rho2)
+        rho3 = lo3 + u3 * (rho2 - lo3)
     else:
-        r1, r2, r3 = 0.25 * u1, 0.25 * u2, 0.25 * u3
-    centres = [lam, r1, r2, r3][: 1 + cfg.arity]
-    limits = [(0.5, 0.99)] + [(0.0, 0.25)] * cfg.arity
+        rho1, rho2, rho3 = 0.5 * u1, 0.5 * u2, 0.5 * u3
+    centres = [mu, rho1, rho2, rho3][: 1 + cfg.arity]
     ivs = [
-        Interval(max(lo, v - w), min(hi, v + w))
-        for v, w, (lo, hi) in zip(centres, widths, limits)
+        Interval(max(0.0, v - w), min(0.5, v + w)) for v, w in zip(centres, widths)
     ]
     return oracle.CaseBox(ivs[0], tuple(ivs[1:]), cfg)
 
@@ -75,7 +73,7 @@ def make_box(cfg, params):
 unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 box_params = st.tuples(
     st.sampled_from([0, 0, 1]),
-    st.one_of(st.sampled_from([0.5, 0.99]), st.floats(0.5, 0.99)),
+    st.one_of(st.sampled_from([0.0, 0.01, 0.5]), st.floats(0.0, 0.5)),
     unit,
     unit,
     unit,
@@ -107,28 +105,28 @@ def test_kernel_matches_scalar_oracle_bit_for_bit(cfg, batch):
     assert_kernel_matches_oracle(cfg, [make_box(cfg, p) for p in batch])
 
 
-def test_kernel_covers_clamps_empty_cosines_and_point_boxes(monkeypatch):
+def test_kernel_covers_clamps_empty_clamps_and_point_boxes(monkeypatch):
     """1,500 seeded boxes per configuration, bit for bit against the oracle,
-    with counts showing that the batches hold cosine enclosures clamped at -1
-    or 1, empty cosines, boxes infeasible for admissibility and zero-width
-    boxes."""
+    with counts showing that the batches hold tangency enclosures whose q^2
+    is clamped at 0, empty clamps, boxes infeasible for admissibility,
+    zero-width boxes and boxes at mu = 0 (lambda = 1)."""
     clamps = []
-    original = oracle.cos_tangency
+    original = oracle.tangency
 
-    def recording(d1, d2, gap):
-        c = original(d1, d2, gap)
-        clamps.append(c is not None and (c.lo == -1.0 or c.hi == 1.0))
-        return c
+    def recording(mu, f, d1, d2):
+        q2 = iv_div(f, iv_mul(Interval(4.0, 4.0), iv_mul(d1, d2)))
+        clamps.append(q2.lo < 0.0 <= q2.hi)
+        return original(mu, f, d1, d2)
 
-    monkeypatch.setattr(oracle, "cos_tangency", recording)
+    monkeypatch.setattr(oracle, "tangency", recording)
     rng = random.Random(20261018)
-    empty = infeasible = points = 0
+    empty = infeasible = points = at_zero = 0
     for cfg in CONFIGS:
         boxes = []
         for _ in range(1500):
             params = (
                 rng.choice([0, 0, 1]),
-                rng.uniform(0.5, 0.99),
+                rng.choice([0.0, rng.uniform(0.0, 0.5), rng.uniform(0.0, 0.5)]),
                 rng.random(),
                 rng.random(),
                 rng.random(),
@@ -140,9 +138,26 @@ def test_kernel_covers_clamps_empty_cosines_and_point_boxes(monkeypatch):
         infeasible += sum(
             oracle.admissible(b) is oracle.Feasibility.INFEASIBLE for b in boxes
         )
-        points += sum(all(iv.width == 0.0 for iv in (b.lambda_, *b.r)) for b in boxes)
+        points += sum(all(iv.width == 0.0 for iv in (b.mu, *b.rho)) for b in boxes)
+        at_zero += sum(b.mu.lo == 0.0 for b in boxes)
     assert sum(clamps) > 100
-    assert empty > 100 and infeasible > 100 and points > 10
+    assert empty > 100 and infeasible > 100 and points > 10 and at_zero > 100
+
+
+def test_tangency_clamp_above_one_is_empty():
+    """A pair whose (mu*q)^2 exceeds 1 over the whole box, a cosine below -1,
+    has no tangency angle there, in the kernel as in the oracle; the row
+    beside it is evaluated as usual."""
+    mu = (np.array([3.0, 0.25]), np.array([3.0, 0.25]))
+    f = (np.array([1.0, 0.5]), np.array([1.0, 0.5]))
+    d = (np.array([0.1, 0.9]), np.array([0.1, 0.9]))
+    theta, ok = _tangency(mu, f, d, d)
+    assert ok.tolist() == [False, True]
+    ivs = [Interval(x[1], y[1]) for x, y in zip((mu[0], f[0], d[0]), (mu[1], f[1], d[1]))]
+    ref = oracle.tangency(ivs[0], ivs[1], ivs[2], ivs[2])
+    assert same_bits(theta[0][1], ref.lo) and same_bits(theta[1][1], ref.hi)
+    one = Interval(3.0, 3.0), Interval(1.0, 1.0), Interval(0.1, 0.1)
+    assert oracle.tangency(one[0], one[1], one[2], one[2]) is None
 
 
 def test_admissible_and_split_match_the_oracle():
@@ -151,7 +166,7 @@ def test_admissible_and_split_match_the_oracle():
         root = make_root_box(cfg, (0.5, 0.99))
         norms = _normalizers(root)
         boxes = [
-            make_box(cfg, (rng.choice([0, 1]), rng.uniform(0.5, 0.99), rng.random(),
+            make_box(cfg, (rng.choice([0, 1]), rng.uniform(0.0, 0.5), rng.random(),
                            rng.random(), rng.random(), [rng.choice(WIDTHS) for _ in range(4)]))
             for _ in range(300)
         ]
@@ -188,19 +203,28 @@ def assert_same_as_scalar(av_op, iv_op, args):
 
 @given(st.lists(interval_pairs(1.0), min_size=1, max_size=30))
 @settings(max_examples=300, derandomize=True, deadline=None)
-def test_asin_acos_match_scalar_including_the_complement_branch(ivs):
-    assert_same_as_scalar(av_asin, iv_asin, [ivs])
-    assert_same_as_scalar(av_acos, iv_acos, [ivs])
+def test_asinc_sqrt_match_scalar_including_the_clamps(ivs):
+    """asinc clamps each interval to [0, 1], so any interval of [-1, 1] that
+    reaches 0 is in its domain; sqrt takes the intervals' absolute values."""
+    reaching = [(lo, hi) for lo, hi in ivs if hi >= 0.0]
+    if reaching:
+        assert_same_as_scalar(av_asinc, oracle.iv_asinc, [reaching])
+    magnitudes = [tuple(sorted((abs(lo), abs(hi)))) for lo, hi in ivs]
+    assert_same_as_scalar(av_sqrt, iv_sqrt, [magnitudes])
 
 
-def test_asin_complement_branch_is_exercised():
+def test_asinc_ends_at_zero_one_and_subnormals():
+    """Ends at 0 (both signs), at 1, past 1, subnormal, and near both ends of
+    [0, 1], where the division and the clamps to [1, pi/2] act."""
     rng = random.Random(9)
-    ivs = []
+    tiny = 5e-324
+    ends = [-0.0, 0.0, tiny, 3 * tiny, 1e-310, 1e-200, 2.0 ** -27, 0.5, 1.0 - 2.0 ** -53, 1.0]
+    ivs = [(a, b) for a in ends for b in ends if a <= b]
+    ivs += [(-0.5, 0.0), (-tiny, tiny), (0.9, 1.5), (1.0, 2.0)]
     for _ in range(2000):
-        a, b = sorted(rng.uniform(0.85, 1.0) for _ in range(2))
-        ivs += [(a, b), (-b, -a), (a, a), (-1.0, b), (a, 1.0)]
-    assert sum(hi > 0.9 or lo < -0.9 for lo, hi in ivs) > 5000
-    assert_same_as_scalar(av_asin, iv_asin, [ivs])
+        a, b = sorted(rng.uniform(0.0, 1.0) ** 8 for _ in range(2))
+        ivs += [(a, b), (a, a), (0.0, b), (a, 1.0)]
+    assert_same_as_scalar(av_asinc, oracle.iv_asinc, [ivs])
 
 
 @given(st.lists(st.tuples(interval_pairs(4.0), interval_pairs(4.0)), min_size=1, max_size=30))
