@@ -3,11 +3,10 @@
 Every operation returns an interval that is guaranteed to contain all real
 results of the pointwise operation over the operand intervals (enclosure).
 Outward rounding is realized by widening each bound with ``math.nextafter``:
-1 ulp for the correctly-rounded operations (+, -, *, /, sqrt) and 4 ulp for
-asin/acos, which covers the documented worst-case error of common libm
-implementations (<= 2 ulp) with a safety factor of two. The array operations
-add asinc(z) = asin(z)/z, enclosed from the same asin with one more ulp for
-the division (av_asinc).
+1 ulp for the correctly-rounded operations (+, -, *, /, sqrt). The array
+operations add asinc(z) = asin(z)/z (av_asinc): libm's asin widened by 4 ulp,
+which covers the documented worst-case error of common libm implementations
+(<= 2 ulp) with a safety factor of two, and one more ulp for the division.
 
 Because no FPU rounding mode is ever switched, all operations are plain value
 computations: they are deterministic and safe to use concurrently from any
@@ -17,7 +16,6 @@ number of threads or processes without coordination.
 from __future__ import annotations
 
 import math
-from math import acos as _acos
 from math import asin as _asin
 from math import nextafter as _nextafter
 from math import sqrt as _sqrt
@@ -32,8 +30,6 @@ __all__ = [
     "iv_mul",
     "iv_div",
     "iv_sqrt",
-    "iv_asin",
-    "iv_acos",
     "iv_pi",
     "av_add",
     "av_sub",
@@ -48,7 +44,7 @@ __all__ = [
 
 _INF = math.inf
 
-# Widening budget for libm-evaluated functions (asin/acos), in ulps.
+# Widening budget for libm's asin, in ulps.
 _LIBM_ULPS = 4
 
 
@@ -110,12 +106,6 @@ def _mk(lo: float, hi: float) -> Interval:
     return iv
 
 
-def _widen(x: float, ulps: int, direction: float) -> float:
-    for _ in range(ulps):
-        x = _nextafter(x, direction)
-    return x
-
-
 def iv_pi() -> Interval:
     """Tight enclosure of pi (width 2 ulp)."""
     return _mk(_nextafter(math.pi, -_INF), _nextafter(math.pi, _INF))
@@ -166,35 +156,6 @@ def iv_sqrt(a: Interval) -> Interval:
         raise UndefinedIntervalError(f"sqrt of interval with negative part: {a}")
     # sqrt is correctly rounded, so 1 ulp suffices; never widen below zero.
     return _mk(max(0.0, _nextafter(_sqrt(a.lo), -_INF)), _nextafter(_sqrt(a.hi), _INF))
-
-
-def iv_asin(a: Interval) -> Interval:
-    if a.lo < -1.0 or a.hi > 1.0:
-        raise UndefinedIntervalError(f"asin of interval outside [-1, 1]: {a}")
-    lo = _widen(_asin(a.lo), _LIBM_ULPS, -_INF)
-    hi = _widen(_asin(a.hi), _LIBM_ULPS, _INF)
-    if a.hi > 0.9 or a.lo < -0.9:
-        # Near +-1 the acos-complement pi/2 - acos(x) is better conditioned;
-        # both paths are sound enclosures, so intersect them.
-        half_pi_lo = _nextafter(0.5 * math.pi, -_INF)
-        half_pi_hi = _nextafter(0.5 * math.pi, _INF)
-        lo_c = _nextafter(half_pi_lo - _widen(_acos(a.lo), _LIBM_ULPS, _INF), -_INF)
-        hi_c = _nextafter(half_pi_hi - _widen(_acos(a.hi), _LIBM_ULPS, -_INF), _INF)
-        if lo_c <= hi_c:
-            new_lo = max(lo, lo_c)
-            new_hi = min(hi, hi_c)
-            if new_lo <= new_hi:
-                lo, hi = new_lo, new_hi
-    return _mk(lo, hi)
-
-
-def iv_acos(a: Interval) -> Interval:
-    if a.lo < -1.0 or a.hi > 1.0:
-        raise UndefinedIntervalError(f"acos of interval outside [-1, 1]: {a}")
-    return _mk(
-        max(0.0, _widen(_acos(a.hi), _LIBM_ULPS, -_INF)),
-        _widen(_acos(a.lo), _LIBM_ULPS, _INF),
-    )
 
 
 # ---------------------------------------------------------------------------

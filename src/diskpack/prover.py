@@ -39,7 +39,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -75,8 +75,9 @@ DENSITY_BOUND = 0.5642
 LAMBDA_MAX = 0.99
 # Version of the box evaluation, written into checkpoint headers so that a
 # resume never mixes verdicts of two evaluators. Change it with any change
-# to the evaluation that could move a verdict.
-EVALUATOR_VERSION = "mu-rho-1"
+# to the evaluation that could move a verdict, or to the split rule, which
+# fixes the cells.
+EVALUATOR_VERSION = "mu-rho-2"
 
 class ConfigTag(Enum):
     T1 = "T1"
@@ -411,17 +412,13 @@ def _coordinates(config: ConfigType) -> List[str]:
     return ["mu"] + [f"rho{k}" for k in range(1, config.arity + 1)]
 
 
-def _normalizers(root) -> Tuple[float, ...]:
-    lo, hi = root
-    return tuple(w if w > 0.0 else 1.0 for w in (hi[0] - lo[0]).tolist())
-
-
-def _split_box(lo: np.ndarray, hi: np.ndarray, norms: Sequence[float]):
-    """Bisect every row along its widest normalized dimension (the first one
-    on a tie) at its midpoint. Returns the rows of the halves, each lower half
+def _split_box(lo: np.ndarray, hi: np.ndarray):
+    """Bisect every row along its widest dimension (the first one on a tie)
+    at its midpoint. mu and every rho_i share the scale [0, 1/2], so raw
+    widths compare directly. Returns the rows of the halves, each lower half
     followed by its upper half (lower 0, upper 0, lower 1, upper 1, ...)."""
     rows = np.arange(len(lo))
-    k = np.argmax((hi - lo) / np.asarray(norms), axis=1)
+    k = np.argmax(hi - lo, axis=1)
     t_lo = lo[rows, k]
     t_hi = hi[rows, k]
     # Interval.mid, whose fallback for an overflowing sum cannot trigger on
@@ -436,12 +433,11 @@ def _split_box(lo: np.ndarray, hi: np.ndarray, norms: Sequence[float]):
 
 def _partition_cells(root, n_cells: int) -> List[list]:
     """Deterministic pre-split of the root (lo, hi) into cells, as bound rows:
-    each split round bisects every cell along its widest normalized dimension,
-    so the count is n_cells rounded up to a power of two."""
-    norms = _normalizers(root)
+    each split round bisects every cell along its widest dimension, so the
+    count is n_cells rounded up to a power of two."""
     lo, hi = root
     while len(lo) < n_cells:
-        lo, hi = _split_box(lo, hi, norms)
+        lo, hi = _split_box(lo, hi)
     return _bounds(lo, hi).tolist()
 
 
@@ -552,7 +548,7 @@ def _open_boxes(splits, open_rows, lo, hi) -> np.ndarray:
 def _run_cell(task) -> List[dict]:
     """Branch and bound over a group of cells; returns the cells' checkpoint
     records in group order. `task` is (indices, config, cells, b_d,
-    max_depth, max_boxes, norms, cert_paths): the cells' indices, the cells
+    max_depth, max_boxes, cert_paths): the cells' indices, the cells
     as bound rows, each cell's box budget, and None or one log path per cell.
 
     The group is searched one level at a time, the boxes of all its open
@@ -571,7 +567,7 @@ def _run_cell(task) -> List[dict]:
     bounds are held, plus one split mask byte per box of the earlier levels.
     A cell's log is opened once and closed when the cell stops, and gets one
     write per slice of a level that holds its rows (_write_lines)."""
-    indices, config, cells, b_d, max_depth, max_boxes, norms, cert_paths = task
+    indices, config, cells, b_d, max_depth, max_boxes, cert_paths = task
     n = len(cells)
     lo, hi = np.array([c[0::2] for c in cells]), np.array([c[1::2] for c in cells])
     owner = np.arange(n, dtype=np.int32)
@@ -628,7 +624,7 @@ def _run_cell(task) -> List[dict]:
                 return records
             split = undecided & live[owner]
             splits.append(split)
-            lo, hi = _split_box(lo[split], hi[split], norms)
+            lo, hi = _split_box(lo[split], hi[split])
             owner = np.repeat(owner[split], 2)
             depth += 1
 
@@ -740,9 +736,7 @@ def prove_case(
     are taken, plus a summary; a certified run writes its checkpoint afresh,
     since skipped cells would write no box lines."""
     budget = budget or ProverBudget()
-    root = make_root_box(config, lambda_range)
-    norms = _normalizers(root)
-    cells = _partition_cells(root, budget.cells)
+    cells = _partition_cells(make_root_box(config, lambda_range), budget.cells)
     per_cell_budget = max(1, math.ceil(budget.max_boxes / len(cells)))
 
     header = _checkpoint_header(config, b_d, lambda_range, budget)
@@ -776,7 +770,6 @@ def prove_case(
                 b_d,
                 budget.max_depth,
                 per_cell_budget,
-                norms,
                 [logs[i] for i in group] if logs else None,
             )
             for group in (pending[k : k + size] for k in range(0, len(pending), size))

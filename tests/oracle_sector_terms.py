@@ -269,10 +269,10 @@ def sector_terms(box: CaseBox) -> Optional[Tuple[Interval, Interval]]:
     return area, pot
 
 
-def split_box(box: CaseBox, norms: Sequence[float]) -> Tuple[CaseBox, CaseBox]:
+def split_box(box: CaseBox) -> Tuple[CaseBox, CaseBox]:
+    """Halves of the box along its widest dimension, the first on a tie."""
     dims = [box.mu] + list(box.rho)
-    rel = [iv.width / norms[i] for i, iv in enumerate(dims)]
-    k = max(range(len(rel)), key=lambda i: rel[i])
+    k = max(range(len(dims)), key=lambda i: dims[i].width)
     target = dims[k]
     mid = target.mid
     lo_part = Interval(target.lo, mid)
@@ -336,7 +336,7 @@ def largest_open(node: Node) -> List[Node]:
 
 def run_cell(task) -> dict:
     """Branch and bound over one cell, one box at a time. `task` is (index,
-    config, cell, b_d, max_depth, max_boxes, norms, cert_path), and the
+    config, cell, b_d, max_depth, max_boxes, cert_path), and the
     result is the cell's record as `prover._run_cell` returns it in the
     records of the cell's group.
 
@@ -345,7 +345,7 @@ def run_cell(task) -> dict:
     the boxes processed within max_boxes; otherwise the search stops. The
     unresolved boxes are the largest nodes of the tree whose leaves are all
     open, deepest first and in level order within a depth."""
-    index, config, cell, b_d, max_depth, max_boxes, norms, cert_path = task
+    index, config, cell, b_d, max_depth, max_boxes, cert_path = task
     bound = iv_point(b_d)
     cert = open(cert_path, "w", encoding="utf-8") if cert_path else None
 
@@ -384,7 +384,7 @@ def run_cell(task) -> dict:
             ):
                 break
             for node in open_nodes:
-                node.children = [Node(half) for half in split_box(node.box, norms)]
+                node.children = [Node(half) for half in split_box(node.box)]
             levels.append([child for node in open_nodes for child in node.children])
 
         position = {

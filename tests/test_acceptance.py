@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import time
 from contextlib import contextmanager
 
@@ -28,9 +29,7 @@ from diskpack.instances import (
 )
 from diskpack.intervals import (
     Interval,
-    iv_acos,
     iv_add,
-    iv_asin,
     iv_div,
     iv_mul,
     iv_sqrt,
@@ -49,6 +48,7 @@ from diskpack.prover import (
 )
 from diskpack.verifier import verify
 
+from oracle_intervals import iv_acos, iv_asin
 from oracle_pointeval import point_density
 
 PROVER_WORKERS = min(8, os.cpu_count() or 1)
@@ -407,11 +407,12 @@ def test_criterion_6_prover_desk_scale():
 
 
 # Desk-scale counts (proven, pruned, processed) of the criterion-6 runs, as
-# the evaluator in mu = 1 - lambda, rho = r / mu gives them ("mu-rho-1").
+# the evaluator in mu = 1 - lambda, rho = r / mu with boxes split along their
+# widest raw width gives them ("mu-rho-2").
 DESK_COUNTS = {
-    "T1/outer": (13712, 1748, 30856),
-    "T2/outer": (12769, 624, 26722),
-    "T2/inner": (4075, 652, 9390),
+    "T1/outer": (2936, 361, 6530),
+    "T2/outer": (3431, 149, 7096),
+    "T2/inner": (986, 167, 2242),
 }
 
 
@@ -440,6 +441,27 @@ def test_criterion_7_prover_canary():
         assert rep.failures, "prover claimed an impossible bound"
 
 
+# (proven, pruned) of each configuration in the SUMMARY lines of the full
+# reproduction at default flags (evaluator "mu-rho-2"), so that a change to
+# the split rule or the evaluation shows up here, not only as a slower run.
+FULL_COUNTS = {
+    "T1/outer": (37504, 4987),
+    "T2/outer": (7740, 581),
+    "T2/inner": (3896, 611),
+    "T3/outer": (825, 370),
+    "T3/inner": (1608, 683),
+    "T4/outer": (1375, 444),
+    "T4/inner": (6184, 1451),
+    "T5/outer": (491, 744),
+    "T6/outer": (199, 322),
+    "T6/inner": (473, 622),
+    "T7/outer": (3741, 2811),
+    "T7/inner": (2979, 2360),
+    "T8/outer": (4946, 3685),
+    "T8/inner": (7582, 4564),
+}
+
+
 @pytest.mark.parametrize(
     "flags, lambda_max",
     [([], 0.99), (["--lambda-max", "1"], 1.0)],
@@ -448,7 +470,7 @@ def test_criterion_7_prover_canary():
 def test_criterion_10_full_reproduction_certifies(capsys, flags, lambda_max):
     """The full reproduction: `diskpack prove --case all` at default flags,
     and with lambda up to 1, certifies the bound on all 14 configurations
-    with no unresolved box."""
+    with no unresolved box; at default flags, with the pinned box counts."""
     with criterion(10, f"full reproduction certifies on lambda [0.5, {lambda_max}]"):
         code = main(["prove", "--case", "all", *flags])
         captured = capsys.readouterr()
@@ -460,6 +482,15 @@ def test_criterion_10_full_reproduction_certifies(capsys, flags, lambda_max):
                 f"SUMMARY case={cfg.tag.value} orient={cfg.orientation.value} "
             ), line
             assert " failed=0 " in line, line
+        if not flags:
+            counts = {
+                cfg.label: tuple(
+                    int(re.search(rf" {key}=(\d+) ", line).group(1))
+                    for key in ("proven", "pruned")
+                )
+                for line, cfg in zip(summaries, configs)
+            }
+            assert counts == FULL_COUNTS
         assert "unresolved" not in captured.err
         assert code == 0
 

@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 from diskpack.intervals import (
     Interval,
     UndefinedIntervalError,
-    iv_acos,
     iv_add,
-    iv_asin,
     iv_div,
     iv_mul,
     iv_pi,
     iv_sqrt,
     iv_sub,
 )
+from oracle_intervals import iv_acos, iv_asin
 from oracle_sector_terms import iv_max, iv_min, iv_point
 
 mpmath.mp.dps = 40

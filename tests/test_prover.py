@@ -24,8 +24,8 @@ from diskpack.prover import (
     eval_density,
     make_root_box,
     prove_case,
+    _partition_cells,
     _split_box,
-    _normalizers,
     _run_cell,
     _sector_terms,
 )
@@ -209,9 +209,8 @@ def test_make_root_box_respects_limits():
 
 
 def test_split_box_halves_widest():
-    root_lo, root_hi = root = make_root_box(T1_OUT, (0.5, 0.6))
-    norms = _normalizers(root)
-    lo, hi = _split_box(root_lo, root_hi, norms)
+    root_lo, root_hi = make_root_box(T1_OUT, (0.5, 0.6))
+    lo, hi = _split_box(root_lo, root_hi)
     # Exactly one dimension is bisected; the halves tile the parent.
     changed = [
         i for i in range(root_lo.shape[1])
@@ -222,13 +221,30 @@ def test_split_box_halves_widest():
     assert lo[0, k] == root_lo[0, k]
     assert hi[0, k] == lo[1, k]
     assert hi[1, k] == root_hi[0, k]
-    # Widest normalized dimension wins: on the fresh root all are width 1.0
-    # relative, so the tie goes to the first dimension (mu).
-    assert k == 0
-    # After splitting mu, a much wider rho1 must be chosen next.
-    a_lo, a_hi = lo[:1], hi[:1]
-    aa_lo, aa_hi = _split_box(a_lo, a_hi, norms)
-    assert (aa_lo[0].tolist(), aa_hi[0].tolist()) != (a_lo[0].tolist(), a_hi[0].tolist())
+    # Raw widths compare: mu has width 0.1, rho1 and rho2 width 0.5 each, and
+    # the tie between them goes to the first, rho1.
+    assert k == 1
+    assert (lo[0].tolist(), hi[0].tolist()) == ([0.4, 0.0, 0.0], [0.5, 0.25, 0.5])
+    # Then rho2 is the widest.
+    a_lo, a_hi = _split_box(lo[:1], hi[:1])
+    assert (a_lo[0].tolist(), a_hi[0].tolist()) == ([0.4, 0.0, 0.0], [0.5, 0.25, 0.25])
+    # A tie of all three goes to mu, and mu is split once it is the widest.
+    tie_lo, tie_hi = np.array([[0.25, 0.0, 0.25]]), np.array([[0.5, 0.25, 0.5]])
+    t_lo, t_hi = _split_box(tie_lo, tie_hi)
+    assert (t_lo[0].tolist(), t_hi[0].tolist()) == ([0.25, 0.0, 0.25], [0.375, 0.25, 0.5])
+    w_lo, w_hi = _split_box(np.array([[0.0, 0.0, 0.1]]), np.array([[0.3, 0.2, 0.3]]))
+    assert (w_lo[1].tolist(), w_hi[1].tolist()) == ([0.15, 0.0, 0.1], [0.3, 0.2, 0.3])
+
+
+def test_partition_of_a_narrow_lambda_range_keeps_mu_whole():
+    """On lambda in [0.98, 0.99] mu has width 0.01, so the 16 cells split
+    only the rho_i and each spans the whole mu range."""
+    root_lo, root_hi = make_root_box(T1_OUT, (0.98, 0.99))
+    cells = _partition_cells((root_lo, root_hi), 16)
+    assert len(cells) == 16
+    for cell in cells:
+        assert cell[:2] == [root_lo[0, 0], root_hi[0, 0]]
+    assert len({tuple(cell[2:]) for cell in cells}) == 16
 
 
 def test_prove_case_small_domain_certifies():
@@ -254,7 +270,7 @@ def test_prove_case_canary_never_proves_a_falsehood():
 
 def test_prove_case_empty_domain_all_pruned():
     cell = [0.5, 0.5, 0.6, 0.62, 0.0, 0.2]  # 2*rho1 > 1 throughout
-    (rec,) = _run_cell(([0], T2_OUT, [cell], 0.5642, 60, 1000, (1.0, 1.0, 1.0), None))
+    (rec,) = _run_cell(([0], T2_OUT, [cell], 0.5642, 60, 1000, None))
     assert rec["proven"] == 0
     assert not rec["failures"]
     assert rec["pruned"] > 0
@@ -364,14 +380,11 @@ def _proves(cfg, lo, hi, b_d):
 
 def test_prove_monotone_children_of_proven_box():
     rng = random.Random(7)
-    root = make_root_box(T2_OUT, (0.5, 0.6))
-    norms = _normalizers(root)
-
     checked = 0
     for _ in range(200):
         lo, hi = _random_feasible_box(rng, T2_OUT, max_width=2e-3)
         if _proves(T2_OUT, lo, hi, 0.5642):
-            halves_lo, halves_hi = _split_box(lo, hi, norms)
+            halves_lo, halves_hi = _split_box(lo, hi)
             for half in (0, 1):
                 half_lo, half_hi = halves_lo[half : half + 1], halves_hi[half : half + 1]
                 assert _proves(T2_OUT, half_lo, half_hi, 0.5642) in (True, None)
@@ -439,7 +452,7 @@ def _record(line, **changes):
     return json.dumps({**json.loads(line), **changes}) + "\n"
 
 
-@pytest.mark.parametrize("evaluator", [None, "scalar-0", "levels-1", "levels-2"])
+@pytest.mark.parametrize("evaluator", [None, "scalar-0", "levels-1", "levels-2", "mu-rho-1"])
 def test_checkpoint_of_another_evaluator_is_replaced(tmp_path, monkeypatch, evaluator):
     """A checkpoint whose header names another evaluator, or none, has its
     records ignored, even records this evaluator could not have written."""
@@ -645,9 +658,9 @@ def test_certificate_log_format():
 
 # SHA-256 of the certificate that T1/outer on lambda in [0.98, 0.99] with
 # ProverBudget(cells=4, max_boxes=2000) writes under the rule that stops a
-# cell between levels and merges its open boxes (evaluator "mu-rho-1"; 309
-# lines: 96 proven, 168 pruned, 44 failed, and the SUMMARY line).
-CERT_T1_098_SHA256 = "c36fd494764733db1e00b0d82e3cad6788a9720e977b4a4a8bd6536ab57c2ea5"
+# cell between levels and merges its open boxes (evaluator "mu-rho-2"; 217
+# lines: 145 proven, 42 pruned, 29 failed, and the SUMMARY line).
+CERT_T1_098_SHA256 = "337692378e5a6353d8e6e6cd50913645232d42e897a719501c02deffc798195c"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -662,33 +675,33 @@ def test_certificate_pinned_across_commits(workers):
     )
     text = buf.getvalue()
     assert (rep.boxes_proven, rep.boxes_pruned_infeasible, len(rep.failures)) == (
-        96,
-        168,
-        44,
+        145,
+        42,
+        29,
     )
-    assert text.count("\n") == 309
+    assert text.count("\n") == 217
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CERT_T1_098_SHA256
 
 
 # SHA-256 of certificates with proven lines, and so with DENSITY suffixes, in
 # both arities: (config, lambda range, budget, proven, pruned, failed, lines,
-# hash), for evaluator "mu-rho-1".
+# hash), for evaluator "mu-rho-2".
 CERTS_WITH_DENSITY = [
     (
         T1_OUT,
         (0.5, 0.501),
         ProverBudget(cells=4, max_boxes=4000),
-        (335, 164, 122),
-        622,
-        "b44696dc75c95b19755b6b324451bb5edcf1e3e906f196373e337a352733deff",
+        (265, 45, 0),
+        311,
+        "d1e67c314e28705ba7d5dd4bef46926748904df06a389cb850fa40589a7253a0",
     ),
     (
         T7_IN,
         (0.5, 0.501),
         ProverBudget(cells=4, max_boxes=20000),
-        (1586, 1734, 508),
-        3829,
-        "697c8c6eb74e32cc1b07c07070e46669c6c18b7f9e641f09a65a0e00f886b1c2",
+        (239, 235, 0),
+        475,
+        "9fb1939aad733211553b8182e5dbb44c0a47af9f21922f84b9c80acf3c14b39c",
     ),
 ]
 
@@ -845,7 +858,7 @@ def test_failures_are_the_certificates_failed_rows(tmp_path):
         for line in buf.getvalue().splitlines()
         if line.endswith(" VERDICT failed")
     ]
-    assert len(rows) == 44
+    assert len(rows) == 29
     assert rep.failures == rows
     with open(ck, encoding="utf-8") as fh:
         head = fh.readlines()[:3]

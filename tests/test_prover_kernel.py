@@ -30,7 +30,6 @@ from diskpack.prover import (
     ConfigTag,
     ConfigType,
     Orientation,
-    _normalizers,
     _partition_cells,
     _run_cell,
     _sector_terms,
@@ -163,8 +162,6 @@ def test_tangency_clamp_above_one_is_empty():
 def test_admissible_and_split_match_the_oracle():
     rng = random.Random(5)
     for cfg in CONFIGS:
-        root = make_root_box(cfg, (0.5, 0.99))
-        norms = _normalizers(root)
         boxes = [
             make_box(cfg, (rng.choice([0, 1]), rng.uniform(0.0, 0.5), rng.random(),
                            rng.random(), rng.random(), [rng.choice(WIDTHS) for _ in range(4)]))
@@ -173,10 +170,10 @@ def test_admissible_and_split_match_the_oracle():
         lo, hi = oracle.box_rows(boxes)
         mask = admissible(lo, hi)
         assert mask.any() and not mask.all()
-        halves = _split_box(lo, hi, norms)
+        halves = _split_box(lo, hi)
         for i, box in enumerate(boxes):
             assert bool(mask[i]) == (oracle.admissible(box) is not oracle.Feasibility.INFEASIBLE)
-            for half, ref in zip((2 * i, 2 * i + 1), oracle.split_box(box, norms)):
+            for half, ref in zip((2 * i, 2 * i + 1), oracle.split_box(box)):
                 ref_lo, ref_hi = oracle.box_rows([ref])
                 assert halves[0][half].tolist() == ref_lo[0].tolist()
                 assert halves[1][half].tolist() == ref_hi[0].tolist()
@@ -261,19 +258,17 @@ def test_run_cell_equals_the_level_oracle(tmp_path, max_boxes, max_depth):
             (t1, (0.5, 0.51)),
         )
     ):
-        root = make_root_box(cfg, lambda_range)
-        norms = _normalizers(root)
-        cells = _partition_cells(root, 4)
+        cells = _partition_cells(make_root_box(cfg, lambda_range), 4)
         indices = list(range(len(cells)))
         got_paths = [tmp_path / f"got{case}-{i}" for i in indices]
         got = _run_cell(
-            (indices, cfg, cells, DENSITY_BOUND, max_depth, max_boxes, norms, got_paths)
+            (indices, cfg, cells, DENSITY_BOUND, max_depth, max_boxes, got_paths)
         )
         assert [rec["cell"] for rec in got] == indices
         for i, cell in enumerate(cells):
             ref_path = tmp_path / f"ref{case}-{i}"
             ref = oracle.run_cell(
-                (i, cfg, cell, DENSITY_BOUND, max_depth, max_boxes, norms, str(ref_path))
+                (i, cfg, cell, DENSITY_BOUND, max_depth, max_boxes, str(ref_path))
             )
             assert json.dumps(got[i]) == json.dumps(ref)
             assert got_paths[i].read_text(encoding="utf-8") == ref_path.read_text(
