@@ -33,8 +33,6 @@ import json
 import math
 import multiprocessing
 import os
-import shutil
-import tempfile
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from enum import Enum
@@ -92,8 +90,9 @@ class ConfigTag(Enum):
 
 # Start edges: the first disk of a zipper is always placed adjacent to the
 # OUTER ring boundary (alternation starts outer), so only that orientation is
-# a realizable configuration; the inner-first variant genuinely violates the
-# bound and is excluded.
+# a realizable configuration and the inner-first variant is excluded. Sampled
+# admissible points of T1/inner fall below the bound (2%, down to 0.53); those
+# of T5/inner do not (minimum about 0.57 over 100k points).
 _START_TAGS = frozenset({ConfigTag.T1, ConfigTag.T5})
 _VERTICAL_TAGS = frozenset({ConfigTag.T5, ConfigTag.T6, ConfigTag.T7, ConfigTag.T8})
 
@@ -396,7 +395,10 @@ def make_root_box(
     """The configuration's domain for `lambda_range`, clipped to [0.5, 1], as
     a one-row (lo, hi) pair in the searched coordinates: mu = 1 - lambda over
     [1 - lambda.hi, 1 - lambda.lo], both ends exact for lambda in [0.5, 1],
-    and every rho_i = r_i / mu over [0, 1/2]."""
+    and every rho_i = r_i / mu over [0, 1/2]. Infinite ends are clipped; a
+    NaN end, or a range that is empty after clipping, raises ValueError."""
+    if any(math.isnan(x) for x in lambda_range):
+        raise ValueError(f"lambda range {lambda_range} has a NaN end")
     lam_lo = max(0.5, lambda_range[0])
     lam_hi = min(1.0, lambda_range[1])
     if lam_lo > lam_hi:
@@ -448,8 +450,8 @@ _PRUNED, _PROVEN, _UNDECIDED = 0, 1, 2
 # which bounds the memory its temporaries take.
 _BATCH_ROWS = 2048
 
-# Cells per _run_cell task. A task searches its cells as one frontier, so this
-# bounds the memory a frontier takes.
+# Cells per _run_cell task. A task searches its cells as one frontier and
+# returns their certificate text at once, so this bounds the memory of both.
 _GROUP_CELLS = 16
 
 
@@ -484,17 +486,17 @@ def _bounds(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 _VERDICTS = ("pruned", "proven", "failed")
 
 
-def _write_lines(config, logs, owner, rows, status, density) -> None:
+def _write_lines(config, texts, owner, rows, status, density) -> None:
     """Append the certificate line of each bound row of the array `rows` to
-    the log of its cell, logs[owner[i]] for row i, where `owner` is
-    ascending. A line holds the verdict of the row's status (_VERDICTS) and,
-    where the row's entry in the pair of arrays `density` is not NaN, its
-    density enclosure.
+    the text of its cell, the list texts[owner[i]] for row i, where `owner`
+    is ascending. A line holds the verdict of the row's status (_VERDICTS)
+    and, where the row's entry in the pair of arrays `density` is not NaN,
+    its density enclosure.
 
     Lines are built in slices of _BATCH_ROWS rows, column by column, and each
-    cell's lines of a slice go out with one write. A slice formats each
-    distinct value once, with repr; values are told apart by their bits, so
-    -0.0 and 0.0 stay distinct. A NaN's repr is "nan"."""
+    cell's lines of a slice go into its list as one string. A slice formats
+    each distinct value once, with repr; values are told apart by their bits,
+    so -0.0 and 0.0 stay distinct. A NaN's repr is "nan"."""
     names = _coordinates(config)
     seps = [sep for name in names for sep in (f"] {name}=[", ",")]
     seps[0] = f"CASE {config.tag.value} ORIENT {config.orientation.value} BOX {names[0]}=["
@@ -516,7 +518,7 @@ def _write_lines(config, logs, owner, rows, status, density) -> None:
         cells = owner[part]
         cuts = (np.flatnonzero(np.diff(cells)) + 1).tolist()
         for a, b in zip([0] + cuts, cuts + [len(lines)]):
-            logs[cells[a]].write("".join(lines[a:b]))
+            texts[cells[a]].append("".join(lines[a:b]))
 
 
 def _open_boxes(splits, open_rows, lo, hi) -> np.ndarray:
@@ -545,88 +547,86 @@ def _open_boxes(splits, open_rows, lo, hi) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _run_cell(task) -> List[dict]:
-    """Branch and bound over a group of cells; returns the cells' checkpoint
-    records in group order. `task` is (indices, config, cells, b_d,
-    max_depth, max_boxes, cert_paths): the cells' indices, the cells
-    as bound rows, each cell's box budget, and None or one log path per cell.
+def _run_cell(task) -> List[Tuple[dict, str]]:
+    """Branch and bound over a group of cells; returns each cell's checkpoint
+    record and certificate text, in group order. `task` is (indices, config,
+    cells, b_d, max_depth, max_boxes, with_certificate): the cells' indices,
+    the cells as bound rows, each cell's box budget, and whether to build the
+    certificate text, which is otherwise empty. It opens no file.
 
     The group is searched one level at a time, the boxes of all its open
     cells making one frontier. Each row carries the position of its cell in
     the group, and the rows stay in cell order. Each level is evaluated in
     numpy batches (_verdicts), and each cell's proven and pruned boxes are
-    appended to its log in row order. A cell stops when it has no undecided
-    box, when the depth has reached max_depth, or when splitting its
-    undecided boxes would take its boxes processed past max_boxes; the
-    undecided boxes of its last level, merged pairwise into their parents
-    where a whole pair is open (_open_boxes), are then its failures. They
-    follow its leaves in its log as `failed` lines without a density. The
-    undecided boxes of the other cells are split, lower half before upper
-    half, so siblings stay adjacent and the split masks of the whole
-    frontier map each cell's rows to their parents. Only the current level's
-    bounds are held, plus one split mask byte per box of the earlier levels.
-    A cell's log is opened once and closed when the cell stops, and gets one
-    write per slice of a level that holds its rows (_write_lines)."""
-    indices, config, cells, b_d, max_depth, max_boxes, cert_paths = task
+    appended to its text in row order (_write_lines). A cell stops when it
+    has no undecided box, when the depth has reached max_depth, or when
+    splitting its undecided boxes would take its boxes processed past
+    max_boxes; the undecided boxes of its last level, merged pairwise into
+    their parents where a whole pair is open (_open_boxes), are then its
+    failures. They follow its leaves in its text as `failed` lines without a
+    density. The undecided boxes of the other cells are split, lower half
+    before upper half, so siblings stay adjacent and the split masks of the
+    whole frontier map each cell's rows to their parents. Only the current
+    level's bounds are held, plus one split mask byte per box of the earlier
+    levels, and the certificate text of the group's cells until it returns."""
+    indices, config, cells, b_d, max_depth, max_boxes, with_certificate = task
     n = len(cells)
     lo, hi = np.array([c[0::2] for c in cells]), np.array([c[1::2] for c in cells])
     owner = np.arange(n, dtype=np.int32)
     live = np.ones(n, dtype=bool)
     proven, pruned, processed = (np.zeros(n, dtype=np.int64) for _ in range(3))
     splits: List[np.ndarray] = []
-    records: list = [None] * n
+    texts: List[list] = [[] for _ in range(n)]
+    results: list = [None] * n
     depth = 0
-    with ExitStack() as stack:
-        logs = [
-            stack.enter_context(open(path, "w", encoding="utf-8")) for path in cert_paths or ()
-        ]
-        while True:
-            status, density = _verdicts(config, lo, hi, b_d, bool(logs))
-            processed += np.bincount(owner, minlength=n)
-            proven += np.bincount(owner[status == _PROVEN], minlength=n)
-            pruned += np.bincount(owner[status == _PRUNED], minlength=n)
-            undecided = status == _UNDECIDED
-            if logs:
-                # Pruned rows have no density (NaN), nor do rows whose area
-                # enclosure contains zero.
-                leaves = ~undecided
-                _write_lines(
-                    config,
-                    logs,
-                    owner[leaves],
-                    _bounds(lo[leaves], hi[leaves]),
-                    status[leaves],
-                    (density[0][leaves], density[1][leaves]),
-                )
-            n_open = np.bincount(owner[undecided], minlength=n)
-            stop = live & (
-                (n_open == 0) | (depth >= max_depth) | (processed + 2 * n_open > max_boxes)
+    while True:
+        status, density = _verdicts(config, lo, hi, b_d, with_certificate)
+        processed += np.bincount(owner, minlength=n)
+        proven += np.bincount(owner[status == _PROVEN], minlength=n)
+        pruned += np.bincount(owner[status == _PRUNED], minlength=n)
+        undecided = status == _UNDECIDED
+        if with_certificate:
+            # Pruned rows have no density (NaN), nor do rows whose area
+            # enclosure contains zero.
+            leaves = ~undecided
+            _write_lines(
+                config,
+                texts,
+                owner[leaves],
+                _bounds(lo[leaves], hi[leaves]),
+                status[leaves],
+                (density[0][leaves], density[1][leaves]),
             )
-            for c in np.flatnonzero(stop).tolist():
-                failures = _bounds(lo[:0], hi[:0])
-                if n_open[c]:
-                    failures = _open_boxes(splits, undecided & (owner == c), lo, hi)
-                if logs:
-                    nan = np.full(len(failures), np.nan)
-                    cell, failed = np.full(len(failures), c), np.full(len(failures), _UNDECIDED)
-                    _write_lines(config, logs, cell, failures, failed, (nan, nan))
-                    logs[c].close()
-                records[c] = {
-                    "cell": indices[c],
-                    "proven": int(proven[c]),
-                    "pruned": int(pruned[c]),
-                    "processed": int(processed[c]),
-                    "max_depth": depth,
-                    "failures": failures.tolist(),
-                }
-            live &= ~stop
-            if not live.any():
-                return records
-            split = undecided & live[owner]
-            splits.append(split)
-            lo, hi = _split_box(lo[split], hi[split])
-            owner = np.repeat(owner[split], 2)
-            depth += 1
+        n_open = np.bincount(owner[undecided], minlength=n)
+        stop = live & (
+            (n_open == 0) | (depth >= max_depth) | (processed + 2 * n_open > max_boxes)
+        )
+        for c in np.flatnonzero(stop).tolist():
+            failures = _bounds(lo[:0], hi[:0])
+            if n_open[c]:
+                failures = _open_boxes(splits, undecided & (owner == c), lo, hi)
+            if with_certificate:
+                nan = np.full(len(failures), np.nan)
+                cell, failed = np.full(len(failures), c), np.full(len(failures), _UNDECIDED)
+                _write_lines(config, texts, cell, failures, failed, (nan, nan))
+            record = {
+                "cell": indices[c],
+                "proven": int(proven[c]),
+                "pruned": int(pruned[c]),
+                "processed": int(processed[c]),
+                "max_depth": depth,
+                "failures": failures.tolist(),
+            }
+            results[c] = (record, "".join(texts[c]))
+            texts[c] = None
+        live &= ~stop
+        if not live.any():
+            return results
+        split = undecided & live[owner]
+        splits.append(split)
+        lo, hi = _split_box(lo[split], hi[split])
+        owner = np.repeat(owner[split], 2)
+        depth += 1
 
 
 def _checkpoint_header(config, b_d, lambda_range, budget) -> str:
@@ -734,7 +734,13 @@ def prove_case(
     other file there is replaced. `certificate`, when given a writable text
     stream, receives one line per processed leaf box, cell after cell as they
     are taken, plus a summary; a certified run writes its checkpoint afresh,
-    since skipped cells would write no box lines."""
+    since skipped cells would write no box lines. Workers return each cell's
+    text with its record, so this function is the only writer of either file;
+    a group's text, at most _GROUP_CELLS cells' share of the certificate, is
+    held until the group returns. A non-finite `b_d` or a bad `lambda_range`
+    (make_root_box) raises ValueError before any file is opened."""
+    if not math.isfinite(b_d):
+        raise ValueError(f"bound must be finite, got {b_d!r}")
     budget = budget or ProverBudget()
     cells = _partition_cells(make_root_box(config, lambda_range), budget.cells)
     per_cell_budget = max(1, math.ceil(budget.max_boxes / len(cells)))
@@ -743,8 +749,7 @@ def prove_case(
     done: dict = {}
     if checkpoint and certificate is None and os.path.exists(checkpoint):
         done = _read_checkpoint(checkpoint, header, len(cells), config.arity)
-    # On any exit, the pool is stopped, the cell logs are removed and the
-    # checkpoint is closed.
+    # On any exit, the pool is stopped and the checkpoint is closed.
     with ExitStack() as stack:
         ck = None
         if checkpoint:
@@ -755,12 +760,6 @@ def prove_case(
                 ck.flush()
         # Contiguous groups of the pending cells, two or more per worker.
         pending = [i for i in range(len(cells)) if i not in done]
-        logs = {}
-        if certificate is not None:
-            cert_dir = stack.enter_context(
-                tempfile.TemporaryDirectory(prefix="diskpack-cert-")
-            )
-            logs = {i: os.path.join(cert_dir, f"cell{i:06d}.log") for i in pending}
         size = min(_GROUP_CELLS, math.ceil(len(pending) / (2 * max(1, workers)))) or 1
         tasks = [
             (
@@ -770,7 +769,7 @@ def prove_case(
                 b_d,
                 budget.max_depth,
                 per_cell_budget,
-                [logs[i] for i in group] if logs else None,
+                certificate is not None,
             )
             for group in (pending[k : k + size] for k in range(0, len(pending), size))
         ]
@@ -783,16 +782,14 @@ def prove_case(
             results = pool.imap(_run_cell, tasks)
         # Groups are consumed in cell order, so the checkpoint and the
         # certificate are the same whatever the workers and their timing.
-        for recs in results:
-            for rec in recs:
+        for group in results:
+            for rec, text in group:
                 done[rec["cell"]] = rec
                 if ck:
                     ck.write(json.dumps(rec) + "\n")
                     ck.flush()
-                if logs:
-                    with open(logs[rec["cell"]], "r", encoding="utf-8") as fh:
-                        shutil.copyfileobj(fh, certificate)
-                    os.unlink(logs[rec["cell"]])
+                if certificate is not None:
+                    certificate.write(text)
 
     report = ProofReport(config=config, bound=b_d)
     for idx in sorted(done):

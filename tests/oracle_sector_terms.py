@@ -337,8 +337,9 @@ def largest_open(node: Node) -> List[Node]:
 def run_cell(task) -> dict:
     """Branch and bound over one cell, one box at a time. `task` is (index,
     config, cell, b_d, max_depth, max_boxes, cert_path), and the
-    result is the cell's record as `prover._run_cell` returns it in the
-    records of the cell's group.
+    result is the cell's record as `prover._run_cell` returns it for the
+    cell's group; the lines written to cert_path are the cell's certificate
+    text that comes with that record.
 
     The search tree is built level by level. Every open box of a level is
     split while the depth is below max_depth and the two halves of each keep

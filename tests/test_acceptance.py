@@ -460,6 +460,10 @@ FULL_COUNTS = {
     "T8/outer": (4946, 3685),
     "T8/inner": (7582, 4564),
 }
+# The certificate of that run: one line per leaf box and one SUMMARY line per
+# configuration, the same bytes for any worker count.
+FULL_CERTIFICATE_LINES = 103_792
+FULL_CERTIFICATE_SHA256 = "7f056c587f937e463f608ca05be4f53e491c49d25d701f965204a5a0f48791a2"
 
 
 @pytest.mark.parametrize(
@@ -467,12 +471,15 @@ FULL_COUNTS = {
     [([], 0.99), (["--lambda-max", "1"], 1.0)],
     ids=["default", "lambda-max-1"],
 )
-def test_criterion_10_full_reproduction_certifies(capsys, flags, lambda_max):
+def test_criterion_10_full_reproduction_certifies(tmp_path, capsys, flags, lambda_max):
     """The full reproduction: `diskpack prove --case all` at default flags,
     and with lambda up to 1, certifies the bound on all 14 configurations
-    with no unresolved box; at default flags, with the pinned box counts."""
+    with no unresolved box; at default flags, with the pinned box counts and
+    the pinned bytes of its certificate."""
     with criterion(10, f"full reproduction certifies on lambda [0.5, {lambda_max}]"):
-        code = main(["prove", "--case", "all", *flags])
+        cert = tmp_path / "full.txt"
+        certify = [] if flags else ["--certificate", os.fspath(cert)]
+        code = main(["prove", "--case", "all", *flags, *certify])
         captured = capsys.readouterr()
         summaries = [line for line in captured.out.splitlines() if line.startswith("SUMMARY ")]
         configs = [c for tag in ConfigTag for c in certified_configs(tag)]
@@ -491,6 +498,9 @@ def test_criterion_10_full_reproduction_certifies(capsys, flags, lambda_max):
                 for line, cfg in zip(summaries, configs)
             }
             assert counts == FULL_COUNTS
+            data = cert.read_bytes()
+            assert data.count(b"\n") == FULL_CERTIFICATE_LINES
+            assert hashlib.sha256(data).hexdigest() == FULL_CERTIFICATE_SHA256
         assert "unresolved" not in captured.err
         assert code == 0
 

@@ -552,18 +552,31 @@ def test_cli_prove_refuses_a_certificate_at_a_checkpoint_path(
     "args",
     [
         pytest.param(["--lambda-min", "0.7", "--lambda-max", "0.6"], id="empty-lambda-range"),
+        pytest.param(["--lambda-max", "nan"], id="nan-lambda-max"),
+        pytest.param(["--lambda-min", "nan"], id="nan-lambda-min"),
+        # A small budget, so that a run that is not refused ends quickly.
+        pytest.param(["--bound", "nan", "--lambda-max", "0.51", "--max-boxes", "2000"],
+                     id="nan-bound"),
+        pytest.param(["--bound", "inf", "--lambda-max", "0.51", "--max-boxes", "2000"],
+                     id="infinite-bound"),
     ],
 )
 def test_cli_prove_refused_run_leaves_no_certificate(tmp_path, capsys, args):
+    """A refused run exits 1 and leaves the checkpoint of an earlier run as
+    it was, and neither the certificate nor its .part file."""
     ck = os.fspath(tmp_path / "ck.jsonl")
     base = ["prove", "--case", "T1", "--bound", "0.3", "--cells", "4", "--checkpoint", ck]
     assert run_cli(base + ["--lambda-max", "0.51"], capsys=capsys)[0] == 0
+    with open(ck + ".T1.outer", "rb") as fh:
+        before = fh.read()
     cert = os.fspath(tmp_path / "new.cert")
     code, out, err = run_cli(base + args + ["--certificate", cert], capsys=capsys)
     assert code == 1
     assert err.startswith("error: ")
     assert "SUMMARY" not in out
     assert sorted(os.listdir(tmp_path)) == ["ck.jsonl.T1.outer"]
+    with open(ck + ".T1.outer", "rb") as fh:
+        assert fh.read() == before
 
 
 def test_cli_prove_interrupted_run_leaves_the_certificate_as_it_was(

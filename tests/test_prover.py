@@ -206,6 +206,19 @@ def test_make_root_box_respects_limits():
     assert lo[0, 1:].tolist() == [0.0] * 3 and hi[0, 1:].tolist() == [0.5] * 3
     with pytest.raises(ValueError):
         make_root_box(T1_OUT, (0.7, 0.6))
+    lo, hi = make_root_box(T1_OUT, (-math.inf, math.inf))
+    assert (lo[0, 0], hi[0, 0]) == (0.0, 0.5)
+    for lambda_range in ((0.5, math.nan), (math.nan, 0.99), (math.nan, math.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            make_root_box(T1_OUT, lambda_range)
+
+
+@pytest.mark.parametrize("b_d", [math.nan, math.inf, -math.inf])
+def test_prove_case_refuses_a_non_finite_bound_before_opening_a_file(tmp_path, b_d):
+    ck = tmp_path / "ck.jsonl"
+    with pytest.raises(ValueError, match="bound must be finite"):
+        prove_case(T1_OUT, lambda_range=(0.5, 0.51), b_d=b_d, checkpoint=os.fspath(ck))
+    assert not ck.exists()
 
 
 def test_split_box_halves_widest():
@@ -270,7 +283,8 @@ def test_prove_case_canary_never_proves_a_falsehood():
 
 def test_prove_case_empty_domain_all_pruned():
     cell = [0.5, 0.5, 0.6, 0.62, 0.0, 0.2]  # 2*rho1 > 1 throughout
-    (rec,) = _run_cell(([0], T2_OUT, [cell], 0.5642, 60, 1000, None))
+    ((rec, text),) = _run_cell(([0], T2_OUT, [cell], 0.5642, 60, 1000, False))
+    assert text == ""
     assert rec["proven"] == 0
     assert not rec["failures"]
     assert rec["pruned"] > 0
@@ -601,10 +615,13 @@ def test_pool_has_no_more_processes_than_groups(monkeypatch, workers, pool):
     assert rep == prove_case(T1_OUT, **run)
 
 
-def test_interrupted_certified_run_leaves_no_cell_logs(tmp_path, monkeypatch):
-    """A run stopped in its second group of cells removes its cell logs and
-    leaves a checkpoint with the header and the first group's records, which
-    a plain rerun finishes by running the other cells only."""
+def test_interrupted_certified_run_creates_no_file_but_its_checkpoint(
+    tmp_path, monkeypatch
+):
+    """A certified run stopped in its second group of cells has created no
+    file but its checkpoint, not even a temporary one, and leaves it with the
+    header and the first group's records, which a plain rerun finishes by
+    running the other cells only."""
     monkeypatch.setattr(tempfile, "tempdir", os.fspath(tmp_path))
     ck = os.fspath(tmp_path / "t1.jsonl")
     run = {"lambda_range": (0.5, 0.505), "budget": ProverBudget(cells=4)}
@@ -616,10 +633,18 @@ def test_interrupted_certified_run_leaves_no_cell_logs(tmp_path, monkeypatch):
         ran.append(task[0])
         return _run_cell(task)
 
+    opened = []
+
+    def spy_open(path, *args, **kwargs):
+        opened.append(os.fspath(path))
+        return open(path, *args, **kwargs)
+
     monkeypatch.setattr(prover, "_run_cell", run_cell)
+    monkeypatch.setattr(prover, "open", spy_open, raising=False)
     with pytest.raises(KeyboardInterrupt):
         prove_case(T1_OUT, **run, checkpoint=ck, certificate=io.StringIO())
     assert ran == [[0, 1]]
+    assert opened == [ck]
     assert os.listdir(tmp_path) == ["t1.jsonl"]
     with open(ck, encoding="utf-8") as fh:
         lines = [json.loads(line) for line in fh]
@@ -743,9 +768,9 @@ def _hand_built_rows(arity):
 
 def _lines(cfg, rows, status, density):
     """The lines _write_lines appends for rows that all belong to one cell."""
-    log = io.StringIO()
-    prover._write_lines(cfg, [log], np.zeros(len(rows), dtype=int), rows, status, density)
-    return log.getvalue().splitlines(keepends=True)
+    texts = [[]]
+    prover._write_lines(cfg, texts, np.zeros(len(rows), dtype=int), rows, status, density)
+    return "".join(texts[0]).splitlines(keepends=True)
 
 
 @pytest.mark.parametrize("cfg", [T1_OUT, T7_IN], ids=["arity2", "arity3"])
@@ -770,20 +795,11 @@ def test_certificate_lines_equal_the_per_line_oracle(cfg):
     assert failed == [box_line(cfg, row, "failed") for row in rows]
 
 
-class _CountingLog(io.StringIO):
-    def __init__(self):
-        super().__init__()
-        self.writes = 0
-
-    def write(self, text):
-        self.writes += 1
-        return super().write(text)
-
-
 def test_certificate_lines_go_to_their_cells_one_write_per_slice(monkeypatch):
-    """Rows of three cells, cut into slices of 7 rows: each log gets its own
-    rows' lines in order, with one write per slice that holds its rows, and
-    the text does not depend on the slicing. No rows write nothing."""
+    """Rows of three cells, cut into slices of 7 rows: each cell's text gets
+    its own rows' lines in order, with one append per slice that holds its
+    rows, and the text does not depend on the slicing. No rows append
+    nothing."""
     rows = np.array(_hand_built_rows(2)[:20])
     owner = np.repeat([0, 1, 2], [5, 12, 3])
     status = np.full(len(rows), prover._PROVEN)
@@ -793,19 +809,19 @@ def test_certificate_lines_go_to_their_cells_one_write_per_slice(monkeypatch):
          for row, lo, hi, o in zip(rows, *density, owner) if o == c]
         for c in range(3)
     ]
-    for batch_rows, writes in ((2048, [1, 1, 1]), (7, [1, 3, 1])):
+    for batch_rows, appends in ((2048, [1, 1, 1]), (7, [1, 3, 1])):
         monkeypatch.setattr(prover, "_BATCH_ROWS", batch_rows)
-        logs = [_CountingLog() for _ in range(3)]
-        prover._write_lines(T1_OUT, logs, owner, rows, status, density)
-        assert [log.getvalue().splitlines(keepends=True) for log in logs] == want
-        assert [log.writes for log in logs] == writes
-    log = _CountingLog()
+        texts = [[] for _ in range(3)]
+        prover._write_lines(T1_OUT, texts, owner, rows, status, density)
+        assert ["".join(t).splitlines(keepends=True) for t in texts] == want
+        assert [len(t) for t in texts] == appends
+    texts = [[]]
     empty = np.zeros(0)
     prover._write_lines(
-        T1_OUT, [log], np.zeros(0, dtype=int), np.zeros((0, 6)), np.zeros(0, dtype=int),
+        T1_OUT, texts, np.zeros(0, dtype=int), np.zeros((0, 6)), np.zeros(0, dtype=int),
         (empty, empty),
     )
-    assert log.writes == 0
+    assert texts == [[]]
 
 
 _CERT_BOUNDS = re.compile(r"(?:mu|rho\d)=\[([^,\]]+),([^\]]+)\]")

@@ -247,9 +247,10 @@ def test_run_cell_equals_the_level_oracle(tmp_path, max_boxes, max_depth):
     where the budget cuts the search and leaves open boxes to merge, and of
     T1/outer at lambda in [0.5, 0.51], where boxes are proven, certificate
     lines carry a density and some cells finish while the budget cuts the
-    others, each searched as one group: every record and every cell log
-    equals the oracle's search of that cell alone, with max_boxes and
-    max_depth at the edges of the rule that stops a cell between levels."""
+    others, each searched as one group: every record and every cell's
+    certificate text equals the oracle's search of that cell alone, with
+    max_boxes and max_depth at the edges of the rule that stops a cell
+    between levels."""
     t1 = ConfigType(ConfigTag.T1, Orientation.OUTER_FIRST)
     for case, (cfg, lambda_range) in enumerate(
         (
@@ -260,17 +261,13 @@ def test_run_cell_equals_the_level_oracle(tmp_path, max_boxes, max_depth):
     ):
         cells = _partition_cells(make_root_box(cfg, lambda_range), 4)
         indices = list(range(len(cells)))
-        got_paths = [tmp_path / f"got{case}-{i}" for i in indices]
-        got = _run_cell(
-            (indices, cfg, cells, DENSITY_BOUND, max_depth, max_boxes, got_paths)
-        )
-        assert [rec["cell"] for rec in got] == indices
+        got = _run_cell((indices, cfg, cells, DENSITY_BOUND, max_depth, max_boxes, True))
+        assert [rec["cell"] for rec, _ in got] == indices
         for i, cell in enumerate(cells):
             ref_path = tmp_path / f"ref{case}-{i}"
             ref = oracle.run_cell(
                 (i, cfg, cell, DENSITY_BOUND, max_depth, max_boxes, str(ref_path))
             )
-            assert json.dumps(got[i]) == json.dumps(ref)
-            assert got_paths[i].read_text(encoding="utf-8") == ref_path.read_text(
-                encoding="utf-8"
-            )
+            rec, text = got[i]
+            assert json.dumps(rec) == json.dumps(ref)
+            assert text == ref_path.read_text(encoding="utf-8")
