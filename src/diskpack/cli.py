@@ -305,14 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pr.add_argument(
         "--checkpoint", default=None,
-        help="record each finished cell in the JSONL file PATH.<tag>.<orient>; "
-        "a file there with this run's header is resumed, any other is replaced",
+        help="record each finished cell in the JSONL file PATH.<tag>.<orient>, "
+        "which every run writes afresh",
     )
     pr.add_argument(
         "--certificate", default=None,
         help="write one line per leaf box and a summary per configuration; "
-        "the run then writes its checkpoints afresh, and PATH is replaced only "
-        "when the run finishes",
+        "PATH is replaced only when the run finishes",
     )
     pr.set_defaults(func=_cmd_prove)
     return ap

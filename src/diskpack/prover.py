@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
-import os
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from enum import Enum
@@ -71,10 +70,10 @@ __all__ = [
 
 DENSITY_BOUND = 0.5642
 LAMBDA_MAX = 0.99
-# Version of the box evaluation, written into checkpoint headers so that a
-# resume never mixes verdicts of two evaluators. Change it with any change
-# to the evaluation that could move a verdict, or to the split rule, which
-# fixes the cells.
+# Version of the box evaluation, written into checkpoint headers as a record
+# of which evaluator wrote the file. Change it with any change to the
+# evaluation that could move a verdict, or to the split rule, which fixes the
+# cells.
 EVALUATOR_VERSION = "mu-rho-2"
 
 class ConfigTag(Enum):
@@ -629,13 +628,15 @@ def _run_cell(task) -> List[Tuple[dict, str]]:
         depth += 1
 
 
-def _checkpoint_header(config, b_d, lambda_range, budget) -> str:
-    """The checkpoint's first line: the run's parameters."""
+def _checkpoint_header(config, b_d, root, budget) -> str:
+    """The checkpoint's first line: the run's parameters. The lambda range is
+    the clipped one that the root (lo, hi) searches, read back as 1 - mu,
+    which returns each end in [0.5, 1] exactly."""
     header = {
         "case": config.tag.value,
         "orient": config.orientation.value,
         "bound": b_d,
-        "lambda": list(lambda_range),
+        "lambda": [1.0 - float(root[1][0, 0]), 1.0 - float(root[0][0, 0])],
         "cells": budget.cells,
         "max_depth": budget.max_depth,
         "max_boxes": budget.max_boxes,
@@ -643,73 +644,6 @@ def _checkpoint_header(config, b_d, lambda_range, budget) -> str:
         "box": _coordinates(config),
     }
     return json.dumps({"header": header}) + "\n"
-
-
-def _check_record(rec, n_cells: int, row_len: int, done: dict) -> None:
-    """Raise ValueError unless `rec` is the record of a cell in [0, n_cells)
-    that is not in `done`, with integer counts and its failures as bound rows
-    of `row_len` finite floats."""
-    if not isinstance(rec, dict):
-        raise ValueError(f"record is not an object: {rec!r}")
-    cell = rec.get("cell")
-    if type(cell) is not int or not 0 <= cell < n_cells or cell in done:
-        raise ValueError(f"record has a bad or repeated cell index: {cell!r}")
-    for key in ("proven", "pruned", "processed", "max_depth"):
-        if type(rec.get(key)) is not int:
-            raise ValueError(f"record of cell {cell} has no integer {key!r}")
-    rows = rec.get("failures")
-    if not isinstance(rows, list) or not all(
-        type(row) is list
-        and len(row) == row_len
-        and all(type(x) is float and math.isfinite(x) for x in row)
-        for row in rows
-    ):
-        raise ValueError(
-            f"record of cell {cell} needs failures as rows of "
-            f"{row_len} finite floats"
-        )
-
-
-def _read_checkpoint(path: str, header: str, n_cells: int, arity: int) -> dict:
-    """Records of the finished cells in a checkpoint, by cell index; none
-    when its first line is not the run's `header` line.
-
-    Every other line must be a well-formed UTF-8 record (_check_record): a
-    bad one raises ValueError, and a line that is not JSON a json.JSONDecodeError,
-    each naming the file and the line. A last line without its newline is
-    the tail of a write that was cut off: it is dropped, and the file is cut
-    back to its last complete line so that appended records start on a line
-    of their own."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(header.encode()):
-        return {}
-    complete = data.rfind(b"\n") + 1
-    try:
-        text = data[:complete].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        number = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"checkpoint {path} line {number}: record is not UTF-8") from None
-    lines = text.splitlines(keepends=True)
-    done: dict = {}
-    pos = len(lines[0])
-    for number, line in enumerate(lines[1:], start=2):
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            # Line and column counted in the whole file.
-            raise json.JSONDecodeError(
-                f"checkpoint {path}: {exc.msg}", text, pos + exc.pos
-            ) from None
-        try:
-            _check_record(rec, n_cells, 2 + 2 * arity, done)
-        except ValueError as exc:
-            raise ValueError(f"checkpoint {path} line {number}: {exc}") from None
-        done[rec["cell"]] = rec
-        pos += len(line)
-    if complete < len(data):
-        os.truncate(path, complete)
-    return done
 
 
 def prove_case(
@@ -723,55 +657,48 @@ def prove_case(
 ) -> ProofReport:
     """Certify density >= b_d for one configuration over its admissible domain.
 
-    The verdict set is deterministic and independent of `workers`. The
-    pending cells run in contiguous groups of ceil(pending / (2 * workers))
-    cells, at most _GROUP_CELLS, and their results are taken in cell order:
-    a group's results wait for every earlier group. With `checkpoint`, each
-    cell's record is appended to a JSONL file as it is taken, after a header
-    line holding the run's parameters. A file already at that path whose
-    first line is this run's header holds records this run would write, so
-    its finished cells are read back and skipped (_read_checkpoint); any
-    other file there is replaced. `certificate`, when given a writable text
-    stream, receives one line per processed leaf box, cell after cell as they
-    are taken, plus a summary; a certified run writes its checkpoint afresh,
-    since skipped cells would write no box lines. Workers return each cell's
-    text with its record, so this function is the only writer of either file;
-    a group's text, at most _GROUP_CELLS cells' share of the certificate, is
-    held until the group returns. A non-finite `b_d` or a bad `lambda_range`
-    (make_root_box) raises ValueError before any file is opened."""
+    The verdict set is deterministic and independent of `workers`. The cells
+    run in contiguous groups of ceil(cells / (2 * workers)) cells, at most
+    _GROUP_CELLS, and their results are taken in cell order: a group's
+    results wait for every earlier group. With `checkpoint`, the file at that
+    path is replaced by a header line holding the run's parameters, then each
+    cell's record, appended and flushed as it is taken. `certificate`, when
+    given a writable text stream, receives one line per processed leaf box,
+    cell after cell as they are taken, plus a summary. Workers return each
+    cell's text with its record, so this function is the only writer of
+    either file; a group's text, at most _GROUP_CELLS cells' share of the
+    certificate, is held until the group returns. A non-finite `b_d` or a bad
+    `lambda_range` (make_root_box) raises ValueError before any file is
+    opened."""
     if not math.isfinite(b_d):
         raise ValueError(f"bound must be finite, got {b_d!r}")
     budget = budget or ProverBudget()
-    cells = _partition_cells(make_root_box(config, lambda_range), budget.cells)
+    root = make_root_box(config, lambda_range)
+    cells = _partition_cells(root, budget.cells)
     per_cell_budget = max(1, math.ceil(budget.max_boxes / len(cells)))
 
-    header = _checkpoint_header(config, b_d, lambda_range, budget)
-    done: dict = {}
-    if checkpoint and certificate is None and os.path.exists(checkpoint):
-        done = _read_checkpoint(checkpoint, header, len(cells), config.arity)
+    report = ProofReport(config=config, bound=b_d)
     # On any exit, the pool is stopped and the checkpoint is closed.
     with ExitStack() as stack:
         ck = None
         if checkpoint:
-            mode = "a" if done else "w"
-            ck = stack.enter_context(open(checkpoint, mode, encoding="utf-8"))
-            if mode == "w":
-                ck.write(header)
-                ck.flush()
-        # Contiguous groups of the pending cells, two or more per worker.
-        pending = [i for i in range(len(cells)) if i not in done]
-        size = min(_GROUP_CELLS, math.ceil(len(pending) / (2 * max(1, workers)))) or 1
+            ck = stack.enter_context(open(checkpoint, "w", encoding="utf-8"))
+            ck.write(_checkpoint_header(config, b_d, root, budget))
+            ck.flush()
+        # Contiguous groups of cells, two or more per worker.
+        indices = list(range(len(cells)))
+        size = min(_GROUP_CELLS, math.ceil(len(cells) / (2 * max(1, workers))))
         tasks = [
             (
-                group,
+                indices[k : k + size],
                 config,
-                [cells[i] for i in group],
+                cells[k : k + size],
                 b_d,
                 budget.max_depth,
                 per_cell_budget,
                 certificate is not None,
             )
-            for group in (pending[k : k + size] for k in range(0, len(pending), size))
+            for k in range(0, len(cells), size)
         ]
         if workers <= 1 or len(tasks) <= 1:
             results = map(_run_cell, tasks)
@@ -780,25 +707,21 @@ def prove_case(
             ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
             pool = stack.enter_context(ctx.Pool(processes=min(workers, len(tasks))))
             results = pool.imap(_run_cell, tasks)
-        # Groups are consumed in cell order, so the checkpoint and the
-        # certificate are the same whatever the workers and their timing.
+        # Groups are consumed in cell order, so the checkpoint, the
+        # certificate and the report are the same whatever the workers and
+        # their timing.
         for group in results:
             for rec, text in group:
-                done[rec["cell"]] = rec
                 if ck:
                     ck.write(json.dumps(rec) + "\n")
                     ck.flush()
                 if certificate is not None:
                     certificate.write(text)
-
-    report = ProofReport(config=config, bound=b_d)
-    for idx in sorted(done):
-        rec = done[idx]
-        report.boxes_proven += rec["proven"]
-        report.boxes_pruned_infeasible += rec["pruned"]
-        report.boxes_processed += rec["processed"]
-        report.max_depth = max(report.max_depth, rec["max_depth"])
-        report.failures += rec["failures"]
+                report.boxes_proven += rec["proven"]
+                report.boxes_pruned_infeasible += rec["pruned"]
+                report.boxes_processed += rec["processed"]
+                report.max_depth = max(report.max_depth, rec["max_depth"])
+                report.failures += rec["failures"]
     if certificate is not None:
         certificate.write(report.summary_line() + "\n")
     return report

@@ -429,12 +429,12 @@ def test_cli_prove_small_run_and_exit_codes(tmp_path, capsys, monkeypatch):
     assert os.path.exists(cert) and not os.path.exists(ck)
     cert_text = open(cert, encoding="utf-8").read()
     assert "VERDICT proven" in cert_text
-    # A rerun over the finished checkpoint re-reports without running a cell.
+    # A plain rerun runs every cell and writes the same file and SUMMARY.
     written = _read_bytes(ck + ".T1.outer")
     groups = _spy_run_cell(monkeypatch)
     code, out2, _ = run_cli(args, capsys=capsys)
     assert code == 0
-    assert groups == []
+    assert sorted(i for group in groups for i in group) == list(range(8))
     assert _read_bytes(ck + ".T1.outer") == written
     line = [l for l in out.splitlines() if l.startswith("SUMMARY")][0]
     line2 = [l for l in out2.splitlines() if l.startswith("SUMMARY")][0]
@@ -482,7 +482,8 @@ def test_cli_prove_names_a_checkpoint_per_configuration(tmp_path, capsys, monkey
     assert os.path.exists(ck + ".T6.outer") and os.path.exists(ck + ".T6.inner")
     assert not os.path.exists(ck)
     # A single configuration's checkpoint has the same name, so `--case all`
-    # over the same PATH reuses T1/outer's file and runs every other one.
+    # over the same PATH rewrites T1/outer's file, with the same bytes, and
+    # runs every cell of every configuration.
     args = ["prove", "--bound", "0.3", "--lambda-max", "0.505", "--cells", "4",
             "--checkpoint", ck]
     assert run_cli(args + ["--case", "T1"], capsys=capsys)[0] == 0
@@ -491,7 +492,7 @@ def test_cli_prove_names_a_checkpoint_per_configuration(tmp_path, capsys, monkey
     code, out, _ = run_cli(args, capsys=capsys)
     assert code == 0
     assert len([l for l in out.splitlines() if l.startswith("SUMMARY")]) == 14
-    assert sum(map(len, groups)) == 13 * 4
+    assert sum(map(len, groups)) == 14 * 4
     assert _read_bytes(ck + ".T1.outer") == written
 
 
@@ -667,7 +668,9 @@ def _record(line, **changes):
         pytest.param(lambda lines: lines[:2] + ["\udcff\n"] + lines[3:], id="not-utf-8"),
     ],
 )
-def test_cli_prove_refuses_a_malformed_checkpoint(tmp_path, capsys, edit):
+def test_cli_prove_replaces_a_malformed_checkpoint(tmp_path, capsys, edit):
+    """A checkpoint with a malformed record is never read: the run exits 0
+    and leaves the file of a run over no checkpoint."""
     ck = os.fspath(tmp_path / "ck.jsonl")
     args = ["prove", "--case", "T1", "--bound", "0.3", "--lambda-max", "0.51",
             "--cells", "4", "--checkpoint", ck]
@@ -677,24 +680,6 @@ def test_cli_prove_refuses_a_malformed_checkpoint(tmp_path, capsys, edit):
     with open(ck + ".T1.outer", "w", encoding="utf-8", errors="surrogateescape") as fh:
         fh.writelines(edit(lines))
     code, out, err = run_cli(args, capsys=capsys)
-    assert code == 1
-    assert err.startswith("error: ") and "checkpoint" in err
-    assert "SUMMARY" not in out
-
-
-def test_cli_prove_names_the_file_and_line_of_a_bad_record(tmp_path, capsys):
-    """With two configurations, each with its own checkpoint, a bad record
-    in the second is reported with that file's path and the record's line."""
-    ck = os.fspath(tmp_path / "ck")
-    args = ["prove", "--case", "T2", "--bound", "0.3", "--lambda-max", "0.51",
-            "--cells", "4", "--checkpoint", ck]
-    assert run_cli(args, capsys=capsys)[0] == 0
-    with open(ck + ".T2.inner", "a", encoding="utf-8") as fh:
-        fh.write("[1, 2]\n")
-    code, out, err = run_cli(args, capsys=capsys)
-    assert code == 1
-    assert "SUMMARY case=T2 orient=outer" in out
-    assert "orient=inner" not in out
-    assert err == (
-        f"error: checkpoint {ck}.T2.inner line 6: record is not an object: [1, 2]\n"
-    )
+    assert (code, err) == (0, "")
+    assert "SUMMARY case=T1 orient=outer" in out
+    assert _read_bytes(ck + ".T1.outer") == "".join(lines).encode()

@@ -424,39 +424,6 @@ def _read_bytes(path):
         return fh.read()
 
 
-def test_rerun_over_a_finished_checkpoint_runs_no_cell(tmp_path, monkeypatch):
-    ck = os.fspath(tmp_path / "t1.jsonl")
-    run = {"lambda_range": (0.5, 0.51), "budget": ProverBudget(cells=8)}
-    full = prove_case(T1_OUT, **run)
-    first = prove_case(T1_OUT, **run, checkpoint=ck)
-    assert first == full
-    written = _read_bytes(ck)
-    groups = _spy_run_cell(monkeypatch)
-    again = prove_case(T1_OUT, **run, checkpoint=ck)
-    assert groups == []
-    assert again == first
-    assert _read_bytes(ck) == written
-
-
-def _rerun_replaces(ck, run, monkeypatch, tmp_path):
-    """Run `run` over the checkpoint at `ck` and check that it reused no
-    record: every cell ran, and the report and the file at `ck` are those of
-    a run over no checkpoint."""
-    groups = _spy_run_cell(monkeypatch)
-    rep = prove_case(T1_OUT, **run, checkpoint=ck)
-    assert sorted(i for group in groups for i in group) == list(range(run["budget"].cells))
-    fresh = os.fspath(tmp_path / "fresh.jsonl")
-    assert rep == prove_case(T1_OUT, **run, checkpoint=fresh)
-    assert _read_bytes(ck) == _read_bytes(fresh)
-
-
-def test_checkpoint_of_another_lambda_range_is_replaced(tmp_path, monkeypatch):
-    ck = os.fspath(tmp_path / "t1.jsonl")
-    prove_case(T1_OUT, lambda_range=(0.5, 0.505), budget=ProverBudget(cells=4), checkpoint=ck)
-    run = {"lambda_range": (0.5, 0.51), "budget": ProverBudget(cells=4)}
-    _rerun_replaces(ck, run, monkeypatch, tmp_path)
-
-
 # A bound far below the true one certifies in a few hundred boxes, which is
 # all the checkpoint tests below need.
 WEAK = {"lambda_range": (0.5, 0.6), "b_d": 0.3}
@@ -466,120 +433,107 @@ def _record(line, **changes):
     return json.dumps({**json.loads(line), **changes}) + "\n"
 
 
-@pytest.mark.parametrize("evaluator", [None, "scalar-0", "levels-1", "levels-2", "mu-rho-1"])
-def test_checkpoint_of_another_evaluator_is_replaced(tmp_path, monkeypatch, evaluator):
-    """A checkpoint whose header names another evaluator, or none, has its
-    records ignored, even records this evaluator could not have written."""
-    ck = os.fspath(tmp_path / "t1.jsonl")
-    budget = ProverBudget(cells=4)
-    prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck)
-    with open(ck, encoding="utf-8") as fh:
-        lines = fh.read().splitlines(keepends=True)
-    header = json.loads(lines[0])
-    assert header["header"]["evaluator"] == EVALUATOR_VERSION
-    if evaluator is None:
-        del header["header"]["evaluator"]
-    else:
-        header["header"]["evaluator"] = evaluator
-    with open(ck, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header) + "\n" + _record(lines[1], proven=10**9) + lines[2])
-    _rerun_replaces(ck, {**WEAK, "budget": budget}, monkeypatch, tmp_path)
+def _header_with(line, **changes):
+    """The header line `line` with `changes` to its fields; a change to None
+    deletes the field."""
+    header = json.loads(line)["header"]
+    header.update(changes)
+    header = {key: value for key, value in header.items() if value is not None}
+    return json.dumps({"header": header}).encode() + b"\n"
 
 
-@pytest.mark.parametrize(
-    "first_line",
-    [
-        pytest.param(b"not json\n", id="not-json"),
-        pytest.param(b"\xff\xfe\n", id="not-utf-8"),
-        pytest.param(b"", id="no-header"),
-        pytest.param(None, id="header-without-newline"),
-    ],
-)
-def test_checkpoint_without_this_runs_header_is_replaced(tmp_path, monkeypatch, first_line):
-    """The first line alone decides: the records after a first line that is
-    not this run's header are never parsed, so even a torn header or a first
-    line that is not text leaves a checkpoint that is simply written anew."""
-    ck = os.fspath(tmp_path / "t1.jsonl")
-    budget = ProverBudget(cells=4)
-    prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck)
-    lines = _read_bytes(ck).splitlines(keepends=True)
-    if first_line is None:
-        first_line = lines[0][:-1]
-    with open(ck, "wb") as fh:
-        fh.write(first_line + b"".join(lines[1:]) + b"[1, 2]\n")
-    _rerun_replaces(ck, {**WEAK, "budget": budget}, monkeypatch, tmp_path)
+def _of_evaluator(evaluator):
+    """A planted file: a finished checkpoint whose header names `evaluator`
+    (none for None), with a record this evaluator could not have written."""
+    return lambda lines: [
+        _header_with(lines[0], evaluator=evaluator),
+        _record(lines[1], proven=10**9).encode(),
+        *lines[2:],
+    ]
 
 
-def test_checkpoint_resume_after_torn_last_line(tmp_path, monkeypatch):
-    ck = os.fspath(tmp_path / "t1.jsonl")
-    budget = ProverBudget(cells=8)
-    full = prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck)
-    written = _read_bytes(ck)
-    with open(ck, encoding="utf-8") as fh:
-        lines = fh.read().splitlines(keepends=True)
+# Files planted at the checkpoint path, each made from the lines (bytes) of
+# the checkpoint of a run over no file, and whether the run writes a
+# certificate. The files whose first line is no header end in a `[1, 2]` record.
+_PLANTED = [
+    pytest.param(lambda lines: lines, False, id="finished"),
+    pytest.param(
+        lambda lines: [_header_with(lines[0], **{"lambda": [0.5, 0.505]})] + lines[1:],
+        False,
+        id="another-lambda-range",
+    ),
+    *(
+        pytest.param(_of_evaluator(evaluator), False, id=f"evaluator-{evaluator}")
+        for evaluator in (None, "scalar-0", "levels-1", "levels-2", "mu-rho-1")
+    ),
+    pytest.param(lambda lines: lines[1:] + [b"[1, 2]\n"], False, id="no-header"),
+    pytest.param(
+        lambda lines: [lines[0][:-1]] + lines[1:] + [b"[1, 2]\n"],
+        False,
+        id="header-without-newline",
+    ),
+    pytest.param(
+        lambda lines: [b"not json\n"] + lines[1:] + [b"[1, 2]\n"], False, id="first-line-not-json"
+    ),
+    pytest.param(
+        lambda lines: [b"\xff\xfe\n"] + lines[1:] + [b"[1, 2]\n"],
+        False,
+        id="first-line-not-utf-8",
+    ),
     # A run killed while writing its fourth cell record.
-    with open(ck, "w", encoding="utf-8") as fh:
-        fh.write("".join(lines[:4]) + lines[4][: len(lines[4]) // 2])
+    pytest.param(
+        lambda lines: lines[:4] + [lines[4][: len(lines[4]) // 2]], False, id="torn-last-line"
+    ),
+    pytest.param(
+        lambda lines: lines[:2] + [lines[2][:10] + b"\n"] + lines[3:], False, id="malformed-record"
+    ),
+    pytest.param(
+        lambda lines: lines[:2] + [b"not json\n"] + lines[3:], False, id="record-not-json"
+    ),
+    pytest.param(lambda lines: lines[:4] + [b"[1, 2]\n"], True, id="certified-over-three-records"),
+]
+
+
+@pytest.mark.parametrize("plant, certified", _PLANTED)
+def test_checkpoint_path_is_always_written_afresh(tmp_path, monkeypatch, plant, certified):
+    """Whatever file is at the checkpoint path, a run reads none of it: every
+    cell runs, and the report, the file it leaves and the certificate are
+    those of a run over no file."""
+    run = {**WEAK, "budget": ProverBudget(cells=8)}
+    fresh, ck = os.fspath(tmp_path / "fresh.jsonl"), os.fspath(tmp_path / "t1.jsonl")
+    fresh_buf, buf = (io.StringIO(), io.StringIO()) if certified else (None, None)
+    expected = prove_case(T1_OUT, **run, checkpoint=fresh, certificate=fresh_buf)
+    with open(ck, "wb") as fh:
+        fh.writelines(plant(_read_bytes(fresh).splitlines(keepends=True)))
     groups = _spy_run_cell(monkeypatch)
-    resumed = prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck)
-    assert sorted(i for group in groups for i in group) == list(range(3, budget.cells))
-    assert resumed == full
-    assert _read_bytes(ck) == written
-
-
-def test_checkpoint_malformed_inner_line_raises(tmp_path):
-    ck = os.fspath(tmp_path / "t1.jsonl")
-    budget = ProverBudget(cells=4)
-    prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck)
-    with open(ck, encoding="utf-8") as fh:
-        lines = fh.read().splitlines(keepends=True)
-    lines[2] = lines[2][:10] + "\n"
-    with open(ck, "w", encoding="utf-8") as fh:
-        fh.write("".join(lines))
-    with pytest.raises(json.JSONDecodeError):
-        prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck)
-
-
-def test_checkpoint_line_that_is_not_json_names_the_file_and_line(tmp_path):
-    ck = os.fspath(tmp_path / "t1.jsonl")
-    budget = ProverBudget(cells=4)
-    prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck)
-    with open(ck, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    lines[2] = "not json\n"
-    with open(ck, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
-    with pytest.raises(json.JSONDecodeError) as exc:
-        prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck)
-    assert (exc.value.lineno, exc.value.colno) == (3, 1)
-    assert str(exc.value).startswith(f"checkpoint {ck}: Expecting value: line 3 column 1")
-
-
-def test_certified_run_writes_its_checkpoint_afresh(tmp_path, monkeypatch):
-    """A checkpoint with this run's header and three finished cells, one of
-    them malformed, is neither read nor reused by a run with a certificate:
-    every cell runs, and the certificate and the checkpoint are those of a run
-    over no checkpoint."""
-    ck = os.fspath(tmp_path / "t1.jsonl")
-    budget = ProverBudget(cells=8)
-    prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck)
-    with open(ck, encoding="utf-8") as fh:
-        head = fh.readlines()[:4]
-    with open(ck, "w", encoding="utf-8") as fh:
-        fh.writelines(head + ["[1, 2]\n"])
-    buf = io.StringIO()
-    groups = _spy_run_cell(monkeypatch)
-    rep = prove_case(T1_OUT, **WEAK, budget=budget, checkpoint=ck, certificate=buf)
+    assert prove_case(T1_OUT, **run, checkpoint=ck, certificate=buf) == expected
     assert sorted(i for group in groups for i in group) == list(range(8))
-    fresh_buf = io.StringIO()
-    fresh = os.fspath(tmp_path / "fresh.jsonl")
-    assert rep == prove_case(
-        T1_OUT, **WEAK, budget=budget, checkpoint=fresh, certificate=fresh_buf
-    )
-    assert buf.getvalue() == fresh_buf.getvalue()
     assert _read_bytes(ck) == _read_bytes(fresh)
-    leaves = rep.boxes_proven + rep.boxes_pruned_infeasible + len(rep.failures)
-    assert buf.getvalue().count("\n") == leaves + 1
+    if certified:
+        assert buf.getvalue() == fresh_buf.getvalue()
+
+
+def test_checkpoint_header_records_the_lambda_range_searched(tmp_path):
+    """The header holds the clipped lambda range, so an infinite end still
+    makes strict JSON, and runs over the same domain write the same header;
+    each end within [0.5, 1] is written as given."""
+
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    budget = ProverBudget(cells=4)
+    headers = []
+    for lambda_range in ((0.5, math.inf), (0.5, 1.0)):
+        ck = os.fspath(tmp_path / "t1.jsonl")
+        prove_case(T1_OUT, lambda_range=lambda_range, b_d=0.3, budget=budget, checkpoint=ck)
+        headers.append(_read_bytes(ck).splitlines()[0])
+    header = json.loads(headers[0], parse_constant=refuse)["header"]
+    assert (header["lambda"], header["evaluator"]) == ([0.5, 1.0], EVALUATOR_VERSION)
+    assert headers[0] == headers[1]
+    for lambda_range in ((0.5, 0.99), (0.98, 0.99), (0.5, 0.51), (0.5, 0.6), (0.75, 0.75)):
+        root = make_root_box(T1_OUT, lambda_range)
+        header = prover._checkpoint_header(T1_OUT, 0.3, root, budget)
+        assert json.loads(header)["header"]["lambda"] == list(lambda_range)
 
 
 class _FakeContext:
@@ -620,8 +574,8 @@ def test_interrupted_certified_run_creates_no_file_but_its_checkpoint(
 ):
     """A certified run stopped in its second group of cells has created no
     file but its checkpoint, not even a temporary one, and leaves it with the
-    header and the first group's records, which a plain rerun finishes by
-    running the other cells only."""
+    header and the first group's records; a plain rerun runs every cell and
+    leaves the file and the report of an uninterrupted run."""
     monkeypatch.setattr(tempfile, "tempdir", os.fspath(tmp_path))
     ck = os.fspath(tmp_path / "t1.jsonl")
     run = {"lambda_range": (0.5, 0.505), "budget": ProverBudget(cells=4)}
@@ -652,10 +606,11 @@ def test_interrupted_certified_run_creates_no_file_but_its_checkpoint(
 
     ran.clear()
     stop.clear()
-    resumed = prove_case(T1_OUT, **run, checkpoint=ck)
-    assert ran == [[2], [3]]
-    full = prove_case(T1_OUT, **run)
-    assert resumed == full
+    rerun = prove_case(T1_OUT, **run, checkpoint=ck)
+    assert ran == [[0, 1], [2, 3]]
+    fresh = os.fspath(tmp_path / "fresh.jsonl")
+    assert rerun == prove_case(T1_OUT, **run, checkpoint=fresh)
+    assert _read_bytes(ck) == _read_bytes(fresh)
 
 
 def test_certificate_log_format():
@@ -863,8 +818,8 @@ def test_budget_cut_cells_stay_in_budget_and_tile_the_domain(tmp_path):
 
 def test_failures_are_the_certificates_failed_rows(tmp_path):
     """ProofReport.failures of a budget-cut run holds the bound rows of the
-    certificate's `failed` lines, in their order, and a plain rerun over the
-    checkpoint (two cells read back, two run again) reports the same rows."""
+    certificate's `failed` lines, in their order, and so does the same run
+    without a certificate."""
     ck = os.fspath(tmp_path / "t1.jsonl")
     buf = io.StringIO()
     run = {"lambda_range": (0.98, 0.99), "budget": ProverBudget(cells=4, max_boxes=2000)}
@@ -876,12 +831,7 @@ def test_failures_are_the_certificates_failed_rows(tmp_path):
     ]
     assert len(rows) == 29
     assert rep.failures == rows
-    with open(ck, encoding="utf-8") as fh:
-        head = fh.readlines()[:3]
-    with open(ck, "w", encoding="utf-8") as fh:
-        fh.writelines(head)
-    resumed = prove_case(T1_OUT, **run, checkpoint=ck)
-    assert resumed.failures == rows
+    assert prove_case(T1_OUT, **run, checkpoint=ck).failures == rows
 
 
 def test_budget_exhaustion_reports_failures():
