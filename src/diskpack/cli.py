@@ -185,7 +185,6 @@ def _cmd_prove(args) -> int:
                 lambda_range=(args.lambda_min, args.lambda_max),
                 b_d=args.bound,
                 budget=budget,
-                workers=args.threads,
                 checkpoint=ck,
                 certificate=cert,
             )
@@ -289,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = ProverBudget()
     pr.add_argument(
         "--max-depth", type=int, default=defaults.max_depth,
-        help="deepest bisection level of a cell's search",
+        help="deepest bisection level of a cell's search, counted from the cell, "
+        "not from the root the cells are pre-split from",
     )
     pr.add_argument(
         "--max-boxes", type=int, default=defaults.max_boxes,
@@ -300,13 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="cells the domain is pre-split into, rounded up to a power of two",
     )
     pr.add_argument(
-        "--threads", type=int, default=1,
-        help="worker processes; verdicts do not depend on it",
-    )
-    pr.add_argument(
         "--checkpoint", default=None,
-        help="record each finished cell in the JSONL file PATH.<tag>.<orient>, "
-        "which every run writes afresh",
+        help="record each cell in the JSONL file PATH.<tag>.<orient>, which every "
+        "run writes afresh: a header first, then the cells once the search is done",
     )
     pr.add_argument(
         "--certificate", default=None,

@@ -243,12 +243,19 @@ def av_sqrt(a):
 _HALF_PI_HI = _nextafter(0.5 * math.pi, _INF)
 
 
+# Below this z, asinc(z) - 1 < z^2 < ulp(1)/2, so 1 and its upper neighbour
+# enclose asinc(z).
+_ASINC_TINY = 2.0 ** -30
+
+
 def _asinc_end(z: np.ndarray, direction: float) -> np.ndarray:
     """asinc at each z in [0, 1], rounded towards `direction` (see av_asinc)."""
     s = _awiden(_libm(_asin, z), _LIBM_ULPS, direction)
-    pos = z > 0.0
     out = np.ones_like(z)
-    out[pos] = np.nextafter(s[pos] / z[pos], direction)
+    tiny = (z > 0.0) & (z < _ASINC_TINY)
+    out[tiny] = np.nextafter(1.0, direction)
+    big = z >= _ASINC_TINY
+    out[big] = np.nextafter(s[big] / z[big], direction)
     return out
 
 
@@ -261,10 +268,11 @@ def av_asinc(a):
     by z, rounded to nearest and widened by 1 ulp more: 4 + 1 ulps in all.
     With libm's asin within 2 ulps, an end lies within (4 + 2) * pi/2 + 1.5,
     under 11, ulps of 1.0 of the true value. An end at z = 0 is 1 exactly,
-    and the ends are kept within [1, pi/2], which also bounds the enclosure
-    where z is subnormal and an ulp of asin is a large part of it. A lane
-    whose interval misses [0, 1] raises UndefinedIntervalError for the whole
-    array."""
+    and an end at 0 < z < 2^-30 is 1 below and the float above 1 above:
+    there the quotient would lose the budget to asin's absolute ulps, and at
+    a subnormal z it would reach pi/2, far above asinc. The ends are kept
+    within [1, pi/2]. A lane whose interval misses [0, 1] raises
+    UndefinedIntervalError for the whole array."""
     lo = np.maximum(a[0], 0.0)
     hi = np.minimum(a[1], 1.0)
     if np.any(lo > hi):

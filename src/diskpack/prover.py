@@ -16,23 +16,21 @@ disks shrink together as lambda -> 1, so a box of given size in (mu, rho)
 holds the same shape of configuration at any mu, where in (lambda, r) the
 admissible part of the domain thins like (1 - lambda)^2.
 
-A run pre-splits the domain into a fixed number of cells, independent of the
-worker count, and hands the cells to the workers in contiguous groups. A group
-is searched one level at a time, the boxes of all its open cells making one
-frontier that is evaluated in numpy batches. Every operation is per box and
-each cell stops by its own counts, so verdicts are identical for any grouping
-and any number of workers. All undecided boxes of a cell's level are split,
-or, when the next level would pass the cell's depth or box budget, they are
-the cell's unresolved boxes, with each sibling pair that is open as a whole
-reported as its parent.
+A run pre-splits the domain into a fixed number of cells and searches them
+all in this process, one level at a time: the boxes of every open cell make
+one frontier, evaluated in numpy batches. Every operation is per box and each
+cell stops by its own counts, so a cell's verdicts do not depend on the other
+cells. All undecided boxes of a cell's level are split, or, when the next
+level would pass the cell's depth or box budget, they are the cell's
+unresolved boxes, with each sibling pair that is open as a whole reported as
+its parent.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import multiprocessing
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
@@ -74,7 +72,7 @@ LAMBDA_MAX = 0.99
 # of which evaluator wrote the file. Change it with any change to the
 # evaluation that could move a verdict, or to the split rule, which fixes the
 # cells.
-EVALUATOR_VERSION = "mu-rho-2"
+EVALUATOR_VERSION = "mu-rho-3"
 
 class ConfigTag(Enum):
     T1 = "T1"
@@ -449,10 +447,6 @@ _PRUNED, _PROVEN, _UNDECIDED = 0, 1, 2
 # which bounds the memory its temporaries take.
 _BATCH_ROWS = 2048
 
-# Cells per _run_cell task. A task searches its cells as one frontier and
-# returns their certificate text at once, so this bounds the memory of both.
-_GROUP_CELLS = 16
-
 
 def _verdicts(config, lo, hi, b_d, with_density):
     """Status of each row (_PRUNED, _PROVEN or _UNDECIDED) and, when asked,
@@ -546,29 +540,29 @@ def _open_boxes(splits, open_rows, lo, hi) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _run_cell(task) -> List[Tuple[dict, str]]:
-    """Branch and bound over a group of cells; returns each cell's checkpoint
-    record and certificate text, in group order. `task` is (indices, config,
-    cells, b_d, max_depth, max_boxes, with_certificate): the cells' indices,
-    the cells as bound rows, each cell's box budget, and whether to build the
-    certificate text, which is otherwise empty. It opens no file.
+def _run_cell(
+    config, cells, b_d, max_depth, max_boxes, with_certificate
+) -> List[Tuple[dict, str]]:
+    """Branch and bound over the cells, given as bound rows; returns each
+    cell's checkpoint record and certificate text, in cell order. A cell's
+    index is its position, `max_boxes` is each cell's box budget, and the
+    certificate text is empty unless `with_certificate`. It opens no file.
 
-    The group is searched one level at a time, the boxes of all its open
-    cells making one frontier. Each row carries the position of its cell in
-    the group, and the rows stay in cell order. Each level is evaluated in
-    numpy batches (_verdicts), and each cell's proven and pruned boxes are
-    appended to its text in row order (_write_lines). A cell stops when it
-    has no undecided box, when the depth has reached max_depth, or when
-    splitting its undecided boxes would take its boxes processed past
-    max_boxes; the undecided boxes of its last level, merged pairwise into
-    their parents where a whole pair is open (_open_boxes), are then its
-    failures. They follow its leaves in its text as `failed` lines without a
-    density. The undecided boxes of the other cells are split, lower half
-    before upper half, so siblings stay adjacent and the split masks of the
-    whole frontier map each cell's rows to their parents. Only the current
-    level's bounds are held, plus one split mask byte per box of the earlier
-    levels, and the certificate text of the group's cells until it returns."""
-    indices, config, cells, b_d, max_depth, max_boxes, with_certificate = task
+    The cells are searched one level at a time, the boxes of all open cells
+    making one frontier. Each row carries the index of its cell, and the rows
+    stay in cell order. Each level is evaluated in numpy batches (_verdicts),
+    and each cell's proven and pruned boxes are appended to its text in row
+    order (_write_lines). A cell stops when it has no undecided box, when the
+    depth has reached max_depth, or when splitting its undecided boxes would
+    take its boxes processed past max_boxes; the undecided boxes of its last
+    level, merged pairwise into their parents where a whole pair is open
+    (_open_boxes), are then its failures. They follow its leaves in its text
+    as `failed` lines without a density. The undecided boxes of the other
+    cells are split, lower half before upper half, so siblings stay adjacent
+    and the split masks of the whole frontier map each cell's rows to their
+    parents. Only the current level's bounds are held, plus one split mask
+    byte per box of the earlier levels, and the certificate text of every
+    cell until it returns."""
     n = len(cells)
     lo, hi = np.array([c[0::2] for c in cells]), np.array([c[1::2] for c in cells])
     owner = np.arange(n, dtype=np.int32)
@@ -609,7 +603,7 @@ def _run_cell(task) -> List[Tuple[dict, str]]:
                 cell, failed = np.full(len(failures), c), np.full(len(failures), _UNDECIDED)
                 _write_lines(config, texts, cell, failures, failed, (nan, nan))
             record = {
-                "cell": indices[c],
+                "cell": c,
                 "proven": int(proven[c]),
                 "pruned": int(pruned[c]),
                 "processed": int(processed[c]),
@@ -657,19 +651,17 @@ def prove_case(
 ) -> ProofReport:
     """Certify density >= b_d for one configuration over its admissible domain.
 
-    The verdict set is deterministic and independent of `workers`. The cells
-    run in contiguous groups of ceil(cells / (2 * workers)) cells, at most
-    _GROUP_CELLS, and their results are taken in cell order: a group's
-    results wait for every earlier group. With `checkpoint`, the file at that
-    path is replaced by a header line holding the run's parameters, then each
-    cell's record, appended and flushed as it is taken. `certificate`, when
-    given a writable text stream, receives one line per processed leaf box,
-    cell after cell as they are taken, plus a summary. Workers return each
-    cell's text with its record, so this function is the only writer of
-    either file; a group's text, at most _GROUP_CELLS cells' share of the
-    certificate, is held until the group returns. A non-finite `b_d` or a bad
-    `lambda_range` (make_root_box) raises ValueError before any file is
-    opened."""
+    The verdict set is deterministic. All cells are searched in one call of
+    _run_cell, in this process. With `checkpoint`, the file at that path is
+    replaced by a header line holding the run's parameters before the search,
+    and each cell's record follows in cell order once the search returns, so
+    an interrupted run leaves the header only. `certificate`, when given a
+    writable text stream, receives one line per processed leaf box, cell
+    after cell, plus a summary. This function is the only writer of either
+    file. A non-finite `b_d` or a bad `lambda_range` (make_root_box) raises
+    ValueError before any file is opened.
+
+    `workers` is accepted and ignored: every run searches in this process."""
     if not math.isfinite(b_d):
         raise ValueError(f"bound must be finite, got {b_d!r}")
     budget = budget or ProverBudget()
@@ -678,50 +670,23 @@ def prove_case(
     per_cell_budget = max(1, math.ceil(budget.max_boxes / len(cells)))
 
     report = ProofReport(config=config, bound=b_d)
-    # On any exit, the pool is stopped and the checkpoint is closed.
-    with ExitStack() as stack:
-        ck = None
-        if checkpoint:
-            ck = stack.enter_context(open(checkpoint, "w", encoding="utf-8"))
+    with open(checkpoint, "w", encoding="utf-8") if checkpoint else nullcontext() as ck:
+        if ck:
             ck.write(_checkpoint_header(config, b_d, root, budget))
             ck.flush()
-        # Contiguous groups of cells, two or more per worker.
-        indices = list(range(len(cells)))
-        size = min(_GROUP_CELLS, math.ceil(len(cells) / (2 * max(1, workers))))
-        tasks = [
-            (
-                indices[k : k + size],
-                config,
-                cells[k : k + size],
-                b_d,
-                budget.max_depth,
-                per_cell_budget,
-                certificate is not None,
-            )
-            for k in range(0, len(cells), size)
-        ]
-        if workers <= 1 or len(tasks) <= 1:
-            results = map(_run_cell, tasks)
-        else:
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-            pool = stack.enter_context(ctx.Pool(processes=min(workers, len(tasks))))
-            results = pool.imap(_run_cell, tasks)
-        # Groups are consumed in cell order, so the checkpoint, the
-        # certificate and the report are the same whatever the workers and
-        # their timing.
-        for group in results:
-            for rec, text in group:
-                if ck:
-                    ck.write(json.dumps(rec) + "\n")
-                    ck.flush()
-                if certificate is not None:
-                    certificate.write(text)
-                report.boxes_proven += rec["proven"]
-                report.boxes_pruned_infeasible += rec["pruned"]
-                report.boxes_processed += rec["processed"]
-                report.max_depth = max(report.max_depth, rec["max_depth"])
-                report.failures += rec["failures"]
+        results = _run_cell(
+            config, cells, b_d, budget.max_depth, per_cell_budget, certificate is not None
+        )
+        for rec, text in results:
+            if ck:
+                ck.write(json.dumps(rec) + "\n")
+            if certificate is not None:
+                certificate.write(text)
+            report.boxes_proven += rec["proven"]
+            report.boxes_pruned_infeasible += rec["pruned"]
+            report.boxes_processed += rec["processed"]
+            report.max_depth = max(report.max_depth, rec["max_depth"])
+            report.failures += rec["failures"]
     if certificate is not None:
         certificate.write(report.summary_line() + "\n")
     return report

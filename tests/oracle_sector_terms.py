@@ -9,8 +9,8 @@ of scalar intervals, where the prover holds boxes only as rows of bound arrays
 (`box_rows` converts). It uses only the scalar operations of
 `diskpack.intervals` and the point, min, max and asinc enclosures below, which
 only the tests use. The batched kernel must give the same bits box by box, and
-`_run_cell`, which searches a group of cells as one frontier, the same record
-and certificate lines for each cell of the group.
+`_run_cell`, which searches all the cells it is given as one frontier, the
+same record and certificate lines for each of them.
 """
 
 from __future__ import annotations
@@ -112,9 +112,13 @@ def admissible(box: CaseBox) -> Feasibility:
 
 def _asinc_end(z: float, direction: float) -> float:
     """asinc(z) = asin(z)/z at z in [0, 1], rounded towards `direction`: libm's
-    asin widened by _ASIN_ULPS ulps, then the quotient widened by one."""
+    asin widened by _ASIN_ULPS ulps, then the quotient widened by one; 1 at
+    z = 0, and 1 rounded one step towards `direction` at 0 < z < 2^-30, where
+    asinc(z) - 1 < z^2 < ulp(1)/2."""
     if z == 0.0:
         return 1.0
+    if z < 2.0 ** -30:
+        return math.nextafter(1.0, direction)
     s = math.asin(z)
     for _ in range(_ASIN_ULPS):
         s = math.nextafter(s, direction)
@@ -338,8 +342,8 @@ def run_cell(task) -> dict:
     """Branch and bound over one cell, one box at a time. `task` is (index,
     config, cell, b_d, max_depth, max_boxes, cert_path), and the
     result is the cell's record as `prover._run_cell` returns it for the
-    cell's group; the lines written to cert_path are the cell's certificate
-    text that comes with that record.
+    cell at position `index` of its cells; the lines written to cert_path
+    are the cell's certificate text that comes with that record.
 
     The search tree is built level by level. Every open box of a level is
     split while the depth is below max_depth and the two halves of each keep

@@ -31,6 +31,8 @@ from diskpack.instances import (
 )
 from diskpack.render import render_svg
 
+from conftest import spy_run_cell
+
 GNARLY = [0.1 + 0.2, 1 / 3, 0.5, 1e-9, 0.4999999999999999, math.pi / 7]
 
 
@@ -400,19 +402,6 @@ def test_cli_gen_bad_params_exit_1(capsys, monkeypatch):
     assert "error" in err
 
 
-def _spy_run_cell(monkeypatch):
-    """The indices of each group of cells prover._run_cell is called on."""
-    groups = []
-    run_cell = prover._run_cell
-
-    def spy(task):
-        groups.append(list(task[0]))
-        return run_cell(task)
-
-    monkeypatch.setattr(prover, "_run_cell", spy)
-    return groups
-
-
 def _read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
@@ -431,10 +420,10 @@ def test_cli_prove_small_run_and_exit_codes(tmp_path, capsys, monkeypatch):
     assert "VERDICT proven" in cert_text
     # A plain rerun runs every cell and writes the same file and SUMMARY.
     written = _read_bytes(ck + ".T1.outer")
-    groups = _spy_run_cell(monkeypatch)
+    calls = spy_run_cell(monkeypatch)
     code, out2, _ = run_cli(args, capsys=capsys)
     assert code == 0
-    assert sorted(i for group in groups for i in group) == list(range(8))
+    assert [len(call["cells"]) for call in calls] == [8]
     assert _read_bytes(ck + ".T1.outer") == written
     line = [l for l in out.splitlines() if l.startswith("SUMMARY")][0]
     line2 = [l for l in out2.splitlines() if l.startswith("SUMMARY")][0]
@@ -488,11 +477,11 @@ def test_cli_prove_names_a_checkpoint_per_configuration(tmp_path, capsys, monkey
             "--checkpoint", ck]
     assert run_cli(args + ["--case", "T1"], capsys=capsys)[0] == 0
     written = _read_bytes(ck + ".T1.outer")
-    groups = _spy_run_cell(monkeypatch)
+    calls = spy_run_cell(monkeypatch)
     code, out, _ = run_cli(args, capsys=capsys)
     assert code == 0
     assert len([l for l in out.splitlines() if l.startswith("SUMMARY")]) == 14
-    assert sum(map(len, groups)) == 14 * 4
+    assert [len(call["cells"]) for call in calls] == [4] * 14
     assert _read_bytes(ck + ".T1.outer") == written
 
 
@@ -508,10 +497,10 @@ def test_cli_prove_certified_run_starts_fresh(tmp_path, capsys, monkeypatch):
     os.unlink(ck + ".T2.outer")
     with open(cert, "w", encoding="utf-8") as fh:
         fh.write("old certificate\n")
-    groups = _spy_run_cell(monkeypatch)
+    calls = spy_run_cell(monkeypatch)
     code, out, err = run_cli(args + ["--checkpoint", ck, "--certificate", cert], capsys=capsys)
     assert (code, err) == (0, "")
-    assert [i for group in groups for i in group] == list(range(8)) * 2
+    assert [len(call["cells"]) for call in calls] == [8, 8]
     new = os.fspath(tmp_path / "new")
     code, out2, _ = run_cli(
         args + ["--checkpoint", new + "/ck", "--certificate", new + "/c.txt"], capsys=capsys
@@ -583,35 +572,43 @@ def test_cli_prove_refused_run_leaves_no_certificate(tmp_path, capsys, args):
 def test_cli_prove_interrupted_run_leaves_the_certificate_as_it_was(
     tmp_path, capsys, monkeypatch
 ):
-    """The interrupt comes after the first group of cells has gone into the
-    certificate."""
+    """The interrupt comes as the search of T2/inner starts, after T2/outer
+    has gone into the certificate's .part file and its checkpoint: the
+    certificate is as it was, no .part file is left, T2/outer's checkpoint
+    is whole and T2/inner's holds its header only."""
     cert = os.fspath(tmp_path / "cert.log")
+    ck = os.fspath(tmp_path / "ck")
     with open(cert, "w", encoding="utf-8") as fh:
         fh.write("old certificate\n")
     run_cell = prover._run_cell
     calls = []
 
-    def interrupted(task):
-        calls.append(task)
+    def interrupted(config, *args):
+        calls.append(config.label)
         if len(calls) > 1:
             raise KeyboardInterrupt
-        return run_cell(task)
+        return run_cell(config, *args)
 
     monkeypatch.setattr(prover, "_run_cell", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        main(["prove", "--case", "T1", "--lambda-max", "0.51", "--cells", "4",
-              "--certificate", cert])
-    assert len(calls) == 2
+        main(["prove", "--case", "T2", "--lambda-max", "0.51", "--cells", "4",
+              "--checkpoint", ck, "--certificate", cert])
+    assert calls == ["T2/outer", "T2/inner"]
     with open(cert, encoding="utf-8") as fh:
         assert fh.read() == "old certificate\n"
-    assert os.listdir(tmp_path) == ["cert.log"]
+    assert sorted(os.listdir(tmp_path)) == ["cert.log", "ck.T2.inner", "ck.T2.outer"]
+    with open(ck + ".T2.outer", encoding="utf-8") as fh:
+        assert len(fh.read().splitlines()) == 1 + 4
+    with open(ck + ".T2.inner", encoding="utf-8") as fh:
+        (header,) = fh.read().splitlines()
+    assert json.loads(header)["header"]["orient"] == "inner"
 
 
 def test_cli_prove_certificate_in_a_missing_directory_fails_before_any_cell(
     tmp_path, capsys, monkeypatch
 ):
     calls = []
-    monkeypatch.setattr(prover, "_run_cell", calls.append)
+    monkeypatch.setattr(prover, "_run_cell", lambda *args: calls.append(args))
     cert = os.fspath(tmp_path / "missing" / "cert.log")
     code, out, err = run_cli(
         ["prove", "--case", "T1", "--lambda-max", "0.51", "--cells", "4",

@@ -29,6 +29,9 @@ ULP_ONE = mpmath.mpf(2) ** -52
 # relative to z) plus 1.5 through the division: under 11 ulps of 1.0.
 ASINC_END_ULPS = 11
 
+# The floats just below and just above 2^-30, and 2^-30 itself.
+TINY_EDGE = [math.nextafter(2.0 ** -30, 0.0), 2.0 ** -30, math.nextafter(2.0 ** -30, 1.0)]
+
 
 def asinc(z):
     z = mpmath.mpf(z)
@@ -40,7 +43,8 @@ def asinc_ends():
     subnormal."""
     rng = random.Random(20261019)
     inside_one = [1.0 - k * 2.0 ** -53 for k in range(1, 6)] + [1.0 - 1e-9, 0.999]
-    inside_zero = [5e-324, 1e-310, 2.0 ** -1022, 1e-300, 1e-150, 2.0 ** -27, 1e-8]
+    inside_zero = [5e-324, 1e-310, 2.0 ** -1022, 1e-300, 1e-150, 2.0 ** -40, 2.0 ** -27, 1e-8]
+    inside_zero += TINY_EDGE
     spread = [rng.random() ** rng.choice([1, 4, 16]) for _ in range(3000)]
     return [0.0, 1.0] + inside_one + inside_zero + spread
 
@@ -53,14 +57,29 @@ def test_asinc_enclosures_at_and_near_the_ends():
         truth = asinc(zi)
         assert l <= truth <= h, zi
         assert 1.0 <= l and h <= math.nextafter(math.pi / 2, math.inf)
-        if zi == 0.0 or zi >= 2.0 ** -1022:
-            # Subnormal ends lose the budget to asin's absolute ulps.
-            assert truth - l <= ASINC_END_ULPS * ULP_ONE, zi
-            assert h - truth <= ASINC_END_ULPS * ULP_ONE, zi
+        assert truth - l <= ASINC_END_ULPS * ULP_ONE, zi
+        assert h - truth <= ASINC_END_ULPS * ULP_ONE, zi
     # The ends themselves: asinc(0) = 1 exactly, and asinc(1) = pi/2.
     (at0_lo, at1_lo), (at0_hi, at1_hi) = av_asinc((np.array([0.0, 1.0]),) * 2)
     assert at0_lo == at0_hi == 1.0
     assert at1_lo <= mpmath.pi / 2 <= at1_hi
+
+
+@pytest.mark.parametrize("zi", [5e-324, 2.0 ** -40] + TINY_EDGE, ids=float.hex)
+def test_asinc_enclosures_below_two_to_the_minus_30(zi):
+    """Below z = 2^-30, asinc(z) - 1 < z^2 < ulp(1)/2, and the enclosure is 1
+    and the float above it, also at the smallest subnormal, which a product
+    with mu = [0, 0] (lambda = 1) rounds out to; from 2^-30 up the quotient
+    gives the ends, within the ulp budget."""
+    z = np.array([zi])
+    (l,), (h,) = (e.tolist() for e in av_asinc((z, z)))
+    truth = asinc(zi)
+    assert l <= truth <= h
+    if zi < 2.0 ** -30:
+        assert truth - 1 < mpmath.mpf(zi) ** 2 < ULP_ONE / 2
+        assert (l, h) == (1.0, math.nextafter(1.0, math.inf))
+    else:
+        assert l >= 1.0 and h - truth <= ASINC_END_ULPS * ULP_ONE
 
 
 def test_asinc_enclosures_of_intervals_hold_every_inner_point():

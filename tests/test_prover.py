@@ -6,7 +6,6 @@ import os
 import random
 import re
 import tempfile
-import time
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ import pytest
 from diskpack import prover
 from diskpack.intervals import Interval, iv_mul, iv_sub
 from diskpack.prover import (
+    DENSITY_BOUND,
     EVALUATOR_VERSION,
     ConfigTag,
     ConfigType,
@@ -30,6 +30,7 @@ from diskpack.prover import (
     _sector_terms,
 )
 
+from conftest import spy_run_cell
 from oracle_certificate import box_line
 from oracle_pointeval import point_density
 from oracle_sector_terms import iv_point
@@ -281,9 +282,20 @@ def test_prove_case_canary_never_proves_a_falsehood():
     assert not rep.certified
 
 
+def test_the_lambda_one_face_certifies_every_configuration():
+    """At lambda = 1, mu = [0, 0], and every product with mu rounds out to
+    the smallest subnormal, so each asinc argument ends at a subnormal z: its
+    enclosure there must stay next to 1, not reach pi/2, or no box of the
+    face is ever proven."""
+    for cfg in (c for tag in ConfigTag for c in certified_configs(tag)):
+        rep = prove_case(cfg, lambda_range=(1.0, 1.0))
+        assert rep.certified, rep.summary_line()
+        assert rep.boxes_proven > 0
+
+
 def test_prove_case_empty_domain_all_pruned():
     cell = [0.5, 0.5, 0.6, 0.62, 0.0, 0.2]  # 2*rho1 > 1 throughout
-    ((rec, text),) = _run_cell(([0], T2_OUT, [cell], 0.5642, 60, 1000, False))
+    ((rec, text),) = _run_cell(T2_OUT, [cell], 0.5642, 60, 1000, False)
     assert text == ""
     assert rec["proven"] == 0
     assert not rec["failures"]
@@ -291,74 +303,30 @@ def test_prove_case_empty_domain_all_pruned():
     assert rec["processed"] == rec["pruned"]
 
 
-def test_prove_case_worker_count_invariance():
-    reports = [
-        prove_case(
-            T1_OUT,
-            lambda_range=(0.5, 0.53),
-            budget=ProverBudget(cells=32),
-            workers=workers,
-        )
-        for workers in (1, 2, 5)
-    ]
-    assert reports[0] == reports[1] == reports[2]
-    # A budget-cut range: its 64 cells (40 rounded up by the pre-split) run
-    # in groups of 16, 16, 11 and 7 cells, the last two with a short tail
-    # group, and give the same report and certificate text.
-    runs = []
-    for workers in (1, 2, 3, 5):
-        buf = io.StringIO()
-        rep = prove_case(
-            T1_OUT,
-            lambda_range=(0.98, 0.99),
-            budget=ProverBudget(cells=40, max_boxes=4000),
-            workers=workers,
-            certificate=buf,
-        )
-        runs.append((rep, buf.getvalue()))
-    assert runs[0][0].failures
-    assert all(run == runs[0] for run in runs[1:])
-
-
-def _run_cell_slow_on_cell_0(task):
-    """_run_cell, delayed in the group that holds cell 0 so that the later
-    groups finish first; at module level, so that a worker pool can pickle it."""
-    if 0 in task[0]:
-        time.sleep(0.5)
-    return _run_cell(task)
-
-
-def test_checkpoint_bytes_do_not_depend_on_workers_or_timing(tmp_path, monkeypatch):
-    """Groups finishing out of order still write their records in cell order,
-    so the checkpoint is the same file for any worker count."""
-    monkeypatch.setattr(prover, "_run_cell", _run_cell_slow_on_cell_0)
-    run = {"lambda_range": (0.5, 0.505), "budget": ProverBudget(cells=8)}
-    texts = []
-    for workers in (1, 2, 3):
-        ck = os.fspath(tmp_path / f"ck{workers}.jsonl")
-        prove_case(T1_OUT, **run, workers=workers, checkpoint=ck)
-        with open(ck, "rb") as fh:
-            texts.append(fh.read())
-    assert [json.loads(line)["cell"] for line in texts[0].splitlines()[1:]] == list(range(8))
-    assert texts[1] == texts[0]
-    assert texts[2] == texts[0]
+def test_one_frontier_searches_each_cell_as_alone():
+    """One _run_cell call over all the cells of a budget-cut range, its 64
+    cells (40 rounded up by the pre-split), returns for each cell the record
+    and the certificate text of a call on that cell alone: cells are searched
+    independently, so a run's report, checkpoint and certificate do not
+    depend on which cells share a frontier."""
+    cells = _partition_cells(make_root_box(T1_OUT, (0.98, 0.99)), 40)
+    assert len(cells) == 64
+    run = (DENSITY_BOUND, 60, math.ceil(4000 / len(cells)), True)
+    together = _run_cell(T1_OUT, cells, *run)
+    alone = [_run_cell(T1_OUT, [cell], *run)[0] for cell in cells]
+    assert together == [({**rec, "cell": i}, text) for i, (rec, text) in enumerate(alone)]
+    # Some cells are cut by the budget and some finish, at different depths.
+    assert {bool(rec["failures"]) for rec, _ in together} == {True, False}
+    assert len({rec["max_depth"] for rec, _ in together}) > 1
 
 
 def test_cells_round_up_to_a_power_of_two(monkeypatch):
     """`cells=40` runs 64 cells, and each gets ceil(max_boxes / 64) boxes."""
-    tasks = []
-    run_cell = prover._run_cell
-
-    def spy(task):
-        tasks.append(task)
-        return run_cell(task)
-
-    monkeypatch.setattr(prover, "_run_cell", spy)
+    calls = spy_run_cell(monkeypatch)
     prove_case(
         T1_OUT, lambda_range=(0.98, 0.99), budget=ProverBudget(cells=40, max_boxes=1000)
     )
-    assert sorted(i for task in tasks for i in task[0]) == list(range(64))
-    assert {task[5] for task in tasks} == {math.ceil(1000 / 64)} == {16}
+    assert [(len(call["cells"]), call["max_boxes"]) for call in calls] == [(64, 16)]
 
 
 def test_kernel_functions_are_called_through_their_module_names(monkeypatch):
@@ -406,19 +374,6 @@ def test_prove_monotone_children_of_proven_box():
     assert checked > 50
 
 
-def _spy_run_cell(monkeypatch):
-    """The indices of each group of cells _run_cell is called on, in call
-    order."""
-    groups = []
-
-    def spy(task):
-        groups.append(list(task[0]))
-        return _run_cell(task)
-
-    monkeypatch.setattr(prover, "_run_cell", spy)
-    return groups
-
-
 def _read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
@@ -464,7 +419,7 @@ _PLANTED = [
     ),
     *(
         pytest.param(_of_evaluator(evaluator), False, id=f"evaluator-{evaluator}")
-        for evaluator in (None, "scalar-0", "levels-1", "levels-2", "mu-rho-1")
+        for evaluator in (None, "scalar-0", "levels-1", "levels-2", "mu-rho-1", "mu-rho-2")
     ),
     pytest.param(lambda lines: lines[1:] + [b"[1, 2]\n"], False, id="no-header"),
     pytest.param(
@@ -505,9 +460,9 @@ def test_checkpoint_path_is_always_written_afresh(tmp_path, monkeypatch, plant, 
     expected = prove_case(T1_OUT, **run, checkpoint=fresh, certificate=fresh_buf)
     with open(ck, "wb") as fh:
         fh.writelines(plant(_read_bytes(fresh).splitlines(keepends=True)))
-    groups = _spy_run_cell(monkeypatch)
+    calls = spy_run_cell(monkeypatch)
     assert prove_case(T1_OUT, **run, checkpoint=ck, certificate=buf) == expected
-    assert sorted(i for group in groups for i in group) == list(range(8))
+    assert [len(call["cells"]) for call in calls] == [8]
     assert _read_bytes(ck) == _read_bytes(fresh)
     if certified:
         assert buf.getvalue() == fresh_buf.getvalue()
@@ -536,56 +491,26 @@ def test_checkpoint_header_records_the_lambda_range_searched(tmp_path):
         assert json.loads(header)["header"]["lambda"] == list(lambda_range)
 
 
-class _FakeContext:
-    """A multiprocessing context whose Pool records its size and runs the
-    tasks in this process."""
-
-    def __init__(self):
-        self.processes = []
-
-    def Pool(self, processes):
-        self.processes.append(processes)
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def imap(self, fn, tasks):
-        return map(fn, tasks)
-
-
-@pytest.mark.parametrize("workers, pool", [(64, 4), (3, 3)])
-def test_pool_has_no_more_processes_than_groups(monkeypatch, workers, pool):
-    """Four cells make four groups of one cell on 3 or 64 workers, so the
-    pool gets 3 or 4 processes, and the verdicts are those of one worker."""
-    ctx = _FakeContext()
-    monkeypatch.setattr(prover.multiprocessing, "get_context", lambda method: ctx)
-    run = {"lambda_range": (0.5, 0.505), "budget": ProverBudget(cells=4)}
-    rep = prove_case(T1_OUT, **run, workers=workers)
-    assert ctx.processes == [pool]
-    assert rep == prove_case(T1_OUT, **run)
-
-
 def test_interrupted_certified_run_creates_no_file_but_its_checkpoint(
     tmp_path, monkeypatch
 ):
-    """A certified run stopped in its second group of cells has created no
+    """A certified run stopped in the middle of its search has created no
     file but its checkpoint, not even a temporary one, and leaves it with the
-    header and the first group's records; a plain rerun runs every cell and
-    leaves the file and the report of an uninterrupted run."""
+    header only and the certificate untouched; a plain rerun runs every cell
+    and leaves the file and the report of an uninterrupted run."""
     monkeypatch.setattr(tempfile, "tempdir", os.fspath(tmp_path))
     ck = os.fspath(tmp_path / "t1.jsonl")
     run = {"lambda_range": (0.5, 0.505), "budget": ProverBudget(cells=4)}
-    ran, stop = [], [1]
+    calls = spy_run_cell(monkeypatch)
+    splits = []
+    split_box = prover._split_box
 
-    def run_cell(task):
-        if len(ran) in stop:
-            raise KeyboardInterrupt
-        ran.append(task[0])
-        return _run_cell(task)
+    def interrupted(lo, hi):
+        if calls:  # in the search, not in the pre-split into cells
+            splits.append(len(lo))
+            if len(splits) == 2:
+                raise KeyboardInterrupt
+        return split_box(lo, hi)
 
     opened = []
 
@@ -593,21 +518,24 @@ def test_interrupted_certified_run_creates_no_file_but_its_checkpoint(
         opened.append(os.fspath(path))
         return open(path, *args, **kwargs)
 
-    monkeypatch.setattr(prover, "_run_cell", run_cell)
+    monkeypatch.setattr(prover, "_split_box", interrupted)
     monkeypatch.setattr(prover, "open", spy_open, raising=False)
+    cert = io.StringIO()
     with pytest.raises(KeyboardInterrupt):
-        prove_case(T1_OUT, **run, checkpoint=ck, certificate=io.StringIO())
-    assert ran == [[0, 1]]
+        prove_case(T1_OUT, **run, checkpoint=ck, certificate=cert)
+    assert len(calls) == 1 and len(splits) == 2
     assert opened == [ck]
     assert os.listdir(tmp_path) == ["t1.jsonl"]
+    assert cert.getvalue() == ""
     with open(ck, encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh]
-    assert "header" in lines[0] and [rec["cell"] for rec in lines[1:]] == [0, 1]
+        assert fh.read() == prover._checkpoint_header(
+            T1_OUT, DENSITY_BOUND, make_root_box(T1_OUT, run["lambda_range"]), run["budget"]
+        )
 
-    ran.clear()
-    stop.clear()
+    monkeypatch.setattr(prover, "_split_box", split_box)
+    calls.clear()
     rerun = prove_case(T1_OUT, **run, checkpoint=ck)
-    assert ran == [[0, 1], [2, 3]]
+    assert [len(call["cells"]) for call in calls] == [4]
     fresh = os.fspath(tmp_path / "fresh.jsonl")
     assert rerun == prove_case(T1_OUT, **run, checkpoint=fresh)
     assert _read_bytes(ck) == _read_bytes(fresh)
@@ -643,14 +571,12 @@ def test_certificate_log_format():
 CERT_T1_098_SHA256 = "337692378e5a6353d8e6e6cd50913645232d42e897a719501c02deffc798195c"
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_certificate_pinned_across_commits(workers):
+def test_certificate_pinned_across_commits():
     buf = io.StringIO()
     rep = prove_case(
         T1_OUT,
         lambda_range=(0.98, 0.99),
         budget=ProverBudget(cells=4, max_boxes=2000),
-        workers=workers,
         certificate=buf,
     )
     text = buf.getvalue()
@@ -686,14 +612,11 @@ CERTS_WITH_DENSITY = [
 ]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", range(len(CERTS_WITH_DENSITY)))
-def test_certificate_with_density_pinned_across_commits(case, workers):
+def test_certificate_with_density_pinned_across_commits(case):
     cfg, lambda_range, budget, counts, n_lines, digest = CERTS_WITH_DENSITY[case]
     buf = io.StringIO()
-    rep = prove_case(
-        cfg, lambda_range=lambda_range, budget=budget, workers=workers, certificate=buf
-    )
+    rep = prove_case(cfg, lambda_range=lambda_range, budget=budget, certificate=buf)
     text = buf.getvalue()
     assert (rep.boxes_proven, rep.boxes_pruned_infeasible, len(rep.failures)) == counts
     assert text.count("\n") == n_lines

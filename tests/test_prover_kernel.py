@@ -3,6 +3,7 @@ in `oracle_sector_terms.py`: the same bits box by box, and the same cell
 records and certificate lines."""
 
 import json
+import math
 import random
 
 import numpy as np
@@ -211,11 +212,14 @@ def test_asinc_sqrt_match_scalar_including_the_clamps(ivs):
 
 
 def test_asinc_ends_at_zero_one_and_subnormals():
-    """Ends at 0 (both signs), at 1, past 1, subnormal, and near both ends of
-    [0, 1], where the division and the clamps to [1, pi/2] act."""
+    """Ends at 0 (both signs), at 1, past 1, subnormal, at and around 2^-30,
+    below which the ends are 1 and its upper neighbour, and near both ends
+    of [0, 1], where the division and the clamps to [1, pi/2] act."""
     rng = random.Random(9)
     tiny = 5e-324
-    ends = [-0.0, 0.0, tiny, 3 * tiny, 1e-310, 1e-200, 2.0 ** -27, 0.5, 1.0 - 2.0 ** -53, 1.0]
+    ends = [-0.0, 0.0, tiny, 3 * tiny, 1e-310, 1e-200, 2.0 ** -40, 2.0 ** -27, 0.5,
+            1.0 - 2.0 ** -53, 1.0]
+    ends += [math.nextafter(2.0 ** -30, 0.0), 2.0 ** -30, math.nextafter(2.0 ** -30, 1.0)]
     ivs = [(a, b) for a in ends for b in ends if a <= b]
     ivs += [(-0.5, 0.0), (-tiny, tiny), (0.9, 1.5), (1.0, 2.0)]
     for _ in range(2000):
@@ -247,7 +251,7 @@ def test_run_cell_equals_the_level_oracle(tmp_path, max_boxes, max_depth):
     where the budget cuts the search and leaves open boxes to merge, and of
     T1/outer at lambda in [0.5, 0.51], where boxes are proven, certificate
     lines carry a density and some cells finish while the budget cuts the
-    others, each searched as one group: every record and every cell's
+    others, each searched in one call: every record and every cell's
     certificate text equals the oracle's search of that cell alone, with
     max_boxes and max_depth at the edges of the rule that stops a cell
     between levels."""
@@ -260,9 +264,8 @@ def test_run_cell_equals_the_level_oracle(tmp_path, max_boxes, max_depth):
         )
     ):
         cells = _partition_cells(make_root_box(cfg, lambda_range), 4)
-        indices = list(range(len(cells)))
-        got = _run_cell((indices, cfg, cells, DENSITY_BOUND, max_depth, max_boxes, True))
-        assert [rec["cell"] for rec, _ in got] == indices
+        got = _run_cell(cfg, cells, DENSITY_BOUND, max_depth, max_boxes, True)
+        assert [rec["cell"] for rec, _ in got] == list(range(len(cells)))
         for i, cell in enumerate(cells):
             ref_path = tmp_path / f"ref{case}-{i}"
             ref = oracle.run_cell(
