@@ -150,9 +150,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_prove(args) -> int:
     tags = list(ConfigTag) if args.case == "all" else [ConfigTag(args.case)]
-    budget = ProverBudget(
-        max_depth=args.max_depth, max_boxes=args.max_boxes, cells=args.cells
-    )
+    budget = ProverBudget(max_depth=args.max_depth, max_boxes=args.max_boxes)
     configs: List[ConfigType] = []
     for tag in tags:
         for cfg in certified_configs(tag):
@@ -293,11 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pr.add_argument(
         "--max-boxes", type=int, default=defaults.max_boxes,
-        help="box budget per configuration, split evenly over the cells",
-    )
-    pr.add_argument(
-        "--cells", type=int, default=defaults.cells,
-        help="cells the domain is pre-split into, rounded up to a power of two",
+        help=f"box budget per configuration, split evenly over the {defaults.cells} cells",
     )
     pr.add_argument(
         "--checkpoint", default=None,

@@ -1,16 +1,24 @@
-"""Directed-rounded interval arithmetic.
+"""Directed-rounded interval arithmetic on arrays of intervals.
 
-Every operation returns an interval that is guaranteed to contain all real
-results of the pointwise operation over the operand intervals (enclosure).
-Outward rounding is realized by widening each bound with ``math.nextafter``:
-1 ulp for the correctly-rounded operations (+, -, *, /, sqrt). The array
-operations add asinc(z) = asin(z)/z (av_asinc): libm's asin widened by 4 ulp,
-which covers the documented worst-case error of common libm implementations
-(<= 2 ulp) with a safety factor of two, and one more ulp for the division.
+Each interval is held as a (lo, hi) pair of float64 arrays; either side of an
+operand may be a float constant. Every operation returns intervals that are
+guaranteed to contain all real results of the pointwise operation over the
+operand intervals (enclosure). Outward rounding is realized by widening each
+bound with ``np.nextafter``: 1 ulp for the correctly-rounded operations
+(+, -, *, /, sqrt). asinc(z) = asin(z)/z (av_asinc) widens libm's asin by
+4 ulp, which covers the documented worst-case error of common libm
+implementations (<= 2 ulp) with a safety factor of two, and one more ulp for
+the division. No FPU rounding mode is ever switched.
 
-Because no FPU rounding mode is ever switched, all operations are plain value
-computations: they are deterministic and safe to use concurrently from any
-number of threads or processes without coordination.
+Lane by lane, every result has the same bits as the scalar operation of the
+tests' oracle, `tests/oracle_intervals.py`: the same IEEE operation followed
+by the same nextafter steps, and np.minimum/np.maximum where the scalar code
+uses min/max. These two may return the other zero on a tie between 0.0 and
+-0.0, which changes no later result, since np.nextafter takes both zeros to
+the same neighbour. asinc calls math.asin once per element: numpy's arcsin
+takes another libm path and differs from it in the last bits on many inputs.
+A lane outside a real domain raises UndefinedIntervalError for the whole
+array.
 """
 
 from __future__ import annotations
@@ -18,19 +26,11 @@ from __future__ import annotations
 import math
 from math import asin as _asin
 from math import nextafter as _nextafter
-from math import sqrt as _sqrt
 
 import numpy as np
 
 __all__ = [
-    "Interval",
     "UndefinedIntervalError",
-    "iv_add",
-    "iv_sub",
-    "iv_mul",
-    "iv_div",
-    "iv_sqrt",
-    "iv_pi",
     "av_add",
     "av_sub",
     "av_mul",
@@ -50,128 +50,6 @@ _LIBM_ULPS = 4
 
 class UndefinedIntervalError(ArithmeticError):
     """An operation left its real domain (or produced NaN) for some operand values."""
-
-
-class Interval:
-    """Closed interval [lo, hi] of reals, lo <= hi, both finite."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: float, hi: float):
-        # The chained comparison is False for NaN and rejects infinities.
-        if not (-_INF < lo <= hi < _INF):
-            raise UndefinedIntervalError(f"invalid interval bounds: [{lo}, {hi}]")
-        self.lo = lo
-        self.hi = hi
-
-    def __repr__(self) -> str:
-        return f"Interval({self.lo!r}, {self.hi!r})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Interval) and self.lo == other.lo and self.hi == other.hi
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi))
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> float:
-        m = 0.5 * (self.lo + self.hi)
-        if not math.isfinite(m):
-            m = 0.5 * self.lo + 0.5 * self.hi
-        return min(max(m, self.lo), self.hi)
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-    def __neg__(self):
-        return _mk(-self.hi, -self.lo)
-
-
-_new = Interval.__new__
-
-
-def _mk(lo: float, hi: float) -> Interval:
-    """Internal constructor: same validation as __init__, minus dispatch."""
-    if not (-_INF < lo <= hi < _INF):
-        raise UndefinedIntervalError(f"invalid interval bounds: [{lo}, {hi}]")
-    iv = _new(Interval)
-    iv.lo = lo
-    iv.hi = hi
-    return iv
-
-
-def iv_pi() -> Interval:
-    """Tight enclosure of pi (width 2 ulp)."""
-    return _mk(_nextafter(math.pi, -_INF), _nextafter(math.pi, _INF))
-
-
-def iv_add(a: Interval, b: Interval) -> Interval:
-    return _mk(_nextafter(a.lo + b.lo, -_INF), _nextafter(a.hi + b.hi, _INF))
-
-
-def iv_sub(a: Interval, b: Interval) -> Interval:
-    return _mk(_nextafter(a.lo - b.hi, -_INF), _nextafter(a.hi - b.lo, _INF))
-
-
-def iv_mul(a: Interval, b: Interval) -> Interval:
-    alo = a.lo
-    ahi = a.hi
-    blo = b.lo
-    bhi = b.hi
-    p1 = alo * blo
-    p2 = alo * bhi
-    p3 = ahi * blo
-    p4 = ahi * bhi
-    return _mk(
-        _nextafter(min(p1, p2, p3, p4), -_INF),
-        _nextafter(max(p1, p2, p3, p4), _INF),
-    )
-
-
-def iv_div(a: Interval, b: Interval) -> Interval:
-    if b.lo <= 0.0 <= b.hi:
-        raise UndefinedIntervalError(f"division by interval containing zero: {b}")
-    alo = a.lo
-    ahi = a.hi
-    blo = b.lo
-    bhi = b.hi
-    q1 = alo / blo
-    q2 = alo / bhi
-    q3 = ahi / blo
-    q4 = ahi / bhi
-    return _mk(
-        _nextafter(min(q1, q2, q3, q4), -_INF),
-        _nextafter(max(q1, q2, q3, q4), _INF),
-    )
-
-
-def iv_sqrt(a: Interval) -> Interval:
-    if a.lo < 0.0:
-        raise UndefinedIntervalError(f"sqrt of interval with negative part: {a}")
-    # sqrt is correctly rounded, so 1 ulp suffices; never widen below zero.
-    return _mk(max(0.0, _nextafter(_sqrt(a.lo), -_INF)), _nextafter(_sqrt(a.hi), _INF))
-
-
-# ---------------------------------------------------------------------------
-# Interval arrays
-#
-# The operations above on arrays of intervals, plus asinc, each interval held
-# as a (lo, hi) pair of float64 arrays; either side of an operand may be a
-# float constant. Lane by lane, every result has the same bits as the scalar
-# operation (asinc's scalar form is the tests' oracle iv_asinc): the same IEEE
-# operation followed by the same np.nextafter steps, and np.minimum/np.maximum
-# where the scalar code uses min/max. These two may return the other zero on a
-# tie between 0.0 and -0.0, which changes no later result, since np.nextafter
-# takes both zeros to the same neighbour. asinc calls math.asin once per
-# element: numpy's arcsin takes another libm path and differs from it in the
-# last bits on many inputs. A lane outside a real domain raises
-# UndefinedIntervalError for the whole array.
 
 
 def _libm(fn, x: np.ndarray) -> np.ndarray:

@@ -48,7 +48,6 @@ from .intervals import (
     av_neg,
     av_sqrt,
     av_sub,
-    iv_pi,
 )
 
 __all__ = [
@@ -128,6 +127,11 @@ class ProverBudget:
     max_depth: int = 60
     max_boxes: int = 20_000_000
     cells: int = 256
+
+    def __post_init__(self):
+        for name, least in (("max_depth", 0), ("max_boxes", 1), ("cells", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -229,7 +233,7 @@ _ONE = (1.0, 1.0)
 _HALF = (0.5, 0.5)
 _TWO = (2.0, 2.0)
 _FOUR = (4.0, 4.0)
-_PI = (iv_pi().lo, iv_pi().hi)
+_PI = (math.nextafter(math.pi, -math.inf), math.nextafter(math.pi, math.inf))
 
 
 def _distance(mu, rho, outer: bool):
@@ -420,8 +424,8 @@ def _split_box(lo: np.ndarray, hi: np.ndarray):
     k = np.argmax(hi - lo, axis=1)
     t_lo = lo[rows, k]
     t_hi = hi[rows, k]
-    # Interval.mid, whose fallback for an overflowing sum cannot trigger on
-    # coordinates in [0, 1].
+    # Interval.mid of the scalar oracle (tests/oracle_intervals.py), whose
+    # fallback for an overflowing sum cannot trigger on coordinates in [0, 1].
     mid = np.minimum(np.maximum(0.5 * (t_lo + t_hi), t_lo), t_hi)
     out_lo = np.repeat(lo, 2, axis=0)
     out_hi = np.repeat(hi, 2, axis=0)
@@ -667,7 +671,7 @@ def prove_case(
     budget = budget or ProverBudget()
     root = make_root_box(config, lambda_range)
     cells = _partition_cells(root, budget.cells)
-    per_cell_budget = max(1, math.ceil(budget.max_boxes / len(cells)))
+    per_cell_budget = math.ceil(budget.max_boxes / len(cells))
 
     report = ProofReport(config=config, bound=b_d)
     with open(checkpoint, "w", encoding="utf-8") if checkpoint else nullcontext() as ck:

@@ -7,10 +7,9 @@ rho_i = r_i / mu with the half-angle tangency angle, and a search that builds
 the tree of one cell explicitly, one node per box. A box here is a `CaseBox`
 of scalar intervals, where the prover holds boxes only as rows of bound arrays
 (`box_rows` converts). It uses only the scalar operations of
-`diskpack.intervals` and the point, min, max and asinc enclosures below, which
-only the tests use. The batched kernel must give the same bits box by box, and
-`_run_cell`, which searches all the cells it is given as one frontier, the
-same record and certificate lines for each of them.
+`oracle_intervals.py`. The batched kernel must give the same bits box by box,
+and `_run_cell`, which searches all the cells it is given as one frontier,
+the same record and certificate lines for each of them.
 """
 
 from __future__ import annotations
@@ -19,21 +18,23 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
-import math
-
 import numpy as np
 
-from diskpack.intervals import (
+from diskpack.intervals import UndefinedIntervalError
+from diskpack.prover import ConfigTag, ConfigType, Orientation
+from oracle_intervals import (
     Interval,
-    UndefinedIntervalError,
     iv_add,
+    iv_asinc,
     iv_div,
+    iv_max,
+    iv_min,
     iv_mul,
     iv_pi,
+    iv_point,
     iv_sqrt,
     iv_sub,
 )
-from diskpack.prover import ConfigTag, ConfigType, Orientation
 
 _ZERO = Interval(0.0, 0.0)
 _ONE = Interval(1.0, 1.0)
@@ -41,9 +42,6 @@ _HALF = Interval(0.5, 0.5)
 _TWO = Interval(2.0, 2.0)
 _FOUR = Interval(4.0, 4.0)
 _PI = iv_pi()
-_HALF_PI_HI = math.nextafter(0.5 * math.pi, math.inf)
-# Ulps by which libm's asin is widened (the prover's intervals._LIBM_ULPS).
-_ASIN_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -67,21 +65,6 @@ def box_rows(boxes: Sequence[CaseBox]) -> Tuple[np.ndarray, np.ndarray]:
     lo = np.array([[b.mu.lo] + [iv.lo for iv in b.rho] for b in boxes])
     hi = np.array([[b.mu.hi] + [iv.hi for iv in b.rho] for b in boxes])
     return lo, hi
-
-
-def iv_point(x: float) -> Interval:
-    """Degenerate interval [x, x]."""
-    return Interval(x, x)
-
-
-def iv_min(a: Interval, b: Interval) -> Interval:
-    """Enclosure of pointwise min(x, y)."""
-    return Interval(min(a.lo, b.lo), min(a.hi, b.hi))
-
-
-def iv_max(a: Interval, b: Interval) -> Interval:
-    """Enclosure of pointwise max(x, y)."""
-    return Interval(max(a.lo, b.lo), max(a.hi, b.hi))
 
 
 def constraint_corners(box: CaseBox):
@@ -108,33 +91,6 @@ def admissible(box: CaseBox) -> Feasibility:
         if g_max > 0.0:
             all_satisfied = False
     return Feasibility.FEASIBLE if all_satisfied else Feasibility.UNDECIDED
-
-
-def _asinc_end(z: float, direction: float) -> float:
-    """asinc(z) = asin(z)/z at z in [0, 1], rounded towards `direction`: libm's
-    asin widened by _ASIN_ULPS ulps, then the quotient widened by one; 1 at
-    z = 0, and 1 rounded one step towards `direction` at 0 < z < 2^-30, where
-    asinc(z) - 1 < z^2 < ulp(1)/2."""
-    if z == 0.0:
-        return 1.0
-    if z < 2.0 ** -30:
-        return math.nextafter(1.0, direction)
-    s = math.asin(z)
-    for _ in range(_ASIN_ULPS):
-        s = math.nextafter(s, direction)
-    return math.nextafter(s / z, direction)
-
-
-def iv_asinc(a: Interval) -> Interval:
-    """Enclosure of asinc over the part of `a` in [0, 1], where asinc
-    increases from 1 to pi/2: its values at the two ends, kept within
-    [1, pi/2]."""
-    lo, hi = max(a.lo, 0.0), min(a.hi, 1.0)
-    if lo > hi:
-        raise UndefinedIntervalError(f"asinc of an interval outside [0, 1]: {a}")
-    return Interval(
-        max(_asinc_end(lo, -math.inf), 1.0), min(_asinc_end(hi, math.inf), _HALF_PI_HI)
-    )
 
 
 def distance(mu: Interval, rho: Interval, outer: bool) -> Interval:

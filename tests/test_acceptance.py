@@ -27,14 +27,7 @@ from diskpack.instances import (
     gen_random_area,
     gen_worst_case,
 )
-from diskpack.intervals import (
-    Interval,
-    iv_add,
-    iv_div,
-    iv_mul,
-    iv_sqrt,
-    iv_sub,
-)
+from diskpack.intervals import av_add, av_asinc, av_div, av_mul, av_sqrt, av_sub
 from diskpack.oracles import cone_density, gap_excess, rho, zipper_one_density
 from diskpack.prover import (
     ConfigTag,
@@ -48,7 +41,6 @@ from diskpack.prover import (
 )
 from diskpack.verifier import verify
 
-from oracle_intervals import iv_acos, iv_asin
 from oracle_pointeval import point_density
 
 
@@ -281,47 +273,55 @@ def test_criterion_4_recursion_geometry():
         assert lemma.radius >= 0.2 - 1e-9
 
 
-def _fuzz_binary(rng, op_iv, op_f, n, divsafe=False):
-    violations = 0
-    for _ in range(n):
-        s1 = 10.0 ** rng.uniform(-8, 4)
-        s2 = 10.0 ** rng.uniform(-8, 4)
-        a_lo = rng.uniform(-s1, s1)
-        a = Interval(a_lo, a_lo + abs(rng.uniform(0, s1)))
-        b_lo = rng.uniform(-s2, s2)
-        b = Interval(b_lo, b_lo + abs(rng.uniform(0, s2)))
-        if divsafe and b.lo <= 0.0 <= b.hi:
-            b = Interval(b.lo + 2 * s2 + 1.0, b.hi + 2 * s2 + 1.0)
-        x = rng.uniform(a.lo, a.hi)
-        y = rng.uniform(b.lo, b.hi)
-        if not op_iv(a, b).contains(op_f(x, y)):
-            violations += 1
-    return violations
+def _point_in(rng, lo, hi):
+    """A point of each interval [lo, hi]."""
+    return np.clip(rng.uniform(lo, hi), lo, hi)
 
 
-def _fuzz_unary(rng, op_iv, op_f, n, domain):
-    violations = 0
-    lo_d, hi_d = domain
-    for _ in range(n):
-        u = rng.uniform(lo_d, hi_d)
-        v = rng.uniform(u, hi_d)
-        x = rng.uniform(u, v)
-        if not op_iv(Interval(u, v)).contains(op_f(x)):
-            violations += 1
-    return violations
+def _operand(rng, n, divisor=False):
+    """n intervals of log-uniform scale s in [1e-8, 1e4], starting in
+    [-s, s] and at most s wide, and a point of each; a divisor interval that
+    holds 0 is moved up by 2s + 1."""
+    s = 10.0 ** rng.uniform(-8, 4, n)
+    lo = rng.uniform(-s, s)
+    hi = lo + np.abs(rng.uniform(0, s))
+    if divisor:
+        shift = np.where((lo <= 0.0) & (0.0 <= hi), 2 * s + 1.0, 0.0)
+        lo, hi = lo + shift, hi + shift
+    return (lo, hi), _point_in(rng, lo, hi)
+
+
+def _violations(enclosure, value):
+    lo, hi = enclosure
+    return int(np.count_nonzero(~((lo <= value) & (value <= hi))))
 
 
 def test_criterion_5_interval_soundness():
     with criterion(5, "interval enclosure soundness"):
-        rng = random.Random(0xD15C0)
+        # The array operations the prover runs, 100k samples each.
+        rng = np.random.default_rng(0xD15C0)
         n = 100_000
-        assert _fuzz_binary(rng, iv_add, lambda x, y: x + y, n) == 0
-        assert _fuzz_binary(rng, iv_sub, lambda x, y: x - y, n) == 0
-        assert _fuzz_binary(rng, iv_mul, lambda x, y: x * y, n) == 0
-        assert _fuzz_binary(rng, iv_div, lambda x, y: x / y, n, divsafe=True) == 0
-        assert _fuzz_unary(rng, iv_sqrt, math.sqrt, n, (0.0, 1e6)) == 0
-        assert _fuzz_unary(rng, iv_asin, math.asin, n, (-1.0, 1.0)) == 0
-        assert _fuzz_unary(rng, iv_acos, math.acos, n, (-1.0, 1.0)) == 0
+        for op, f in ((av_add, np.add), (av_sub, np.subtract), (av_mul, np.multiply),
+                      (av_div, np.divide)):
+            a, x = _operand(rng, n)
+            b, y = _operand(rng, n, divisor=op is av_div)
+            assert _violations(op(a, b), f(x, y)) == 0, op.__name__
+        u = rng.uniform(0.0, 1e6, n)
+        v = rng.uniform(u, 1e6)
+        assert _violations(av_sqrt((u, v)), np.sqrt(_point_in(rng, u, v))) == 0
+        # asinc: each of u <= z <= v is 0 (1 in 100), uniform on [0, 1], or
+        # log-uniform down to the subnormals; asinc(0) = 1.
+        draws = np.where(
+            rng.random((3, n)) < 0.5,
+            rng.uniform(0.0, 1.0, (3, n)),
+            np.exp2(rng.uniform(-1074.0, 0.0, (3, n))),
+        )
+        draws[rng.random((3, n)) < 0.01] = 0.0
+        u, z, v = np.sort(draws, axis=0)
+        asin = np.fromiter(map(math.asin, z.tolist()), dtype=np.float64, count=n)
+        with np.errstate(invalid="ignore"):
+            truth = np.where(z == 0.0, 1.0, asin / z)
+        assert _violations(av_asinc((u, v)), truth) == 0
 
         # eval_density enclosure: 10^4 boxes x 10^2 interior points.
         configs = [c for tag in ConfigTag for c in certified_configs(tag)]

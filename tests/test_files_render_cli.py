@@ -410,8 +410,7 @@ def _read_bytes(path):
 def test_cli_prove_small_run_and_exit_codes(tmp_path, capsys, monkeypatch):
     cert = os.fspath(tmp_path / "cert.log")
     ck = os.fspath(tmp_path / "ck.jsonl")
-    args = ["prove", "--case", "T1", "--lambda-max", "0.52", "--cells", "8",
-            "--checkpoint", ck]
+    args = ["prove", "--case", "T1", "--lambda-max", "0.52", "--checkpoint", ck]
     code, out, _ = run_cli(args + ["--certificate", cert], capsys=capsys)
     assert code == 0
     assert "SUMMARY case=T1 orient=outer" in out
@@ -423,7 +422,7 @@ def test_cli_prove_small_run_and_exit_codes(tmp_path, capsys, monkeypatch):
     calls = spy_run_cell(monkeypatch)
     code, out2, _ = run_cli(args, capsys=capsys)
     assert code == 0
-    assert [len(call["cells"]) for call in calls] == [8]
+    assert [len(call["cells"]) for call in calls] == [256]
     assert _read_bytes(ck + ".T1.outer") == written
     line = [l for l in out.splitlines() if l.startswith("SUMMARY")][0]
     line2 = [l for l in out2.splitlines() if l.startswith("SUMMARY")][0]
@@ -441,7 +440,6 @@ def test_cli_prove_unproven_exit_3(capsys, monkeypatch):
             "--case", "T1",
             "--bound", "0.99",
             "--lambda-max", "0.51",
-            "--cells", "4",
             "--max-boxes", "2000",
             "--max-depth", "16",
         ],
@@ -458,7 +456,6 @@ def test_cli_prove_names_a_checkpoint_per_configuration(tmp_path, capsys, monkey
             "prove",
             "--case", "T6",
             "--lambda-max", "0.505",
-            "--cells", "4",
             "--max-boxes", "400000",
             "--checkpoint", ck,
         ],
@@ -473,15 +470,14 @@ def test_cli_prove_names_a_checkpoint_per_configuration(tmp_path, capsys, monkey
     # A single configuration's checkpoint has the same name, so `--case all`
     # over the same PATH rewrites T1/outer's file, with the same bytes, and
     # runs every cell of every configuration.
-    args = ["prove", "--bound", "0.3", "--lambda-max", "0.505", "--cells", "4",
-            "--checkpoint", ck]
+    args = ["prove", "--bound", "0.3", "--lambda-max", "0.505", "--checkpoint", ck]
     assert run_cli(args + ["--case", "T1"], capsys=capsys)[0] == 0
     written = _read_bytes(ck + ".T1.outer")
     calls = spy_run_cell(monkeypatch)
     code, out, _ = run_cli(args, capsys=capsys)
     assert code == 0
     assert len([l for l in out.splitlines() if l.startswith("SUMMARY")]) == 14
-    assert [len(call["cells"]) for call in calls] == [4] * 14
+    assert [len(call["cells"]) for call in calls] == [256] * 14
     assert _read_bytes(ck + ".T1.outer") == written
 
 
@@ -489,7 +485,7 @@ def test_cli_prove_certified_run_starts_fresh(tmp_path, capsys, monkeypatch):
     """A certified run over a set of checkpoints, one missing and one
     finished, runs every cell of both configurations, rewrites both files,
     and writes the certificate of the same run in an empty directory."""
-    args = ["prove", "--case", "T2", "--lambda-max", "0.52", "--cells", "8"]
+    args = ["prove", "--case", "T2", "--lambda-max", "0.52"]
     for name in ("old", "new"):
         os.mkdir(tmp_path / name)
     ck, cert = os.fspath(tmp_path / "old" / "ck"), os.fspath(tmp_path / "old" / "c.txt")
@@ -500,7 +496,7 @@ def test_cli_prove_certified_run_starts_fresh(tmp_path, capsys, monkeypatch):
     calls = spy_run_cell(monkeypatch)
     code, out, err = run_cli(args + ["--checkpoint", ck, "--certificate", cert], capsys=capsys)
     assert (code, err) == (0, "")
-    assert [len(call["cells"]) for call in calls] == [8, 8]
+    assert [len(call["cells"]) for call in calls] == [256, 256]
     new = os.fspath(tmp_path / "new")
     code, out2, _ = run_cli(
         args + ["--checkpoint", new + "/ck", "--certificate", new + "/c.txt"], capsys=capsys
@@ -526,7 +522,7 @@ def test_cli_prove_refuses_a_certificate_at_a_checkpoint_path(
     with open(cert, "w", encoding="utf-8") as fh:
         fh.write("old file\n")
     code, out, err = run_cli(
-        ["prove", "--case", case, "--lambda-max", "0.51", "--cells", "4",
+        ["prove", "--case", case, "--lambda-max", "0.51",
          "--checkpoint", os.fspath(tmp_path / checkpoint), "--certificate", cert],
         capsys=capsys,
     )
@@ -549,13 +545,16 @@ def test_cli_prove_refuses_a_certificate_at_a_checkpoint_path(
                      id="nan-bound"),
         pytest.param(["--bound", "inf", "--lambda-max", "0.51", "--max-boxes", "2000"],
                      id="infinite-bound"),
+        pytest.param(["--lambda-max", "0.51", "--max-depth", "-1"], id="negative-max-depth"),
+        pytest.param(["--lambda-max", "0.51", "--max-boxes", "0"], id="zero-max-boxes"),
+        pytest.param(["--lambda-max", "0.51", "--max-boxes", "-5"], id="negative-max-boxes"),
     ],
 )
 def test_cli_prove_refused_run_leaves_no_certificate(tmp_path, capsys, args):
     """A refused run exits 1 and leaves the checkpoint of an earlier run as
     it was, and neither the certificate nor its .part file."""
     ck = os.fspath(tmp_path / "ck.jsonl")
-    base = ["prove", "--case", "T1", "--bound", "0.3", "--cells", "4", "--checkpoint", ck]
+    base = ["prove", "--case", "T1", "--bound", "0.3", "--checkpoint", ck]
     assert run_cli(base + ["--lambda-max", "0.51"], capsys=capsys)[0] == 0
     with open(ck + ".T1.outer", "rb") as fh:
         before = fh.read()
@@ -591,14 +590,14 @@ def test_cli_prove_interrupted_run_leaves_the_certificate_as_it_was(
 
     monkeypatch.setattr(prover, "_run_cell", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        main(["prove", "--case", "T2", "--lambda-max", "0.51", "--cells", "4",
-              "--checkpoint", ck, "--certificate", cert])
+        main(["prove", "--case", "T2", "--lambda-max", "0.51", "--checkpoint", ck,
+              "--certificate", cert])
     assert calls == ["T2/outer", "T2/inner"]
     with open(cert, encoding="utf-8") as fh:
         assert fh.read() == "old certificate\n"
     assert sorted(os.listdir(tmp_path)) == ["cert.log", "ck.T2.inner", "ck.T2.outer"]
     with open(ck + ".T2.outer", encoding="utf-8") as fh:
-        assert len(fh.read().splitlines()) == 1 + 4
+        assert len(fh.read().splitlines()) == 1 + 256
     with open(ck + ".T2.inner", encoding="utf-8") as fh:
         (header,) = fh.read().splitlines()
     assert json.loads(header)["header"]["orient"] == "inner"
@@ -611,8 +610,7 @@ def test_cli_prove_certificate_in_a_missing_directory_fails_before_any_cell(
     monkeypatch.setattr(prover, "_run_cell", lambda *args: calls.append(args))
     cert = os.fspath(tmp_path / "missing" / "cert.log")
     code, out, err = run_cli(
-        ["prove", "--case", "T1", "--lambda-max", "0.51", "--cells", "4",
-         "--certificate", cert],
+        ["prove", "--case", "T1", "--lambda-max", "0.51", "--certificate", cert],
         capsys=capsys,
     )
     assert code == 1
@@ -627,7 +625,7 @@ def test_cli_prove_unproven_run_replaces_the_certificate(tmp_path, capsys):
         fh.write("old certificate\n")
     code, out, _ = run_cli(
         ["prove", "--case", "T1", "--bound", "0.99", "--lambda-max", "0.51",
-         "--cells", "4", "--max-boxes", "2000", "--max-depth", "16",
+         "--max-boxes", "2000", "--max-depth", "16",
          "--certificate", cert],
         capsys=capsys,
     )
@@ -650,7 +648,7 @@ def _record(line, **changes):
         pytest.param(lambda lines: lines[:1] + ['{"foo": 1}\n'], id="no-cell"),
         pytest.param(lambda lines: lines[:1] + ["[1, 2]\n"], id="not-an-object"),
         pytest.param(lambda lines: lines[:1] + ['{"cell": 0}\n'], id="no-counts"),
-        pytest.param(lambda lines: lines[:1] + [_record(lines[1], cell=4)], id="cell-past-end"),
+        pytest.param(lambda lines: lines[:1] + [_record(lines[1], cell=256)], id="cell-past-end"),
         pytest.param(lambda lines: lines[:2] + lines[1:2], id="repeated-cell"),
         pytest.param(lambda lines: lines[:1] + [_record(lines[1], proven=True)], id="bool-count"),
         pytest.param(
@@ -669,8 +667,7 @@ def test_cli_prove_replaces_a_malformed_checkpoint(tmp_path, capsys, edit):
     """A checkpoint with a malformed record is never read: the run exits 0
     and leaves the file of a run over no checkpoint."""
     ck = os.fspath(tmp_path / "ck.jsonl")
-    args = ["prove", "--case", "T1", "--bound", "0.3", "--lambda-max", "0.51",
-            "--cells", "4", "--checkpoint", ck]
+    args = ["prove", "--case", "T1", "--bound", "0.3", "--lambda-max", "0.51", "--checkpoint", ck]
     assert run_cli(args, capsys=capsys)[0] == 0
     with open(ck + ".T1.outer", encoding="utf-8") as fh:
         lines = fh.readlines()

@@ -1,3 +1,6 @@
+"""Containment tests of the scalar interval oracle, `oracle_intervals.py`,
+which the array operations of `diskpack.intervals` match bit for bit."""
+
 import math
 import random
 
@@ -6,18 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diskpack.intervals import (
+from diskpack.intervals import UndefinedIntervalError
+from oracle_intervals import (
     Interval,
-    UndefinedIntervalError,
     iv_add,
     iv_div,
+    iv_max,
+    iv_min,
     iv_mul,
     iv_pi,
+    iv_point,
     iv_sqrt,
     iv_sub,
 )
-from oracle_intervals import iv_acos, iv_asin
-from oracle_sector_terms import iv_max, iv_min, iv_point
 
 mpmath.mp.dps = 40
 
@@ -55,30 +59,6 @@ def test_sqrt_exact_endpoints():
 def test_sqrt_negative():
     with pytest.raises(UndefinedIntervalError):
         iv_sqrt(Interval(-1e-30, 1.0))
-
-
-def test_asin_endpoints():
-    r = iv_asin(Interval(0, 1))
-    assert r.lo <= 0 and r.hi >= math.pi / 2
-
-
-def test_asin_domain():
-    with pytest.raises(UndefinedIntervalError):
-        iv_asin(Interval(0.0, 1.0 + 1e-9))
-
-
-def test_asin_third_high_precision():
-    """Contains the true arcsin of the double closest to 1/3."""
-    x = 1.0 / 3.0
-    r = iv_asin(iv_point(x))
-    truth = mpmath.asin(mpmath.mpf(x))
-    assert mpmath.mpf(r.lo) <= truth <= mpmath.mpf(r.hi)
-    assert r.lo <= 0.3398369094541219 <= r.hi
-
-
-def test_acos_reverses_order():
-    r = iv_acos(Interval(-0.5, 0.5))
-    assert r.lo <= math.acos(0.5) and r.hi >= math.acos(-0.5)
 
 
 def test_pi_enclosure():
@@ -132,11 +112,6 @@ def test_enclosure_fuzz_unary():
         hi = lo + rng.uniform(0.0, 100.0)
         x = rng.uniform(lo, hi)
         assert iv_sqrt(Interval(lo, hi)).contains(math.sqrt(x))
-        u = rng.uniform(-1.0, 1.0)
-        v = rng.uniform(u, 1.0)
-        t = rng.uniform(u, v)
-        assert iv_asin(Interval(u, v)).contains(math.asin(t))
-        assert iv_acos(Interval(u, v)).contains(math.acos(t))
 
 
 @given(

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from diskpack import prover
-from diskpack.intervals import Interval, iv_mul, iv_sub
 from diskpack.prover import (
     DENSITY_BOUND,
     EVALUATOR_VERSION,
@@ -32,8 +31,8 @@ from diskpack.prover import (
 
 from conftest import spy_run_cell
 from oracle_certificate import box_line
+from oracle_intervals import Interval, iv_mul, iv_point, iv_sub
 from oracle_pointeval import point_density
-from oracle_sector_terms import iv_point
 
 T1_OUT = ConfigType(ConfigTag.T1, Orientation.OUTER_FIRST)
 T2_OUT = ConfigType(ConfigTag.T2, Orientation.OUTER_FIRST)
@@ -220,6 +219,17 @@ def test_prove_case_refuses_a_non_finite_bound_before_opening_a_file(tmp_path, b
     with pytest.raises(ValueError, match="bound must be finite"):
         prove_case(T1_OUT, lambda_range=(0.5, 0.51), b_d=b_d, checkpoint=os.fspath(ck))
     assert not ck.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_depth", -1), ("max_boxes", 0), ("max_boxes", -5), ("cells", 0), ("cells", -3)],
+)
+def test_prover_budget_refuses_values_out_of_range(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be at least"):
+        ProverBudget(**{field: value})
+    # The least value of each field is a budget.
+    ProverBudget(max_depth=0, max_boxes=1, cells=1)
 
 
 def test_split_box_halves_widest():
