@@ -125,9 +125,8 @@ def boundary_packing(state: PackingState, c: ContainerDisk, threshold: float) ->
         if disk is None:
             break
         state.placed.append(disk)
-        near.append(disk)
+        floor = max(floor, near.append(disk))
         state.pending.pop(0)
-        floor = max(floor, polar_angle(c.center, disk.center))
         count += 1
     return count
 
@@ -159,9 +158,8 @@ def ring_packing(state: PackingState, ring: RingShape) -> bool:
             state.log("ring_state", state="full", r_out=ring.r_out, r_in=ring.r_in)
             return False
         state.placed.append(disk)
-        near.append(disk)
+        floor = max(floor, near.append(disk))
         state.pending.pop(0)
-        floor = max(floor, polar_angle(ring.center, disk.center))
         r_prev = disk.radius
     return False
 
@@ -198,9 +196,8 @@ def _phase1_recursion(state: PackingState) -> None:
         if first is None:
             return
         state.placed.append(first)
-        near.append(first)
+        floor = near.append(first)
         state.pending.pop(0)
-        floor = polar_angle(c.center, first.center)
         second = place_tangent(c, state.pending[0], angle_floor=floor, prev=near)
         if second is None:
             state.log("phase1_partial", placed_radius=first.radius)

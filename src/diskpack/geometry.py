@@ -5,28 +5,32 @@ they are safe to call concurrently. Angles are polar angles measured
 counterclockwise from the positive x-axis and normalized to [0, 2*pi) unless
 stated otherwise.
 
-Placement kernel: each disk near the circle of candidate centers yields a
-keep-out arc (theta_q, sep_q) (`_blocking_constraints`), and
+Placement kernel: the disks that placements about a fixed center must avoid
+sit in a `NearDisks` index about it, which computes each disk's entry
+(theta_q, dq, r_q) once, as the disk joins: dq = hypot(dx, dy) and theta_q =
+atan2(dy, dx), plus 2*pi when negative. For a center circling at `anchor`,
+`_blocking_constraints` turns entries into keep-out arcs (theta_q, sep_q),
+computing only the gap, the cosine c and sep_q = acos(c). Each arc is the
+float that recomputing dq and theta_q from the disk on every query would
+give: the same expressions see the same inputs, once. Then
 `_smallest_feasible_angle` picks the smallest free angle in
 [floor, floor + 2*pi) by one sweep over the candidates and arcs in increasing
-order. The sweep only skips a candidate lying deeper than SWEEP_MARGIN inside
-an arc; a candidate is returned only once the exact test (circular distance
-to every theta_q >= sep_q - ANGLE_EPS) passes, so the angle is bit-identical
-to checking every candidate against every arc, whatever the arcs' order.
+order. It only skips a candidate lying deeper than SWEEP_MARGIN inside an
+arc, and returns one only once the exact test (circular distance to every
+theta_q >= sep_q - ANGLE_EPS) passes, so the angle is bit-identical to
+checking every candidate against every arc, whatever the arcs' order.
 
-The disks to avoid sit in a `NearDisks` index about the fixed center. For
-each disk it caches theta_q and an upper bound on its keep-out half-width
-that holds for every anchor and every radius up to the index's r_max:
-asin((r_max + r_q) / dq) + BOUND_MARGIN, since a center at any distance from
-the fixed center sees the disk's gap circle under at most that angle. A disk
-whose bound exceeds WIDE_ARC, or that may block every angle
-(dq <= r_max + r_q), is wide and checked by every query; the others are
-narrow and kept sorted by theta_q. A query starts the sweep with the arcs of
-the wide disks and of the narrow ones whose bounded arc covers the floor from
-below. The other narrow disks join in order of their angle above the floor
-(2*pi less the distance below it, for the ones below): before the sweep
-examines a candidate, every disk within the index's largest bound of it has
-added its arc.
+The index also caches an upper bound on each disk's keep-out half-width that
+holds for every anchor and every radius up to its r_max: asin((r_max + r_q) /
+dq) + BOUND_MARGIN, since a center at any distance from the fixed center sees
+the disk's gap circle under at most that angle. A disk whose bound exceeds
+WIDE_ARC, or that may block every angle (dq <= r_max + r_q), is wide and
+checked by every query; the others are narrow and kept sorted by theta_q. A
+query starts the sweep with the arcs of the wide disks and of the narrow ones
+whose bounded arc covers the floor from below. The other narrow disks join in
+order of their angle above the floor (2*pi less the distance below it, for
+the ones below): before the sweep examines a candidate, every disk within the
+index's largest bound of it has added its arc.
 
 Why the angle is unchanged: a disk not yet added has its keep-out arc, as
 the kernel computes it, starting more than BOUND_MARGIN above the candidate.
@@ -128,27 +132,19 @@ def polar_angle(center: Point, p: Point) -> float:
     return normalize_angle(math.atan2(p.y - center.y, p.x - center.x))
 
 
-def _blocking_constraints(
-    center: Point, anchor: float, r: float, prev: Sequence[PlacedDisk]
-):
-    """Per-disk angular keep-out half-widths for a center circling at `anchor`.
+def _blocking_constraints(center: Point, anchor: float, r: float, prev):
+    """Per-disk angular keep-out half-widths for a center circling at `anchor`
+    about `center`, from the disks' `NearDisks` entries prev.
 
     Returns (constraints, blocked): constraints is a list of (theta_q, sep_q)
     meaning the candidate angle must stay at circular distance >= sep_q from
     theta_q; blocked is True when some disk overlaps the placement circle at
     every angle.
     """
-    cx, cy = center
-    a2 = anchor * anchor
-    two_a = 2.0 * anchor
-    hypot, atan2, acos = math.hypot, math.atan2, math.acos
+    a2, two_a = anchor * anchor, 2.0 * anchor
     cons = []
-    for q in prev:
-        qx, qy = q.center
-        dx = qx - cx
-        dy = qy - cy
-        dq = hypot(dx, dy)
-        gap = r + q.radius
+    for theta, dq, rq in prev:
+        gap = r + rq
         if two_a * dq == 0.0:  # concentric, or dq so small the divisor underflows
             if anchor >= gap:
                 continue
@@ -160,10 +156,7 @@ def _blocking_constraints(
             if c < -1.0 - CLAMP_SLACK:
                 return [], True  # anchor + dq < gap: q overlaps at every angle
             c = -1.0
-        theta = atan2(dy, dx)  # in [-pi, pi], so one wrap normalizes it
-        if theta < 0.0:
-            theta += TWO_PI
-        cons.append((theta, acos(c)))
+        cons.append((theta, math.acos(c)))
     return cons, False
 
 
@@ -182,13 +175,12 @@ def _smallest_feasible_angle(angle_floor: float, cons, pull) -> Optional[float]:
     NearDisks.free_angle)."""
     top = angle_floor + TWO_PI
     cons, cands, arcs = list(cons), [angle_floor], []
+    new = cons
     limit = reach = -math.inf
-
-    def add(new):
+    while True:
         for theta, sep in new:
             base = theta + sep
-            k = math.ceil((angle_floor - base) / TWO_PI)
-            cand = base + TWO_PI * k
+            cand = base + TWO_PI * math.ceil((angle_floor - base) / TWO_PI)
             if cand < angle_floor:
                 cand += TWO_PI
             heappush(cands, cand)
@@ -196,48 +188,49 @@ def _smallest_feasible_angle(angle_floor: float, cons, pull) -> Optional[float]:
             heappush(arcs, (start, cand))
             if start < angle_floor:
                 heappush(arcs, (start + TWO_PI, cand + TWO_PI))
-
-    add(cons)
-    while True:
-        beta = cands[0] if cands else top
-        if beta - angle_floor > limit:
-            new, limit = pull(beta - angle_floor)
-            add(new)
-            cons += new
-            continue
-        if beta >= top:
-            return None
-        heappop(cands)
-        lo = beta - SWEEP_MARGIN
-        while arcs and arcs[0][0] < lo:
-            end = heappop(arcs)[1]
-            if end > reach:
-                reach = end
-        if reach > beta + SWEEP_MARGIN:
-            continue
-        for theta, sep in cons:
-            d = abs(math.fmod(beta - theta, TWO_PI))
-            if min(d, TWO_PI - d) < sep - ANGLE_EPS:
+        while True:
+            beta = cands[0] if cands else top
+            if beta - angle_floor > limit:
                 break
-        else:
-            return beta
+            if beta >= top:
+                return None
+            heappop(cands)
+            lo = beta - SWEEP_MARGIN
+            while arcs and arcs[0][0] < lo:
+                end = heappop(arcs)[1]
+                if end > reach:
+                    reach = end
+            if reach > beta + SWEEP_MARGIN:
+                continue
+            for theta, sep in cons:
+                d = abs(math.fmod(beta - theta, TWO_PI))
+                if min(d, TWO_PI - d) < sep - ANGLE_EPS:
+                    break
+            else:
+                return beta
+        new, limit = pull(beta - angle_floor)
+        cons += new
 
 
 class NearDisks:
     """Polar index of the disks that placements about a fixed center must
-    avoid, for placed radii up to r_max (see the module docstring). `len`
-    counts every disk and iteration yields every disk."""
+    avoid, for placed radii up to r_max (see the module docstring): `append`
+    computes a disk's entry (theta_q, dq, r_q) once, and queries read it.
+    Iteration yields the disks, wide ones first, in the order of `entries`."""
 
-    __slots__ = ("center", "r_max", "_wide", "_thetas", "_narrow", "_reach")
+    __slots__ = ("center", "r_max", "_wide", "_wide_disks", "_thetas", "_bounds",
+                 "_narrow", "_narrow_disks", "_reach")
 
-    def __init__(
-        self, center: Point, r_max: float, disks: Iterable[PlacedDisk] = ()
-    ):
+    def __init__(self, center: Point, r_max: float, disks: Iterable[PlacedDisk] = ()):
         self.center = center
         self.r_max = r_max
-        self._wide: List[PlacedDisk] = []  # checked by every query
-        self._thetas: List[float] = []  # theta_q of the narrow disks, sorted
-        self._narrow: List[Tuple[float, float, PlacedDisk]] = []  # (theta_q, bound_q, q)
+        self._wide: List[Tuple[float, float, float]] = []  # checked by every query
+        self._wide_disks: List[PlacedDisk] = []
+        # The narrow disks sorted by theta_q, in four parallel lists.
+        self._thetas: List[float] = []
+        self._bounds: List[float] = []
+        self._narrow: List[Tuple[float, float, float]] = []
+        self._narrow_disks: List[PlacedDisk] = []
         self._reach = 0.0  # largest bound_q of the narrow disks
         for q in disks:
             self.append(q)
@@ -246,77 +239,89 @@ class NearDisks:
         return len(self._wide) + len(self._narrow)
 
     def __iter__(self):
-        yield from self._wide
-        for _, _, q in self._narrow:
-            yield q
+        yield from self._wide_disks
+        yield from self._narrow_disks
 
-    def append(self, q: PlacedDisk) -> None:
+    def entries(self) -> List[Tuple[float, float, float]]:
+        return self._wide + self._narrow
+
+    def append(self, q: PlacedDisk) -> float:
+        """Index q; returns theta_q, which equals polar_angle(center, q.center)."""
         dx = q.center.x - self.center.x
         dy = q.center.y - self.center.y
         dq = math.hypot(dx, dy)
+        theta = math.atan2(dy, dx)  # in [-pi, pi], so one wrap normalizes it
+        if theta < 0.0:
+            theta += TWO_PI
+        entry = (theta, dq, q.radius)
         g = self.r_max + q.radius
         bound = math.asin(g / dq) + BOUND_MARGIN if dq > g else math.inf
         if bound > WIDE_ARC:
-            self._wide.append(q)
-            return
-        theta = math.atan2(dy, dx)
-        if theta < 0.0:
-            theta += TWO_PI
+            self._wide.append(entry)
+            self._wide_disks.append(q)
+            return theta
         i = bisect_left(self._thetas, theta)
         self._thetas.insert(i, theta)
-        self._narrow.insert(i, (theta, bound, q))
+        self._bounds.insert(i, bound)
+        self._narrow.insert(i, entry)
+        self._narrow_disks.insert(i, q)
         if bound > self._reach:
             self._reach = bound
+        return theta
 
     def free_angle(self, anchor: float, r: float, angle_floor: float) -> Optional[float]:
         """The kernel's angle for a center at distance anchor > 0, or None when
         no angle is free: one sweep above the floor, fed the arcs of the
         narrow disks in angular order as it climbs."""
-        narrow, reach, n = self._narrow, self._reach, len(self._narrow)
+        thetas, bounds, narrow = self._thetas, self._bounds, self._narrow
+        center, reach, n = self.center, self._reach, len(narrow)
         f = normalize_angle(angle_floor)
-        start = bisect_left(self._thetas, f)
+        start = bisect_left(thetas, f)
         first = list(self._wide)
         # Narrow disks below the floor, nearest first: one whose bounded arc
-        # covers the floor goes in first; the others queue at 2*pi - d.
+        # covers the floor goes in first; the others wait at u = 2*pi - d.
         last = []
         below = 0
         while below < n:
-            theta, bound, q = narrow[start - 1 - below]
-            d = f - theta
+            i = start - 1 - below
+            d = f - thetas[i]
             if d < 0.0:
                 d += TWO_PI
             if d > reach:
                 break
             below += 1
-            if d <= bound:
-                first.append(q)
+            if d <= bounds[i]:
+                first.append(narrow[i])
             else:
-                last.append((TWO_PI - d, q))
-        cons, blocked = _blocking_constraints(self.center, anchor, r, first)
+                last.append((TWO_PI - d, narrow[i]))
+        cons, blocked = _blocking_constraints(center, anchor, r, first)
         if blocked:
             return None
-
-        def queue():
-            """The other narrow disks as (u, q), u their angle above the floor,
-            in increasing order."""
-            for k in range(start, start + n - below):
-                theta, _, q = narrow[k - n if k >= n else k]
-                u = theta - f
-                yield (u + TWO_PI if u < 0.0 else u), q
-            yield from reversed(last)
-
-        pending = queue()
-        nxt = next(pending, None)
+        # The other narrow disks wait in increasing order of u, their angle
+        # above the floor: positions start to stop (mod n), then `last`.
+        k, stop = start, start + n - below
 
         def pull(w):
             # Narrow disks never block: dq > r_max + r_q.
-            nonlocal nxt
-            disks = []
-            while nxt is not None and nxt[0] - reach <= w:
-                disks.append(nxt[1])
-                nxt = next(pending, None)
-            more = _blocking_constraints(self.center, anchor, r, disks)[0] if disks else []
-            return more, (math.inf if nxt is None else nxt[0] - reach)
+            nonlocal k
+            more, limit = [], math.inf
+            while k < stop:
+                i = k - n if k >= n else k
+                u = thetas[i] - f
+                if u < 0.0:
+                    u += TWO_PI
+                if u - reach > w:
+                    limit = u - reach
+                    break
+                more.append(narrow[i])
+                k += 1
+            if k == stop:
+                while last and last[-1][0] - reach <= w:
+                    more.append(last.pop()[1])
+                if last:
+                    limit = last[-1][0] - reach
+            more = _blocking_constraints(center, anchor, r, more)[0] if more else []
+            return more, limit
 
         return _smallest_feasible_angle(angle_floor, cons, pull)
 
@@ -331,10 +336,8 @@ def _place_at_anchor(
         )
     if anchor == 0.0:
         # Degenerate: the disk is concentric with the anchor circle.
-        for q in near:
-            dq = math.hypot(q.center.x - center.x, q.center.y - center.y)
-            if dq < r + q.radius - ANGLE_EPS:
-                return None
+        if any(dq < r + rq - ANGLE_EPS for _, dq, rq in near.entries()):
+            return None
         return PlacedDisk(center, r)
     beta = near.free_angle(anchor, r, angle_floor)
     if beta is None:

@@ -6,12 +6,15 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 import hashlib
 import json
 import math
+import operator
 import os
 import random
 import re
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -291,6 +294,22 @@ def _operand(rng, n, divisor=False):
     return (lo, hi), _point_in(rng, lo, hi)
 
 
+def _exact_misses(enclosure, a, b, exact, rows):
+    """How many of `rows` have an enclosure of a op b that misses exact(x, y),
+    computed in rationals, for some float endpoints x of a and y of b."""
+    misses = 0
+    for i in rows.tolist():
+        vals = [exact(Fraction(x[i]), Fraction(y[i])) for x in a for y in b]
+        lo, hi = Fraction(enclosure[0][i]), Fraction(enclosure[1][i])
+        misses += not lo <= min(vals) <= max(vals) <= hi
+    return misses
+
+
+def _asinc_exact(z):
+    z = mpmath.mpf(z)
+    return mpmath.asin(z) / z if z else mpmath.mpf(1)
+
+
 def _violations(enclosure, value):
     lo, hi = enclosure
     return int(np.count_nonzero(~((lo <= value) & (value <= hi))))
@@ -298,17 +317,29 @@ def _violations(enclosure, value):
 
 def test_criterion_5_interval_soundness():
     with criterion(5, "interval enclosure soundness"):
-        # The array operations the prover runs, 100k samples each.
+        # The array operations the prover runs, 100k samples each; on 20k
+        # of them, the exact values at the float endpoints, in rationals,
+        # lie in the enclosure too, which only outward rounding ensures.
         rng = np.random.default_rng(0xD15C0)
+        pick = np.random.default_rng(0xF4AC)
         n = 100_000
-        for op, f in ((av_add, np.add), (av_sub, np.subtract), (av_mul, np.multiply),
-                      (av_div, np.divide)):
+        for op, f, exact in ((av_add, np.add, operator.add),
+                             (av_sub, np.subtract, operator.sub),
+                             (av_mul, np.multiply, operator.mul),
+                             (av_div, np.divide, operator.truediv)):
             a, x = _operand(rng, n)
             b, y = _operand(rng, n, divisor=op is av_div)
-            assert _violations(op(a, b), f(x, y)) == 0, op.__name__
+            got = op(a, b)
+            assert _violations(got, f(x, y)) == 0, op.__name__
+            rows = pick.choice(n, 20_000, replace=False)
+            assert _exact_misses(got, a, b, exact, rows) == 0, op.__name__
         u = rng.uniform(0.0, 1e6, n)
         v = rng.uniform(u, 1e6)
-        assert _violations(av_sqrt((u, v)), np.sqrt(_point_in(rng, u, v))) == 0
+        got = av_sqrt((u, v))
+        assert _violations(got, np.sqrt(_point_in(rng, u, v))) == 0
+        for i in pick.choice(n, 20_000, replace=False).tolist():
+            lo, hi = Fraction(got[0][i]), Fraction(got[1][i])
+            assert (lo <= 0 or lo * lo <= Fraction(u[i])) and hi * hi >= Fraction(v[i]), i
         # asinc: each of u <= z <= v is 0 (1 in 100), uniform on [0, 1], or
         # log-uniform down to the subnormals; asinc(0) = 1.
         draws = np.where(
@@ -321,7 +352,13 @@ def test_criterion_5_interval_soundness():
         asin = np.fromiter(map(math.asin, z.tolist()), dtype=np.float64, count=n)
         with np.errstate(invalid="ignore"):
             truth = np.where(z == 0.0, 1.0, asin / z)
-        assert _violations(av_asinc((u, v)), truth) == 0
+        got = av_asinc((u, v))
+        assert _violations(got, truth) == 0
+        # asinc increases, so each end must hold asinc at its own endpoint,
+        # here in mpmath at 40 digits, on all 100k rows.
+        with mpmath.workdps(40):
+            for i in range(n):
+                assert got[0][i] <= _asinc_exact(u[i]) and _asinc_exact(v[i]) <= got[1][i], i
 
         # eval_density enclosure: 10^4 boxes x 10^2 interior points.
         configs = [c for tag in ConfigTag for c in certified_configs(tag)]

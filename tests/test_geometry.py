@@ -28,6 +28,7 @@ from diskpack.geometry import (
 )
 from diskpack.instances import gen_random_area
 
+from oracle_kernel import blocking_constraints as reference_constraints
 from oracle_kernel import smallest_feasible_angle as quadratic_feasible_angle
 
 UNIT = unit_container()
@@ -45,12 +46,19 @@ def dist(p, q):
 # angular separation: the keep-out half-width from _blocking_constraints
 
 
+def entries_of(center, disks):
+    """The entries (theta_q, dq, r_q) that an index about center holds for
+    disks, in their order."""
+    return [NearDisks(center, 0.0, [q]).entries()[0] for q in disks]
+
+
 def separation(anchor, dq, gap):
     """Half-width of the arc that a disk at distance dq blocks for a center
     circling at `anchor`, the two disks' radii summing to gap: 0.0 when the
     disk is out of reach, None when it overlaps the circle at every angle."""
-    q = disk(gap / 2.0, dq, 0.0)
-    cons, blocked = _blocking_constraints(Point(0.0, 0.0), anchor, gap / 2.0, [q])
+    origin = Point(0.0, 0.0)
+    entries = entries_of(origin, [disk(gap / 2.0, dq, 0.0)])
+    cons, blocked = _blocking_constraints(origin, anchor, gap / 2.0, entries)
     if blocked:
         return None
     if not cons:
@@ -65,8 +73,9 @@ def test_disk_at_subnormal_distance_counts_as_concentric():
     # not 0: the disk takes the concentric branch, not a division by zero.
     q = disk(0.1, 5e-324, 0.0)
     center = Point(0.0, 0.0)
-    assert _blocking_constraints(center, 0.15, 0.1, [q]) == ([], True)
-    assert _blocking_constraints(center, 0.25, 0.1, [q]) == ([], False)
+    entries = entries_of(center, [q])
+    assert _blocking_constraints(center, 0.15, 0.1, entries) == ([], True)
+    assert _blocking_constraints(center, 0.25, 0.1, entries) == ([], False)
     near = NearDisks(center, 0.1, [q])
     assert near.free_angle(0.15, 0.1, 1.0) is None
     assert near.free_angle(0.25, 0.1, 1.0) == 1.0
@@ -461,9 +470,9 @@ def test_kernel_arcs_pulled_next_to_the_candidate():
 
 
 def full_list_angle(center, anchor, r, disks, floor):
-    """The quadratic oracle over the arcs of every disk: the kernel's angle
-    without an index."""
-    cons, blocked = _blocking_constraints(center, anchor, r, list(disks))
+    """The quadratic oracle over the reference arcs of every disk: the
+    kernel's angle without an index."""
+    cons, blocked = reference_constraints(center, anchor, r, list(disks))
     return None if blocked else quadratic_feasible_angle(floor, cons)
 
 
@@ -566,18 +575,19 @@ def checked_query(near, anchor, r, floor):
     candidate the sweep examines before the next pull and no exact test can
     depend on it."""
     left = list(near)
+    disk_of = dict(zip(near.entries(), near))
     sweep = geometry._smallest_feasible_angle
 
     def recorded(*args):
-        for q in args[3]:
-            left.remove(q)
+        for entry in args[3]:
+            left.remove(disk_of[entry])
         return _blocking_constraints(*args)
 
     def checked_sweep(angle_floor, cons, pull):
         def checked_pull(w):
             more, limit = pull(w)
             assert limit > w
-            rest, blocked = _blocking_constraints(near.center, anchor, r, left)
+            rest, blocked = reference_constraints(near.center, anchor, r, left)
             assert not blocked
             for theta, sep in rest:
                 assert arc_start(floor, theta, sep) - floor > limit
@@ -600,6 +610,58 @@ def test_index_query_matches_full_list_oracle(query):
     assert same_angle(got, full_list_angle(center, anchor, r, disks, floor))
     # The index does not depend on the order its disks came in.
     assert same_angle(got, NearDisks(center, r_max, disks[::-1]).free_angle(anchor, r, floor))
+
+
+@st.composite
+def entry_queries(draw):
+    """An index query (see index_queries) with one more disk at an edge of the
+    arc formula: at the center (dq = 0); at a subnormal distance, about the
+    origin; or with its cosine c just below -1, inside CLAMP_SLACK (its arc
+    is the whole circle but the antipode) or outside it (it blocks every
+    angle). Also returns the edge."""
+    center, anchor, r, r_max, disks, floor = draw(index_queries())
+    edge = draw(st.sampled_from(["none", "concentric", "subnormal", "clamped", "blocking"]))
+    rq = draw(st.floats(1e-4, 0.5))
+    if edge == "concentric":
+        disks.append(disk(rq, center.x, center.y))
+    elif edge == "subnormal":
+        center = Point(0.0, 0.0)
+        s = draw(st.floats(5e-324, 1e-308))
+        disks.append(disk(rq, *draw(st.sampled_from([(s, 0.0), (0.0, -s), (-s, s)]))))
+    elif edge in ("clamped", "blocking"):
+        # c = -1 - t when gap^2 = (anchor + dq)^2 + 2 * anchor * dq * t.
+        t = draw(st.floats(1e-13, 0.9e-12) if edge == "clamped" else st.floats(1.1e-12, 1e-9))
+        q = polar_disk(center, draw(THETAS), draw(st.floats(0.1, 1.0)), 1.0)
+        dq = math.hypot(q.center.x - center.x, q.center.y - center.y)
+        gap = math.sqrt((anchor + dq) ** 2 + 2.0 * anchor * dq * t)
+        disks.append(disk(gap - r, *q.center))
+    return center, anchor, r, r_max, disks, floor, edge
+
+
+@given(query=entry_queries())
+@settings(max_examples=600, derandomize=True, deadline=None)
+def test_index_entries_give_the_reference_arcs(query):
+    """The arcs from an index's cached entries are bit-identical to the
+    reference arcs from the disks, disk by disk and for the whole list."""
+    center, anchor, r, r_max, disks, floor, edge = query
+    near = NearDisks(center, r_max, disks)
+    pairs = list(zip(near, near.entries()))
+    assert len(pairs) == len(disks)
+    for q, entry in pairs:
+        got = _blocking_constraints(center, anchor, r, [entry])
+        assert repr(got) == repr(reference_constraints(center, anchor, r, [q]))
+    got = _blocking_constraints(center, anchor, r, near.entries())
+    assert repr(got) == repr(reference_constraints(center, anchor, r, list(near)))
+    # The edge disk takes the branch it was built for.
+    entry = entries_of(center, disks[-1:])[0] if edge != "none" else None
+    if edge == "concentric":
+        assert entry[1] == 0.0
+    elif edge == "subnormal":
+        assert 0.0 < entry[1] < 2.2250738585072014e-308
+    elif edge == "clamped":
+        assert _blocking_constraints(center, anchor, r, [entry]) == ([(entry[0], math.pi)], False)
+    elif edge == "blocking":
+        assert _blocking_constraints(center, anchor, r, [entry]) == ([], True)
 
 
 def test_index_needs_the_full_circle():
