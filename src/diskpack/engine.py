@@ -16,14 +16,13 @@ from .geometry import (
     ContainerDisk,
     NearDisks,
     PlacedDisk,
-    Point,
     RingShape,
     Side,
     center_penetration,
     inscribed_disk_after_two,
     place_in_ring,
     place_tangent,
-    polar_angle,
+    polar_entry,
     unit_container,
 )
 
@@ -66,9 +65,18 @@ class PackingState:
     container: ContainerDisk
     r_min: float
     placed: List[PlacedDisk] = field(default_factory=list)
+    # polar_entry(container.center, q) for each q in placed, in its order.
+    polar: List[Tuple[float, float, float]] = field(default_factory=list)
     pending: List[float] = field(default_factory=list)
     unplaced: List[float] = field(default_factory=list)
     trace: List[dict] = field(default_factory=list)
+
+    def place(self, disk: PlacedDisk) -> Tuple[float, float, float]:
+        """Record a placement; returns its entry about the container's center."""
+        entry = polar_entry(self.container.center, disk)
+        self.placed.append(disk)
+        self.polar.append(entry)
+        return entry
 
     def log(self, event: str, **data) -> None:
         rec = {"event": event}
@@ -84,35 +92,17 @@ class PackingResult:
     complete: bool
 
 
-def _overlaps_disk_region(q: PlacedDisk, c: ContainerDisk) -> bool:
-    d = math.hypot(q.center.x - c.center.x, q.center.y - c.center.y)
-    return d < c.radius + q.radius - 1e-12
-
-
-def _overlaps_ring_region(q: PlacedDisk, ring: RingShape, slack: float = -1e-12) -> bool:
-    d = math.hypot(q.center.x - ring.center.x, q.center.y - ring.center.y)
-    return d - q.radius < ring.r_out + slack and d + q.radius > ring.r_in - slack
-
-
-def _max_overlapping_angle(center: Point, region_filter, placed) -> float:
-    """Maximal polar angle realized by the midpoint of a placed disk that
-    overlaps the region; 0 when none does."""
-    best = 0.0
-    for q in placed:
-        if region_filter(q):
-            a = polar_angle(center, q.center)
-            if a > best:
-                best = a
-    return best
-
-
-def boundary_packing(state: PackingState, c: ContainerDisk, threshold: float) -> int:
-    """Pack pending disks adjacent to c's boundary at increasing polar angles
-    until one does not fit or the next radius drops below the threshold.
-    Returns the number of disks placed; the stopping disk stays pending."""
-    floor = _max_overlapping_angle(
-        c.center, lambda q: _overlaps_disk_region(q, c), state.placed
-    )
+def boundary_packing(state: PackingState, threshold: float) -> int:
+    """Pack pending disks adjacent to the container's boundary at increasing
+    polar angles, from the largest angle of a placed disk overlapping the
+    container, until one does not fit or the next radius drops below the
+    threshold. Returns the number of disks placed; the stopping disk stays
+    pending."""
+    c = state.container
+    floor = 0.0
+    for theta, dq, rq in state.polar:
+        if dq < c.radius + rq - 1e-12 and theta > floor:
+            floor = theta
     count = 0
     near = None  # built at the first placement, for the largest radius
     while state.pending and state.pending[0] >= threshold:
@@ -120,12 +110,13 @@ def boundary_packing(state: PackingState, c: ContainerDisk, threshold: float) ->
         if r > c.radius:
             break
         if near is None:
-            near = NearDisks(c.center, r, state.placed)
+            near = NearDisks(c.center, r, state.polar)
         disk = place_tangent(c, r, angle_floor=floor, prev=near)
         if disk is None:
             break
-        state.placed.append(disk)
-        floor = max(floor, near.append(disk))
+        entry = state.place(disk)
+        near.add(entry)
+        floor = max(floor, entry[0])
         state.pending.pop(0)
         count += 1
     return count
@@ -137,13 +128,18 @@ def ring_packing(state: PackingState, ring: RingShape) -> bool:
     could pass each other (the ring is closed). Logs the end state and returns
     whether the ring closed; it is neither when no disk is left pending.
 
-    Placements check only the disks near the ring's band, and the ring's own
-    disks: nothing else is placed while the ring is packed."""
-    band = [q for q in state.placed if _overlaps_ring_region(q, ring, RING_BAND_SLACK)]
-    floor = _max_overlapping_angle(
-        ring.center, lambda q: _overlaps_ring_region(q, ring), band
-    )
-    near = NearDisks(ring.center, state.pending[0] if state.pending else 0.0, band)
+    The ring is about the container's center. Placements start from the
+    largest angle of a placed disk overlapping the ring, and check only the
+    disks near its band and its own disks: nothing else is placed while the
+    ring is packed."""
+    r_out, r_in = ring.r_out, ring.r_in
+    hi, lo = r_out + RING_BAND_SLACK, r_in - RING_BAND_SLACK
+    band = [e for e in state.polar if e[1] - e[2] < hi and e[1] + e[2] > lo]
+    floor = 0.0
+    for theta, dq, rq in band:
+        if dq - rq < r_out - 1e-12 and dq + rq > r_in + 1e-12 and theta > floor:
+            floor = theta
+    near = NearDisks(state.container.center, state.pending[0] if state.pending else 0.0, band)
     side = Side.INNER  # flipped before each placement; the first is OUTER
     r_prev = None
     width = ring.width
@@ -157,22 +153,22 @@ def ring_packing(state: PackingState, ring: RingShape) -> bool:
         if disk is None:
             state.log("ring_state", state="full", r_out=ring.r_out, r_in=ring.r_in)
             return False
-        state.placed.append(disk)
-        floor = max(floor, near.append(disk))
+        entry = state.place(disk)
+        near.add(entry)
+        floor = max(floor, entry[0])
         state.pending.pop(0)
         r_prev = disk.radius
     return False
 
 
-def _open_ring(
-    state: PackingState, center: Point, r_out: float, r_in: float, **extra
-) -> Optional[RingShape]:
-    """Open the ring R[r_out, r_in] around center: lower r_min to its inner
-    radius and log its creation (`extra` marks a split). Returns None, and
-    opens nothing, when r_in <= 0 (no ring fits; the caller goes on with
-    Phase 2 on the central disk)."""
+def _open_ring(state: PackingState, r_out: float, r_in: float, **extra) -> Optional[RingShape]:
+    """Open the ring R[r_out, r_in] around the container's center: lower
+    r_min to its inner radius and log its creation (`extra` marks a split).
+    Returns None, and opens nothing, when r_in <= 0 (no ring fits; the caller
+    goes on with Phase 2 on the central disk)."""
     if r_in <= 0.0:
         return None
+    center = state.container.center
     state.r_min = min(state.r_min, r_in)
     state.log(
         "ring_created", r_out=r_out, r_in=r_in, cx=center.x, cy=center.y, **extra
@@ -191,21 +187,23 @@ def _phase1_recursion(state: PackingState) -> None:
         c = state.container
         if state.pending[0] > c.radius:
             return
-        near = NearDisks(c.center, state.pending[0], state.placed)
+        near = NearDisks(c.center, state.pending[0], state.polar)
         first = place_tangent(c, state.pending[0], angle_floor=0.0, prev=near)
         if first is None:
             return
-        state.placed.append(first)
-        floor = near.append(first)
+        entry = state.place(first)
+        near.add(entry)
         state.pending.pop(0)
-        second = place_tangent(c, state.pending[0], angle_floor=floor, prev=near)
+        second = place_tangent(c, state.pending[0], angle_floor=entry[0], prev=near)
         if second is None:
             state.log("phase1_partial", placed_radius=first.radius)
             return
-        state.placed.append(second)
+        state.place(second)
         state.pending.pop(0)
         new_c = inscribed_disk_after_two(c, first, second)
         state.container = new_c
+        # The one move of the container's center: key every entry afresh.
+        state.polar = [polar_entry(new_c.center, q) for q in state.placed]
         state.r_min = new_c.radius
         state.log(
             "recursion",
@@ -232,7 +230,7 @@ def pack(instance: InstanceSpec) -> PackingResult:
         progress_marker = (len(state.placed), state.r_min)
 
         # Phase 2: boundary packing with threshold (r - d)/4.
-        d = center_penetration(state.container, state.placed)
+        d = center_penetration(state.polar)
         threshold = (state.container.radius - d) / 4.0
         state.log(
             "phase2",
@@ -242,7 +240,7 @@ def pack(instance: InstanceSpec) -> PackingResult:
             penetration=d,
             threshold=threshold,
         )
-        boundary_packing(state, state.container, threshold)
+        boundary_packing(state, threshold)
         if not state.pending:
             break
 
@@ -251,7 +249,7 @@ def pack(instance: InstanceSpec) -> PackingResult:
         # pending disks could pass one another inside it; the halves go on a
         # stack, the outer on top.
         r_in = state.r_min - 2.0 * state.pending[0]
-        ring = _open_ring(state, state.container.center, state.r_min, r_in)
+        ring = _open_ring(state, state.r_min, r_in)
         rings = [] if ring is None else [ring]
         while rings and state.pending:
             ring = rings.pop()
@@ -260,8 +258,8 @@ def pack(instance: InstanceSpec) -> PackingResult:
                 r_i, r_next = state.pending[0], state.pending[1]
                 if 2.0 * r_i + 2.0 * r_next <= ring.width:
                     mid = ring.r_out - 2.0 * r_i
-                    outer = _open_ring(state, ring.center, ring.r_out, mid, split=True)
-                    inner = _open_ring(state, ring.center, mid, ring.r_in, split=True)
+                    outer = _open_ring(state, ring.r_out, mid, split=True)
+                    inner = _open_ring(state, mid, ring.r_in, split=True)
                     rings += [inner, outer]
         if not state.pending:
             break

@@ -5,10 +5,12 @@ they are safe to call concurrently. Angles are polar angles measured
 counterclockwise from the positive x-axis and normalized to [0, 2*pi) unless
 stated otherwise.
 
-Placement kernel: the disks that placements about a fixed center must avoid
-sit in a `NearDisks` index about it, which computes each disk's entry
-(theta_q, dq, r_q) once, as the disk joins: dq = hypot(dx, dy) and theta_q =
-atan2(dy, dx), plus 2*pi when negative. For a center circling at `anchor`,
+Placement kernel: where a placed disk q sits about a center is its entry
+(theta_q, dq, r_q) from `polar_entry`: dq = hypot(dx, dy) and theta_q =
+atan2(dy, dx), plus 2*pi when negative. The packer computes each entry once,
+when it places the disk, about the container's center (and again when Phase 1
+moves that center), and every placement about that center reads it. The disks
+such placements must avoid sit in a `NearDisks` index of their entries. For a center circling at `anchor`,
 `_blocking_constraints` turns entries into keep-out arcs (theta_q, sep_q),
 computing only the gap, the cosine c and sep_q = acos(c). Each arc is the
 float that recomputing dq and theta_q from the disk on every query would
@@ -47,7 +49,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -128,8 +130,15 @@ def normalize_angle(a: float) -> float:
     return a
 
 
-def polar_angle(center: Point, p: Point) -> float:
-    return normalize_angle(math.atan2(p.y - center.y, p.x - center.x))
+def polar_entry(center: Point, q: PlacedDisk) -> Tuple[float, float, float]:
+    """Where q sits about center: its entry (theta_q, dq, r_q), with theta_q
+    its polar angle and dq its distance."""
+    dx = q.center.x - center.x
+    dy = q.center.y - center.y
+    theta = math.atan2(dy, dx)  # in [-pi, pi], so one wrap normalizes it
+    if theta < 0.0:
+        theta += TWO_PI
+    return theta, math.hypot(dx, dy), q.radius
 
 
 def _blocking_constraints(center: Point, anchor: float, r: float, prev):
@@ -214,60 +223,47 @@ def _smallest_feasible_angle(angle_floor: float, cons, pull) -> Optional[float]:
 
 class NearDisks:
     """Polar index of the disks that placements about a fixed center must
-    avoid, for placed radii up to r_max (see the module docstring): `append`
-    computes a disk's entry (theta_q, dq, r_q) once, and queries read it.
-    Iteration yields the disks, wide ones first, in the order of `entries`."""
+    avoid, for placed radii up to r_max (see the module docstring). It holds
+    their entries (theta_q, dq, r_q) about that center, as `polar_entry`
+    computed them when the disks were placed; `entries` lists them, wide
+    disks first."""
 
-    __slots__ = ("center", "r_max", "_wide", "_wide_disks", "_thetas", "_bounds",
-                 "_narrow", "_narrow_disks", "_reach")
+    __slots__ = ("center", "r_max", "_wide", "_thetas", "_bounds", "_narrow", "_reach")
 
-    def __init__(self, center: Point, r_max: float, disks: Iterable[PlacedDisk] = ()):
+    def __init__(
+        self, center: Point, r_max: float, entries: Iterable[Tuple[float, float, float]] = ()
+    ):
         self.center = center
         self.r_max = r_max
         self._wide: List[Tuple[float, float, float]] = []  # checked by every query
-        self._wide_disks: List[PlacedDisk] = []
-        # The narrow disks sorted by theta_q, in four parallel lists.
+        # The narrow disks sorted by theta_q, in three parallel lists.
         self._thetas: List[float] = []
         self._bounds: List[float] = []
         self._narrow: List[Tuple[float, float, float]] = []
-        self._narrow_disks: List[PlacedDisk] = []
         self._reach = 0.0  # largest bound_q of the narrow disks
-        for q in disks:
-            self.append(q)
+        for entry in entries:
+            self.add(entry)
 
     def __len__(self) -> int:
         return len(self._wide) + len(self._narrow)
 
-    def __iter__(self):
-        yield from self._wide_disks
-        yield from self._narrow_disks
-
     def entries(self) -> List[Tuple[float, float, float]]:
         return self._wide + self._narrow
 
-    def append(self, q: PlacedDisk) -> float:
-        """Index q; returns theta_q, which equals polar_angle(center, q.center)."""
-        dx = q.center.x - self.center.x
-        dy = q.center.y - self.center.y
-        dq = math.hypot(dx, dy)
-        theta = math.atan2(dy, dx)  # in [-pi, pi], so one wrap normalizes it
-        if theta < 0.0:
-            theta += TWO_PI
-        entry = (theta, dq, q.radius)
-        g = self.r_max + q.radius
+    def add(self, entry: Tuple[float, float, float]) -> None:
+        """Index a disk by its entry about `center`."""
+        theta, dq, rq = entry
+        g = self.r_max + rq
         bound = math.asin(g / dq) + BOUND_MARGIN if dq > g else math.inf
         if bound > WIDE_ARC:
             self._wide.append(entry)
-            self._wide_disks.append(q)
-            return theta
+            return
         i = bisect_left(self._thetas, theta)
         self._thetas.insert(i, theta)
         self._bounds.insert(i, bound)
         self._narrow.insert(i, entry)
-        self._narrow_disks.insert(i, q)
         if bound > self._reach:
             self._reach = bound
-        return theta
 
     def free_angle(self, anchor: float, r: float, angle_floor: float) -> Optional[float]:
         """The kernel's angle for a center at distance anchor > 0, or None when
@@ -395,14 +391,14 @@ def place_in_ring(
     return _place_at_anchor(ring.center, anchor, angle_floor, prev, r)
 
 
-def center_penetration(c: ContainerDisk, placed: Sequence[PlacedDisk]) -> float:
-    """Depth by which placed disks cover the container center (0 if uncovered)."""
+def center_penetration(entries: Iterable[Tuple[float, float, float]]) -> float:
+    """Depth by which the disks of these entries cover the center they are
+    about: the shallowest such depth, 0 if none covers it."""
     best = 0.0
     found = False
-    for q in placed:
-        d = math.hypot(q.center.x - c.center.x, q.center.y - c.center.y)
-        if d < q.radius:
-            pen = q.radius - d
+    for _, d, rq in entries:
+        if d < rq:
+            pen = rq - d
             if not found or pen < best:
                 best = pen
                 found = True

@@ -3,7 +3,8 @@
 `blocking_constraints` builds the keep-out arcs from the placed disks
 themselves, computing each disk's distance and polar angle about the center
 on every call; `geometry._blocking_constraints` reads them from the entries
-that a `NearDisks` index caches, and must give the identical floats.
+that `geometry.polar_entry` computed once, when the disk was placed, and a
+`NearDisks` index holds. It must give the identical floats.
 
 `smallest_feasible_angle` is the independent oracle for
 `geometry._smallest_feasible_angle`: it checks every candidate angle against

@@ -12,7 +12,7 @@ from diskpack.engine import (
     pack,
     ring_packing,
 )
-from diskpack.geometry import Point, RingShape, unit_container
+from diskpack.geometry import Point, RingShape, polar_entry, unit_container
 from diskpack.instances import gen_near_threshold, gen_random_area, ThresholdEdge
 from diskpack.verifier import verify
 
@@ -44,7 +44,7 @@ def test_instance_rejects_bad_radii():
 
 def test_boundary_packing_two_halves():
     st = fresh_state([0.5, 0.5])
-    n = boundary_packing(st, st.container, 0.25)
+    n = boundary_packing(st, 0.25)
     assert n == 2
     (a, b) = st.placed
     assert (a.center.x, a.center.y) == pytest.approx((0.5, 0.0), abs=1e-12)
@@ -53,7 +53,7 @@ def test_boundary_packing_two_halves():
 
 def test_boundary_packing_threshold_stop():
     st = fresh_state([0.3, 0.2])
-    n = boundary_packing(st, st.container, 0.25)
+    n = boundary_packing(st, 0.25)
     assert n == 1
     assert st.pending == [0.2]
 
@@ -62,9 +62,9 @@ def test_boundary_packing_seven_quarters():
     # Angular accounting oracle: consecutive r=1/4 disks need 2*asin(1/3) of
     # polar angle; floor(2*pi / 0.67967) = 9, so all seven fit easily.
     st = fresh_state([0.25] * 7)
-    assert boundary_packing(st, st.container, 0.25) == 7
+    assert boundary_packing(st, 0.25) == 7
     st = fresh_state([0.25] * 12)
-    assert boundary_packing(st, st.container, 0.25) == 9
+    assert boundary_packing(st, 0.25) == 9
     assert st.pending == [0.25] * 3
 
 
@@ -106,7 +106,7 @@ def test_open_ring_formula_and_guard():
 
     def new_ring(r_i):
         # As Phase 3 opens a ring: R[r_min, r_min - 2*r_i] about the container.
-        return _open_ring(st, st.container.center, st.r_min, st.r_min - 2.0 * r_i)
+        return _open_ring(st, st.r_min, st.r_min - 2.0 * r_i)
 
     ring = new_ring(0.2)
     assert (ring.r_out, ring.r_in) == (1.0, 0.6)
@@ -182,6 +182,43 @@ def test_ring_placement_sees_only_its_neighbours(monkeypatch):
     assert near == full
     assert len(near_sizes) == len(prev_sizes)
     assert sum(near_sizes) < 0.8 * sum(prev_sizes)
+
+
+def test_polar_entries_follow_the_container(monkeypatch):
+    """Every Phase-2 and ring call sees one entry per placed disk, about the
+    container's current center, and every ring is about that center."""
+    calls = []
+
+    def check(state):
+        center = state.container.center
+        assert state.polar == [polar_entry(center, q) for q in state.placed]
+
+    def checked(name):
+        run = getattr(engine, name)
+
+        def wrapped(state, *args):
+            check(state)
+            if name == "ring_packing":
+                assert args[0].center == state.container.center
+            out = run(state, *args)
+            check(state)
+            calls.append(name)
+            return out
+
+        monkeypatch.setattr(engine, name, wrapped)
+
+    checked("boundary_packing")
+    checked("ring_packing")
+    insts = [
+        InstanceSpec.of([0.495, 0.495, 0.06, 0.05, 0.04, 0.03]),
+        gen_near_threshold(ThresholdEdge.RECURSION_EDGE),
+        gen_random_area(200, math.pi / 2, 7, min_radius_ratio=1e-2),
+    ]
+    results = [pack(inst) for inst in insts]
+    assert all(res.complete for res in results)
+    for res in results[:2]:  # both re-key the entries at a Phase-1 recursion
+        assert "recursion" in [e["event"] for e in res.phase_trace]
+    assert {"boundary_packing", "ring_packing"} <= set(calls)
 
 
 def test_pack_recursion_then_rest():

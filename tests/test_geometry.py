@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diskpack import geometry
+from diskpack import engine, geometry
 from diskpack.engine import InstanceSpec, pack
 from diskpack.geometry import (
     TWO_PI,
@@ -23,7 +23,7 @@ from diskpack.geometry import (
     normalize_angle,
     place_in_ring,
     place_tangent,
-    polar_angle,
+    polar_entry,
     unit_container,
 )
 from diskpack.instances import gen_random_area
@@ -47,9 +47,13 @@ def dist(p, q):
 
 
 def entries_of(center, disks):
-    """The entries (theta_q, dq, r_q) that an index about center holds for
-    disks, in their order."""
-    return [NearDisks(center, 0.0, [q]).entries()[0] for q in disks]
+    """The entries (theta_q, dq, r_q) of disks about center, in their order."""
+    return [polar_entry(center, q) for q in disks]
+
+
+def index(center, r_max, disks):
+    """An index about center holding the entries of disks."""
+    return NearDisks(center, r_max, entries_of(center, disks))
 
 
 def separation(anchor, dq, gap):
@@ -76,7 +80,7 @@ def test_disk_at_subnormal_distance_counts_as_concentric():
     entries = entries_of(center, [q])
     assert _blocking_constraints(center, 0.15, 0.1, entries) == ([], True)
     assert _blocking_constraints(center, 0.25, 0.1, entries) == ([], False)
-    near = NearDisks(center, 0.1, [q])
+    near = index(center, 0.1, [q])
     assert near.free_angle(0.15, 0.1, 1.0) is None
     assert near.free_angle(0.25, 0.1, 1.0) == 1.0
 
@@ -146,7 +150,7 @@ def test_place_tangent_first_disk_at_zero():
 
 def test_place_tangent_antipodal_pair():
     first = place_tangent(UNIT, 0.5, prev=NearDisks(UNIT.center, 0.5))
-    second = place_tangent(UNIT, 0.5, prev=NearDisks(UNIT.center, 0.5, [first]))
+    second = place_tangent(UNIT, 0.5, prev=index(UNIT.center, 0.5, [first]))
     assert second is not None
     assert second.center.x == pytest.approx(-0.5, abs=1e-12)
     assert second.center.y == pytest.approx(0.0, abs=1e-12)
@@ -162,13 +166,13 @@ def test_place_tangent_fills_then_no_fit():
     budget 2*pi / (2*asin(1/3)) allows exactly nine."""
     placed = []
     while True:
-        p = place_tangent(UNIT, 0.25, prev=NearDisks(UNIT.center, 0.25, placed))
+        p = place_tangent(UNIT, 0.25, prev=index(UNIT.center, 0.25, placed))
         if p is None:
             break
         placed.append(p)
     assert len(placed) == 9
     sep = 2 * math.asin(1 / 3)
-    last_angle = polar_angle(UNIT.center, placed[-1].center)
+    last_angle = polar_entry(UNIT.center, placed[-1])[0]
     assert 2 * math.pi - last_angle < 2 * sep  # residual cannot host another
 
 
@@ -181,9 +185,9 @@ def test_place_tangent_minimality_grid():
     """The returned angle is minimal: every grid angle below it overlaps."""
     prev = [disk(0.3, 0.7, 0.0), disk(0.2, 0.8 * math.cos(1.2), 0.8 * math.sin(1.2))]
     r = 0.25
-    p = place_tangent(UNIT, r, angle_floor=0.0, prev=NearDisks(UNIT.center, r, prev))
+    p = place_tangent(UNIT, r, angle_floor=0.0, prev=index(UNIT.center, r, prev))
     assert p is not None
-    beta = polar_angle(UNIT.center, p.center)
+    beta = polar_entry(UNIT.center, p)[0]
     anchor = 1.0 - r
     a = 0.0
     while a < beta - 1e-4:
@@ -196,7 +200,7 @@ def test_place_tangent_minimality_grid():
 
 def test_place_tangent_respects_floor():
     p = place_tangent(UNIT, 0.1, angle_floor=2.0, prev=NearDisks(UNIT.center, 0.1))
-    assert polar_angle(UNIT.center, p.center) == pytest.approx(2.0, abs=1e-12)
+    assert polar_entry(UNIT.center, p)[0] == pytest.approx(2.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +219,14 @@ def test_place_in_ring_inner_anchor():
     ring = RingShape(Point(0.0, 0.0), 1.0, 0.5)
     p = place_in_ring(ring, Side.INNER, 0.1, prev=NearDisks(ring.center, 0.1))
     assert dist(p.center, ring.center) == pytest.approx(0.6, abs=1e-15)
-    assert polar_angle(ring.center, p.center) == pytest.approx(0.0, abs=1e-12)
+    assert polar_entry(ring.center, p)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_place_in_ring_next_angle_law_of_cosines():
     ring = RingShape(Point(0.0, 0.0), 1.0, 0.8)
     prev = [disk(0.1, 0.9, 0.0)]
-    p = place_in_ring(ring, Side.OUTER, 0.1, prev=NearDisks(ring.center, 0.1, prev))
-    beta = polar_angle(ring.center, p.center)
+    p = place_in_ring(ring, Side.OUTER, 0.1, prev=index(ring.center, 0.1, prev))
+    beta = polar_entry(ring.center, p)[0]
     expected = math.acos((0.81 + 0.81 - 0.04) / 1.62)
     assert beta == pytest.approx(expected, abs=1e-12)
     assert beta == pytest.approx(0.22268202868192777, abs=1e-9)
@@ -248,7 +252,7 @@ def test_place_in_ring_crowded_is_no_fit_not_error():
     ring = RingShape(Point(0.0, 0.0), 1.0, 0.5)
     placed = []
     while True:
-        p = place_in_ring(ring, Side.OUTER, 0.25, prev=NearDisks(ring.center, 0.25, placed))
+        p = place_in_ring(ring, Side.OUTER, 0.25, prev=index(ring.center, 0.25, placed))
         if p is None:
             break
         placed.append(p)
@@ -292,7 +296,7 @@ def test_inscribed_after_two_fallback_radius():
 
 def test_inscribed_after_two_asymmetric_tangency():
     first = place_tangent(UNIT, 0.5, prev=NearDisks(UNIT.center, 0.5))
-    second = place_tangent(UNIT, 0.4, prev=NearDisks(UNIT.center, 0.4, [first]))
+    second = place_tangent(UNIT, 0.4, prev=index(UNIT.center, 0.4, [first]))
     c = inscribed_disk_after_two(UNIT, first, second)
     assert dist(c.center, UNIT.center) + c.radius == pytest.approx(1.0, abs=1e-9)
     for d in (first, second):
@@ -306,11 +310,12 @@ def test_inscribed_after_two_asymmetric_tangency():
 
 
 def test_center_penetration_examples():
-    assert center_penetration(UNIT, [disk(0.6, 0.4, 0.0)]) == pytest.approx(0.2, abs=1e-15)
-    assert center_penetration(UNIT, [disk(0.4, 0.6, 0.0)]) == 0.0
-    got = center_penetration(
-        UNIT, [disk(0.55, 0.45, 0.0), disk(0.52, -0.48, 0.0)]
-    )
+    def penetration(disks):
+        return center_penetration(entries_of(UNIT.center, disks))
+
+    assert penetration([disk(0.6, 0.4, 0.0)]) == pytest.approx(0.2, abs=1e-15)
+    assert penetration([disk(0.4, 0.6, 0.0)]) == 0.0
+    got = penetration([disk(0.55, 0.45, 0.0), disk(0.52, -0.48, 0.0)])
     assert got == pytest.approx(0.04, abs=1e-12)
 
 
@@ -323,7 +328,7 @@ def test_center_penetration_examples():
 def test_placement_invariants(radii, floor):
     placed = []
     for r in sorted(radii, reverse=True):
-        p = place_tangent(UNIT, r, angle_floor=floor, prev=NearDisks(UNIT.center, r, placed))
+        p = place_tangent(UNIT, r, angle_floor=floor, prev=index(UNIT.center, r, placed))
         if p is None:
             continue
         anchor = 1.0 - r
@@ -478,17 +483,26 @@ def full_list_angle(center, anchor, r, disks, floor):
 
 def test_kernel_matches_oracle_on_packing_traffic(monkeypatch):
     """Every angle choice that real packings make agrees with the oracle over
-    the arcs of the full near list."""
+    the arcs of the full near list. The disks come from the entries the
+    packer computed for them."""
     free_angle = NearDisks.free_angle
+    disk_of = {}
     sizes = []
+
+    def recorded(center, q):
+        entry = polar_entry(center, q)
+        disk_of[entry] = q
+        return entry
 
     def checked(near, anchor, r, floor):
         got = free_angle(near, anchor, r, floor)
-        want = full_list_angle(near.center, anchor, r, near, floor)
+        disks = [disk_of[entry] for entry in near.entries()]
+        want = full_list_angle(near.center, anchor, r, disks, floor)
         assert same_angle(got, want)
         sizes.append(len(near))
         return got
 
+    monkeypatch.setattr(engine, "polar_entry", recorded)
     monkeypatch.setattr(NearDisks, "free_angle", checked)
     for seed in range(4):
         ratio = 10.0 ** -(1 + seed % 3)
@@ -568,14 +582,14 @@ def index_queries(draw):
     return center, anchor, r, r_max, disks, floor
 
 
-def checked_query(near, anchor, r, floor):
-    """near.free_angle(anchor, r, floor), checking the pull rule: after each
-    pull, every disk not yet given to `_blocking_constraints` has its keep-out
-    arc, as the kernel computes it, starting above floor + limit, so no
-    candidate the sweep examines before the next pull and no exact test can
-    depend on it."""
-    left = list(near)
-    disk_of = dict(zip(near.entries(), near))
+def checked_query(near, disks, anchor, r, floor):
+    """near.free_angle(anchor, r, floor) for the index of disks, checking the
+    pull rule: after each pull, every disk not yet given to
+    `_blocking_constraints` has its keep-out arc, as the kernel computes it,
+    starting above floor + limit, so no candidate the sweep examines before
+    the next pull and no exact test can depend on it."""
+    left = list(disks)
+    disk_of = dict(zip(entries_of(near.center, disks), disks))
     sweep = geometry._smallest_feasible_angle
 
     def recorded(*args):
@@ -604,12 +618,12 @@ def checked_query(near, anchor, r, floor):
 @settings(max_examples=600, derandomize=True, deadline=None)
 def test_index_query_matches_full_list_oracle(query):
     center, anchor, r, r_max, disks, floor = query
-    near = NearDisks(center, r_max, disks)
+    near = index(center, r_max, disks)
     assert len(near) == len(disks)
-    got = checked_query(near, anchor, r, floor)
+    got = checked_query(near, disks, anchor, r, floor)
     assert same_angle(got, full_list_angle(center, anchor, r, disks, floor))
     # The index does not depend on the order its disks came in.
-    assert same_angle(got, NearDisks(center, r_max, disks[::-1]).free_angle(anchor, r, floor))
+    assert same_angle(got, index(center, r_max, disks[::-1]).free_angle(anchor, r, floor))
 
 
 @st.composite
@@ -644,14 +658,16 @@ def test_index_entries_give_the_reference_arcs(query):
     """The arcs from an index's cached entries are bit-identical to the
     reference arcs from the disks, disk by disk and for the whole list."""
     center, anchor, r, r_max, disks, floor, edge = query
-    near = NearDisks(center, r_max, disks)
-    pairs = list(zip(near, near.entries()))
+    near = index(center, r_max, disks)
+    disk_of = dict(zip(entries_of(center, disks), disks))
+    pairs = [(disk_of[entry], entry) for entry in near.entries()]
     assert len(pairs) == len(disks)
     for q, entry in pairs:
         got = _blocking_constraints(center, anchor, r, [entry])
         assert repr(got) == repr(reference_constraints(center, anchor, r, [q]))
     got = _blocking_constraints(center, anchor, r, near.entries())
-    assert repr(got) == repr(reference_constraints(center, anchor, r, list(near)))
+    in_order = [q for q, _ in pairs]
+    assert repr(got) == repr(reference_constraints(center, anchor, r, in_order))
     # The edge disk takes the branch it was built for.
     entry = entries_of(center, disks[-1:])[0] if edge != "none" else None
     if edge == "concentric":
@@ -670,17 +686,17 @@ def test_index_needs_the_full_circle():
     # window above a floor just past 0.
     placed = []
     for _ in range(10):
-        near = NearDisks(UNIT.center, 0.2, placed)
+        near = index(UNIT.center, 0.2, placed)
         placed.append(place_tangent(UNIT, 0.2, angle_floor=0.0, prev=near))
-    floor = polar_angle(UNIT.center, placed[0].center) + 1e-3
-    near = NearDisks(UNIT.center, 0.1, placed)
+    floor = polar_entry(UNIT.center, placed[0])[0] + 1e-3
+    near = index(UNIT.center, 0.1, placed)
     got = near.free_angle(0.9, 0.1, floor)
     assert got is not None and got - floor > 4.0
     assert same_angle(got, full_list_angle(UNIT.center, 0.9, 0.1, placed, floor))
 
 
 def test_index_rejects_another_center_or_a_larger_radius():
-    near = NearDisks(Point(0.0, 0.0), 0.1, [disk(0.1, 0.5, 0.0)])
+    near = index(Point(0.0, 0.0), 0.1, [disk(0.1, 0.5, 0.0)])
     with pytest.raises(GeometryDomainError):
         place_tangent(UNIT, 0.2, prev=near)
     ring = RingShape(Point(0.5, 0.0), 0.5, 0.1)
