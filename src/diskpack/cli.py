@@ -160,30 +160,25 @@ def _cmd_prove(args) -> int:
     if not configs:
         print("error: no certified configuration matches the filter", file=sys.stderr)
         return EXIT_ERROR
-    checkpoints = [
-        f"{args.checkpoint}.{cfg.tag.value}.{cfg.orientation.value}" if args.checkpoint else None
-        for cfg in configs
-    ]
+    if args.certificate == "-":
+        # stdout carries the SUMMARY lines, so the certificate needs a file.
+        print("error: --certificate needs a file path, not -", file=sys.stderr)
+        return EXIT_ERROR
     cert = None
     if args.certificate:
         part = args.certificate + ".part"
-        taken = {os.path.realpath(ck) for ck in checkpoints if ck}
-        if os.path.realpath(args.certificate) in taken:
-            print(f"error: certificate {args.certificate} is a checkpoint file", file=sys.stderr)
-            return EXIT_ERROR
         # The certificate is written to PATH.part and moved onto PATH only by
         # a finished run, so PATH is always a whole certificate or untouched.
         cert = open(part, "w", encoding="utf-8")
     any_failures = False
     try:
-        for cfg, ck in zip(configs, checkpoints):
+        for cfg in configs:
             start = time.monotonic()
             report = prove_case(
                 cfg,
                 lambda_range=(args.lambda_min, args.lambda_max),
                 b_d=args.bound,
                 budget=budget,
-                checkpoint=ck,
                 certificate=cert,
             )
             print(f"{report.summary_line()} wall={time.monotonic() - start:.3f}s")
@@ -292,11 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument(
         "--max-boxes", type=int, default=defaults.max_boxes,
         help=f"box budget per configuration, split evenly over the {defaults.cells} cells",
-    )
-    pr.add_argument(
-        "--checkpoint", default=None,
-        help="record each cell in the JSONL file PATH.<tag>.<orient>, which every "
-        "run writes afresh: a header first, then the cells once the search is done",
     )
     pr.add_argument(
         "--certificate", default=None,

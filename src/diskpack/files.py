@@ -194,7 +194,8 @@ def parse_packing(text: str) -> PackingFile:
             if not isinstance(event, dict):
                 raise FileFormatError(f"trace event must be an object, got {event!r}")
             if event.get("event") == "ring_created":
-                for key in ("r_out", "cx", "cy"):
+                _number(event.get("r_out"), "ring_created r_out", positive=True)
+                for key in ("cx", "cy"):
                     _number(event.get(key), f"ring_created {key}")
         trace = tuple(trace)
     return PackingFile(

@@ -326,11 +326,18 @@ def malformed_trace_packing(tmp_path, trace):
 
 
 def test_cli_render_rejects_a_ring_event_without_its_geometry(tmp_path, capsys):
-    packing = malformed_trace_packing(tmp_path, [{"event": "ring_created"}])
-    code, out, err = run_cli(["render", packing, "--show-rings"], capsys=capsys)
-    assert code == 1
-    assert out == ""
-    assert "ring_created r_out must be a number" in err
+    # A ring of radius 0 or less would be drawn as an invalid SVG circle.
+    ring = {"event": "ring_created", "cx": 0.0, "cy": 0.0}
+    for event, message in [
+        ({"event": "ring_created"}, "ring_created r_out must be a number"),
+        ({**ring, "r_out": 0}, "ring_created r_out must be positive finite, got 0"),
+        ({**ring, "r_out": -0.5}, "ring_created r_out must be positive finite, got -0.5"),
+    ]:
+        packing = malformed_trace_packing(tmp_path, [event])
+        code, out, err = run_cli(["render", packing, "--show-rings"], capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert message in err
 
 
 def test_cli_render_rejects_a_trace_event_that_is_not_an_object(tmp_path, capsys):
@@ -409,21 +416,19 @@ def _read_bytes(path):
 
 def test_cli_prove_small_run_and_exit_codes(tmp_path, capsys, monkeypatch):
     cert = os.fspath(tmp_path / "cert.log")
-    ck = os.fspath(tmp_path / "ck.jsonl")
-    args = ["prove", "--case", "T1", "--lambda-max", "0.52", "--checkpoint", ck]
+    args = ["prove", "--case", "T1", "--lambda-max", "0.52"]
     code, out, _ = run_cli(args + ["--certificate", cert], capsys=capsys)
     assert code == 0
     assert "SUMMARY case=T1 orient=outer" in out
-    assert os.path.exists(cert) and not os.path.exists(ck)
+    assert os.listdir(tmp_path) == ["cert.log"]
     cert_text = open(cert, encoding="utf-8").read()
     assert "VERDICT proven" in cert_text
-    # A plain rerun runs every cell and writes the same file and SUMMARY.
-    written = _read_bytes(ck + ".T1.outer")
+    # A rerun runs every cell and writes the same certificate and SUMMARY.
     calls = spy_run_cell(monkeypatch)
-    code, out2, _ = run_cli(args, capsys=capsys)
+    code, out2, _ = run_cli(args + ["--certificate", cert + ".2"], capsys=capsys)
     assert code == 0
     assert [len(call["cells"]) for call in calls] == [256]
-    assert _read_bytes(ck + ".T1.outer") == written
+    assert _read_bytes(cert + ".2") == _read_bytes(cert)
     line = [l for l in out.splitlines() if l.startswith("SUMMARY")][0]
     line2 = [l for l in out2.splitlines() if l.startswith("SUMMARY")][0]
     strip = lambda s: s.split(" wall=")[0]
@@ -449,94 +454,57 @@ def test_cli_prove_unproven_exit_3(capsys, monkeypatch):
     assert "UNPROVEN" in err
 
 
-def test_cli_prove_names_a_checkpoint_per_configuration(tmp_path, capsys, monkeypatch):
-    ck = os.fspath(tmp_path / "ck")
+def test_cli_prove_runs_every_configuration_of_its_case(tmp_path, capsys, monkeypatch):
+    """A case runs both of its orientations, `--case all` runs every cell of
+    all 14 certified configurations, and a run without --certificate writes
+    no file."""
+    monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(
-        [
-            "prove",
-            "--case", "T6",
-            "--lambda-max", "0.505",
-            "--max-boxes", "400000",
-            "--checkpoint", ck,
-        ],
+        ["prove", "--case", "T6", "--lambda-max", "0.505", "--max-boxes", "400000"],
         capsys=capsys,
     )
     assert code == 0
     summaries = [l for l in out.splitlines() if l.startswith("SUMMARY")]
-    assert len(summaries) == 2
-    assert all("case=T6" in l and "failed=0" in l for l in summaries)
-    assert os.path.exists(ck + ".T6.outer") and os.path.exists(ck + ".T6.inner")
-    assert not os.path.exists(ck)
-    # A single configuration's checkpoint has the same name, so `--case all`
-    # over the same PATH rewrites T1/outer's file, with the same bytes, and
-    # runs every cell of every configuration.
-    args = ["prove", "--bound", "0.3", "--lambda-max", "0.505", "--checkpoint", ck]
-    assert run_cli(args + ["--case", "T1"], capsys=capsys)[0] == 0
-    written = _read_bytes(ck + ".T1.outer")
+    assert [l.split()[1:3] for l in summaries] == [
+        ["case=T6", "orient=outer"], ["case=T6", "orient=inner"]
+    ]
+    assert all("failed=0" in l for l in summaries)
     calls = spy_run_cell(monkeypatch)
-    code, out, _ = run_cli(args, capsys=capsys)
+    code, out, _ = run_cli(["prove", "--bound", "0.3", "--lambda-max", "0.505"], capsys=capsys)
     assert code == 0
     assert len([l for l in out.splitlines() if l.startswith("SUMMARY")]) == 14
     assert [len(call["cells"]) for call in calls] == [256] * 14
-    assert _read_bytes(ck + ".T1.outer") == written
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_prove_certified_run_starts_fresh(tmp_path, capsys, monkeypatch):
-    """A certified run over a set of checkpoints, one missing and one
-    finished, runs every cell of both configurations, rewrites both files,
-    and writes the certificate of the same run in an empty directory."""
+    """A certified run over an old certificate runs every cell of both
+    configurations and writes the certificate of the same run in an empty
+    directory."""
     args = ["prove", "--case", "T2", "--lambda-max", "0.52"]
     for name in ("old", "new"):
         os.mkdir(tmp_path / name)
-    ck, cert = os.fspath(tmp_path / "old" / "ck"), os.fspath(tmp_path / "old" / "c.txt")
-    assert run_cli(args + ["--checkpoint", ck], capsys=capsys)[0] == 0
-    os.unlink(ck + ".T2.outer")
+    cert = os.fspath(tmp_path / "old" / "c.txt")
     with open(cert, "w", encoding="utf-8") as fh:
         fh.write("old certificate\n")
     calls = spy_run_cell(monkeypatch)
-    code, out, err = run_cli(args + ["--checkpoint", ck, "--certificate", cert], capsys=capsys)
+    code, out, err = run_cli(args + ["--certificate", cert], capsys=capsys)
     assert (code, err) == (0, "")
     assert [len(call["cells"]) for call in calls] == [256, 256]
-    new = os.fspath(tmp_path / "new")
-    code, out2, _ = run_cli(
-        args + ["--checkpoint", new + "/ck", "--certificate", new + "/c.txt"], capsys=capsys
-    )
+    new = os.fspath(tmp_path / "new" / "c.txt")
+    code, out2, _ = run_cli(args + ["--certificate", new], capsys=capsys)
     assert code == 0
     strip = lambda text: [line.split(" wall=")[0] for line in text.splitlines()]
     assert strip(out) == strip(out2)
-    for name in ("c.txt", "ck.T2.outer", "ck.T2.inner"):
-        assert _read_bytes(os.path.join(tmp_path, "old", name)) == _read_bytes(
-            os.path.join(new, name)
-        )
-    assert sorted(os.listdir(tmp_path / "old")) == ["c.txt", "ck.T2.inner", "ck.T2.outer"]
-
-
-@pytest.mark.parametrize(
-    "case, checkpoint, certificate",
-    [("T1", "same.txt", "same.txt.T1.outer"), ("T2", "ck", "ck.T2.inner")],
-)
-def test_cli_prove_refuses_a_certificate_at_a_checkpoint_path(
-    tmp_path, capsys, case, checkpoint, certificate
-):
-    cert = os.fspath(tmp_path / certificate)
-    with open(cert, "w", encoding="utf-8") as fh:
-        fh.write("old file\n")
-    code, out, err = run_cli(
-        ["prove", "--case", case, "--lambda-max", "0.51",
-         "--checkpoint", os.fspath(tmp_path / checkpoint), "--certificate", cert],
-        capsys=capsys,
-    )
-    assert code == 1
-    assert err.startswith("error: ") and "checkpoint" in err
-    assert "SUMMARY" not in out
-    with open(cert, encoding="utf-8") as fh:
-        assert fh.read() == "old file\n"
-    assert os.listdir(tmp_path) == [certificate]
+    assert _read_bytes(cert) == _read_bytes(new)
+    assert os.listdir(tmp_path / "old") == ["c.txt"]
 
 
 @pytest.mark.parametrize(
     "args",
     [
+        # stdout carries the SUMMARY lines, so `-` is no certificate path.
+        pytest.param(["--lambda-max", "0.51", "--certificate", "-"], id="certificate-on-stdout"),
         pytest.param(["--lambda-min", "0.7", "--lambda-max", "0.6"], id="empty-lambda-range"),
         pytest.param(["--lambda-max", "nan"], id="nan-lambda-max"),
         pytest.param(["--lambda-min", "nan"], id="nan-lambda-min"),
@@ -550,33 +518,37 @@ def test_cli_prove_refuses_a_certificate_at_a_checkpoint_path(
         pytest.param(["--lambda-max", "0.51", "--max-boxes", "-5"], id="negative-max-boxes"),
     ],
 )
-def test_cli_prove_refused_run_leaves_no_certificate(tmp_path, capsys, args):
-    """A refused run exits 1 and leaves the checkpoint of an earlier run as
-    it was, and neither the certificate nor its .part file."""
-    ck = os.fspath(tmp_path / "ck.jsonl")
-    base = ["prove", "--case", "T1", "--bound", "0.3", "--checkpoint", ck]
-    assert run_cli(base + ["--lambda-max", "0.51"], capsys=capsys)[0] == 0
-    with open(ck + ".T1.outer", "rb") as fh:
-        before = fh.read()
-    cert = os.fspath(tmp_path / "new.cert")
-    code, out, err = run_cli(base + args + ["--certificate", cert], capsys=capsys)
+def test_cli_prove_refused_run_leaves_no_certificate(tmp_path, capsys, monkeypatch, args):
+    """A refused run exits 1 before any cell runs, and leaves neither the
+    certificate nor its .part file."""
+    monkeypatch.chdir(tmp_path)
+    if "--certificate" not in args:
+        args = args + ["--certificate", "new.cert"]
+    calls = spy_run_cell(monkeypatch)
+    code, out, err = run_cli(["prove", "--case", "T1", "--bound", "0.3", *args], capsys=capsys)
     assert code == 1
     assert err.startswith("error: ")
     assert "SUMMARY" not in out
-    assert sorted(os.listdir(tmp_path)) == ["ck.jsonl.T1.outer"]
-    with open(ck + ".T1.outer", "rb") as fh:
-        assert fh.read() == before
+    assert calls == []
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_prove_has_no_checkpoint_option(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["prove", "--case", "T1", "--lambda-max", "0.51", "--checkpoint", "k"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --checkpoint k" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_prove_interrupted_run_leaves_the_certificate_as_it_was(
     tmp_path, capsys, monkeypatch
 ):
     """The interrupt comes as the search of T2/inner starts, after T2/outer
-    has gone into the certificate's .part file and its checkpoint: the
-    certificate is as it was, no .part file is left, T2/outer's checkpoint
-    is whole and T2/inner's holds its header only."""
+    has gone into the certificate's .part file: the certificate is as it
+    was, and no .part file is left."""
     cert = os.fspath(tmp_path / "cert.log")
-    ck = os.fspath(tmp_path / "ck")
     with open(cert, "w", encoding="utf-8") as fh:
         fh.write("old certificate\n")
     run_cell = prover._run_cell
@@ -590,17 +562,11 @@ def test_cli_prove_interrupted_run_leaves_the_certificate_as_it_was(
 
     monkeypatch.setattr(prover, "_run_cell", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        main(["prove", "--case", "T2", "--lambda-max", "0.51", "--checkpoint", ck,
-              "--certificate", cert])
+        main(["prove", "--case", "T2", "--lambda-max", "0.51", "--certificate", cert])
     assert calls == ["T2/outer", "T2/inner"]
     with open(cert, encoding="utf-8") as fh:
         assert fh.read() == "old certificate\n"
-    assert sorted(os.listdir(tmp_path)) == ["cert.log", "ck.T2.inner", "ck.T2.outer"]
-    with open(ck + ".T2.outer", encoding="utf-8") as fh:
-        assert len(fh.read().splitlines()) == 1 + 256
-    with open(ck + ".T2.inner", encoding="utf-8") as fh:
-        (header,) = fh.read().splitlines()
-    assert json.loads(header)["header"]["orient"] == "inner"
+    assert os.listdir(tmp_path) == ["cert.log"]
 
 
 def test_cli_prove_certificate_in_a_missing_directory_fails_before_any_cell(
@@ -636,44 +602,3 @@ def test_cli_prove_unproven_run_replaces_the_certificate(tmp_path, capsys):
     assert "VERDICT failed" in text
     assert text.splitlines()[-1] == out.splitlines()[0].split(" wall=")[0]
     assert os.listdir(tmp_path) == ["cert.log"]
-
-
-def _record(line, **changes):
-    return json.dumps({**json.loads(line), **changes}) + "\n"
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        pytest.param(lambda lines: lines[:1] + ['{"foo": 1}\n'], id="no-cell"),
-        pytest.param(lambda lines: lines[:1] + ["[1, 2]\n"], id="not-an-object"),
-        pytest.param(lambda lines: lines[:1] + ['{"cell": 0}\n'], id="no-counts"),
-        pytest.param(lambda lines: lines[:1] + [_record(lines[1], cell=256)], id="cell-past-end"),
-        pytest.param(lambda lines: lines[:2] + lines[1:2], id="repeated-cell"),
-        pytest.param(lambda lines: lines[:1] + [_record(lines[1], proven=True)], id="bool-count"),
-        pytest.param(
-            lambda lines: lines[:1] + [_record(lines[1], failures=[[0.5, 0.51]])],
-            id="short-row",
-        ),
-        pytest.param(
-            lambda lines: lines[:1] + [_record(lines[1], failures=[[math.nan] * 6])],
-            id="nan-row",
-        ),
-        pytest.param(lambda lines: lines[:2] + ["not json\n"] + lines[3:], id="not-json"),
-        pytest.param(lambda lines: lines[:2] + ["\udcff\n"] + lines[3:], id="not-utf-8"),
-    ],
-)
-def test_cli_prove_replaces_a_malformed_checkpoint(tmp_path, capsys, edit):
-    """A checkpoint with a malformed record is never read: the run exits 0
-    and leaves the file of a run over no checkpoint."""
-    ck = os.fspath(tmp_path / "ck.jsonl")
-    args = ["prove", "--case", "T1", "--bound", "0.3", "--lambda-max", "0.51", "--checkpoint", ck]
-    assert run_cli(args, capsys=capsys)[0] == 0
-    with open(ck + ".T1.outer", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    with open(ck + ".T1.outer", "w", encoding="utf-8", errors="surrogateescape") as fh:
-        fh.writelines(edit(lines))
-    code, out, err = run_cli(args, capsys=capsys)
-    assert (code, err) == (0, "")
-    assert "SUMMARY case=T1 orient=outer" in out
-    assert _read_bytes(ck + ".T1.outer") == "".join(lines).encode()
