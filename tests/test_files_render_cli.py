@@ -602,3 +602,52 @@ def test_cli_prove_unproven_run_replaces_the_certificate(tmp_path, capsys):
     assert "VERDICT failed" in text
     assert text.splitlines()[-1] == out.splitlines()[0].split(" wall=")[0]
     assert os.listdir(tmp_path) == ["cert.log"]
+
+
+def _record(line, **changes):
+    return json.dumps({**json.loads(line), **changes}) + "\n"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda lines: lines[:1] + ['{"foo": 1}\n'], id="no-cell"),
+        pytest.param(lambda lines: lines[:1] + ["[1, 2]\n"], id="not-an-object"),
+        pytest.param(lambda lines: lines[:1] + ['{"cell": 0}\n'], id="no-counts"),
+        pytest.param(lambda lines: lines[:1] + [_record(lines[1], cell=256)], id="cell-past-end"),
+        pytest.param(lambda lines: lines[:2] + lines[1:2], id="repeated-cell"),
+        pytest.param(lambda lines: lines[:1] + [_record(lines[1], proven=True)], id="bool-count"),
+        pytest.param(
+            lambda lines: lines[:1] + [_record(lines[1], failures=[[0.5, 0.51]])],
+            id="short-row",
+        ),
+        pytest.param(
+            lambda lines: lines[:1] + [_record(lines[1], failures=[[math.nan] * 6])],
+            id="nan-row",
+        ),
+        pytest.param(lambda lines: lines[:2] + ["not json\n"] + lines[3:], id="not-json"),
+        pytest.param(lambda lines: lines[:2] + ["\udcff\n"] + lines[3:], id="not-utf-8"),
+    ],
+)
+def test_cli_prove_replaces_a_malformed_checkpoint(tmp_path, capsys, edit):
+    """A malformed checkpoint, written by `prover.prove_case(checkpoint=)` and
+    left at the certificate path, is never read: the run exits 0 and
+    replaces it with the certificate of a run into an empty directory."""
+    for name in ("old", "new"):
+        os.mkdir(tmp_path / name)
+    ck = os.fspath(tmp_path / "old" / "ck.jsonl")
+    (cfg,) = prover.certified_configs(prover.ConfigTag.T1)
+    prover.prove_case(cfg, lambda_range=(0.5, 0.51), b_d=0.3, checkpoint=ck)
+    with open(ck, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    assert len(lines) == 1 + 256
+    with open(ck, "w", encoding="utf-8", errors="surrogateescape") as fh:
+        fh.writelines(edit(lines))
+    args = ["prove", "--case", "T1", "--bound", "0.3", "--lambda-max", "0.51", "--certificate"]
+    code, out, err = run_cli(args + [ck], capsys=capsys)
+    assert (code, err) == (0, "")
+    assert "SUMMARY case=T1 orient=outer" in out
+    new = os.fspath(tmp_path / "new" / "ck.jsonl")
+    assert run_cli(args + [new], capsys=capsys)[0] == 0
+    assert _read_bytes(ck) == _read_bytes(new)
+    assert os.listdir(tmp_path / "old") == ["ck.jsonl"]
