@@ -160,9 +160,10 @@ def _cmd_prove(args) -> int:
     if not configs:
         print("error: no certified configuration matches the filter", file=sys.stderr)
         return EXIT_ERROR
-    if args.certificate == "-":
-        # stdout carries the SUMMARY lines, so the certificate needs a file.
-        print("error: --certificate needs a file path, not -", file=sys.stderr)
+    if args.certificate in ("-", ""):
+        # stdout carries the SUMMARY lines and an empty path names no file,
+        # so the certificate needs a file path.
+        print(f"error: --certificate needs a file path, not {args.certificate!r}", file=sys.stderr)
         return EXIT_ERROR
     cert = None
     if args.certificate:

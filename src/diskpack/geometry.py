@@ -10,29 +10,31 @@ Placement kernel: where a placed disk q sits about a center is its entry
 atan2(dy, dx), plus 2*pi when negative. The packer computes each entry once,
 when it places the disk, about the container's center (and again when Phase 1
 moves that center), and every placement about that center reads it. The disks
-such placements must avoid sit in a `NearDisks` index of their entries. For a center circling at `anchor`,
-`_blocking_constraints` turns entries into keep-out arcs (theta_q, sep_q),
-computing only the gap, the cosine c and sep_q = acos(c). Each arc is the
-float that recomputing dq and theta_q from the disk on every query would
-give: the same expressions see the same inputs, once. Then
-`_smallest_feasible_angle` picks the smallest free angle in
-[floor, floor + 2*pi) by one sweep over the candidates and arcs in increasing
-order. It only skips a candidate lying deeper than SWEEP_MARGIN inside an
-arc, and returns one only once the exact test (circular distance to every
-theta_q >= sep_q - ANGLE_EPS) passes, so the angle is bit-identical to
-checking every candidate against every arc, whatever the arcs' order.
+such placements must avoid sit in a `NearDisks` index of their entries. For a
+center circling at `anchor`, a disk's keep-out arc (theta_q, sep_q) costs only
+the gap, the cosine c and sep_q = acos(c): the float that recomputing dq and
+theta_q from the disk on every query would give, since the same expressions
+see the same inputs. `NearDisks.free_angle` answers a query in one loop that
+picks the smallest free angle in [floor, floor + 2*pi) by one sweep over the
+candidates (the floor and each arc's upper edge) and the arcs in increasing
+order. It only skips a candidate lying deeper than SWEEP_MARGIN inside an arc,
+and returns one only once the exact test (circular distance to every theta_q
+>= sep_q - ANGLE_EPS) passes, so the angle is bit-identical to checking every
+candidate against every arc, whatever the arcs' order.
 
 The index also caches an upper bound on each disk's keep-out half-width that
 holds for every anchor and every radius up to its r_max: asin((r_max + r_q) /
 dq) + BOUND_MARGIN, since a center at any distance from the fixed center sees
 the disk's gap circle under at most that angle. A disk whose bound exceeds
 WIDE_ARC, or that may block every angle (dq <= r_max + r_q), is wide and
-checked by every query; the others are narrow and kept sorted by theta_q. A
-query starts the sweep with the arcs of the wide disks and of the narrow ones
-whose bounded arc covers the floor from below. The other narrow disks join in
-order of their angle above the floor (2*pi less the distance below it, for
-the ones below): before the sweep examines a candidate, every disk within the
-index's largest bound of it has added its arc.
+checked by every query; the others are narrow and kept sorted by theta_q. One
+`_blocking_constraints` call gives a query its first arcs: those of the wide
+disks and of the narrow ones whose bounded arc covers the floor from below.
+Only these can block every angle. The loop then walks the other narrow disks
+in order of their angle above the floor (2*pi less the distance below it, for
+the ones below) and computes each one's arc inline when the sweep needs it:
+before the sweep examines a candidate, every disk within the index's largest
+bound of it has added its arc.
 
 Why the angle is unchanged: a disk not yet added has its keep-out arc, as
 the kernel computes it, starting more than BOUND_MARGIN above the candidate.
@@ -169,58 +171,6 @@ def _blocking_constraints(center: Point, anchor: float, r: float, prev):
     return cons, False
 
 
-def _smallest_feasible_angle(angle_floor: float, cons, pull) -> Optional[float]:
-    """Smallest beta in [angle_floor, angle_floor + 2*pi) whose circular
-    distance from every theta_q is at least sep_q - ANGLE_EPS; None if none.
-
-    Candidates are the floor itself and each constraint's upper edge shifted
-    into [floor, floor + 2*pi); they come in increasing order from a heap, and
-    the arcs from a heap by their start. The sweep keeps `reach`, the furthest
-    end of the arcs started so far (an arc that starts below the floor also
-    has a copy 2*pi up). cons is only a first part of the constraints:
-    whenever the next candidate lies more than `limit` (at first -inf) above
-    the floor, pull(w) is called with its offset w and returns the
-    constraints newly in reach and a new limit above w (see
-    NearDisks.free_angle)."""
-    top = angle_floor + TWO_PI
-    cons, cands, arcs = list(cons), [angle_floor], []
-    new = cons
-    limit = reach = -math.inf
-    while True:
-        for theta, sep in new:
-            base = theta + sep
-            cand = base + TWO_PI * math.ceil((angle_floor - base) / TWO_PI)
-            if cand < angle_floor:
-                cand += TWO_PI
-            heappush(cands, cand)
-            start = cand - 2.0 * sep
-            heappush(arcs, (start, cand))
-            if start < angle_floor:
-                heappush(arcs, (start + TWO_PI, cand + TWO_PI))
-        while True:
-            beta = cands[0] if cands else top
-            if beta - angle_floor > limit:
-                break
-            if beta >= top:
-                return None
-            heappop(cands)
-            lo = beta - SWEEP_MARGIN
-            while arcs and arcs[0][0] < lo:
-                end = heappop(arcs)[1]
-                if end > reach:
-                    reach = end
-            if reach > beta + SWEEP_MARGIN:
-                continue
-            for theta, sep in cons:
-                d = abs(math.fmod(beta - theta, TWO_PI))
-                if min(d, TWO_PI - d) < sep - ANGLE_EPS:
-                    break
-            else:
-                return beta
-        new, limit = pull(beta - angle_floor)
-        cons += new
-
-
 class NearDisks:
     """Polar index of the disks that placements about a fixed center must
     avoid, for placed radii up to r_max (see the module docstring). It holds
@@ -267,16 +217,15 @@ class NearDisks:
 
     def free_angle(self, anchor: float, r: float, angle_floor: float) -> Optional[float]:
         """The kernel's angle for a center at distance anchor > 0, or None when
-        no angle is free: one sweep above the floor, fed the arcs of the
-        narrow disks in angular order as it climbs."""
+        no angle is free: one loop that sweeps up from the floor and computes
+        the arcs of the narrow disks in angular order as it climbs."""
         thetas, bounds, narrow = self._thetas, self._bounds, self._narrow
-        center, reach, n = self.center, self._reach, len(narrow)
+        reach, n = self._reach, len(narrow)
         f = normalize_angle(angle_floor)
         start = bisect_left(thetas, f)
-        first = list(self._wide)
         # Narrow disks below the floor, nearest first: one whose bounded arc
-        # covers the floor goes in first; the others wait at u = 2*pi - d.
-        last = []
+        # covers the floor joins the wide disks in the first batch.
+        first = list(self._wide)
         below = 0
         while below < n:
             i = start - 1 - below
@@ -288,38 +237,88 @@ class NearDisks:
             below += 1
             if d <= bounds[i]:
                 first.append(narrow[i])
-            else:
-                last.append((TWO_PI - d, narrow[i]))
-        cons, blocked = _blocking_constraints(center, anchor, r, first)
+        cons, blocked = _blocking_constraints(self.center, anchor, r, first)
         if blocked:
             return None
+        # The sweep pops candidates (the floor, and each arc's upper edge
+        # shifted into [floor, floor + 2*pi)) in increasing order, and arcs by
+        # their start; `span` is the furthest end of the arcs started so far
+        # (an arc starting below the floor has a copy 2*pi up).
+        top = angle_floor + TWO_PI
+        cands, arcs, tests = [angle_floor], [], []
+        a2, two_a = anchor * anchor, 2.0 * anchor
         # The other narrow disks wait in increasing order of u, their angle
-        # above the floor: positions start to stop (mod n), then `last`.
-        k, stop = start, start + n - below
-
-        def pull(w):
-            # Narrow disks never block: dq > r_max + r_q.
-            nonlocal k
-            more, limit = [], math.inf
-            while k < stop:
+        # above the floor: positions start to stop (mod n), then the ones
+        # below the floor not in the first batch. Before the sweep examines
+        # a candidate w above the floor, every disk with u - reach <= w has
+        # added its arc; `limit` is u - reach of the next one.
+        k, stop, end = start, start + n - below, start + n
+        limit = span = -math.inf
+        while True:
+            if cons:
+                theta, sep = cons.pop()
+            else:
+                beta = cands[0] if cands else top
+                if beta - angle_floor <= limit:
+                    if beta >= top:
+                        return None
+                    heappop(cands)
+                    lo = beta - SWEEP_MARGIN
+                    while arcs and arcs[0][0] < lo:
+                        edge = heappop(arcs)[1]
+                        if edge > span:
+                            span = edge
+                    if span > beta + SWEEP_MARGIN:
+                        # beta, and every candidate below span - SWEEP_MARGIN,
+                        # lies that deep inside the arc ending at span.
+                        lo = span - SWEEP_MARGIN
+                        while cands and cands[0] < lo:
+                            heappop(cands)
+                        continue
+                    for theta, s in tests:
+                        d = abs(math.fmod(beta - theta, TWO_PI))
+                        if d < s or TWO_PI - d < s:
+                            break
+                    else:
+                        return beta
+                    continue
+                if k == end:
+                    limit = math.inf
+                    continue
                 i = k - n if k >= n else k
-                u = thetas[i] - f
-                if u < 0.0:
-                    u += TWO_PI
-                if u - reach > w:
+                if k < stop:
+                    u = thetas[i] - f
+                    if u < 0.0:
+                        u += TWO_PI
+                else:
+                    d = f - thetas[i]
+                    if d < 0.0:
+                        d += TWO_PI
+                    if d <= bounds[i]:  # in the first batch
+                        k += 1
+                        continue
+                    u = TWO_PI - d
+                if u - reach > beta - angle_floor:
                     limit = u - reach
-                    break
-                more.append(narrow[i])
+                    continue
                 k += 1
-            if k == stop:
-                while last and last[-1][0] - reach <= w:
-                    more.append(last.pop()[1])
-                if last:
-                    limit = last[-1][0] - reach
-            more = _blocking_constraints(center, anchor, r, more)[0] if more else []
-            return more, limit
-
-        return _smallest_feasible_angle(angle_floor, cons, pull)
+                # dq > r_max + r_q >= gap: the disk never blocks, c >= 0.
+                _, dq, rq = narrow[i]
+                gap = r + rq
+                c = (a2 + dq * dq - gap * gap) / (two_a * dq)
+                if c >= 1.0:
+                    continue
+                theta, sep = thetas[i], math.acos(c)
+            base = theta + sep
+            cand = base + TWO_PI * math.ceil((angle_floor - base) / TWO_PI)
+            if cand < angle_floor:
+                cand += TWO_PI
+            heappush(cands, cand)
+            lo = cand - 2.0 * sep
+            heappush(arcs, (lo, cand))
+            if lo < angle_floor:
+                heappush(arcs, (lo + TWO_PI, cand + TWO_PI))
+            tests.append((theta, sep - ANGLE_EPS))
 
 
 def _place_at_anchor(

@@ -505,6 +505,8 @@ def test_cli_prove_certified_run_starts_fresh(tmp_path, capsys, monkeypatch):
     [
         # stdout carries the SUMMARY lines, so `-` is no certificate path.
         pytest.param(["--lambda-max", "0.51", "--certificate", "-"], id="certificate-on-stdout"),
+        # Nor is the empty path, which names no file at all.
+        pytest.param(["--lambda-max", "0.51", "--certificate", ""], id="empty-certificate-path"),
         pytest.param(["--lambda-min", "0.7", "--lambda-max", "0.6"], id="empty-lambda-range"),
         pytest.param(["--lambda-max", "nan"], id="nan-lambda-max"),
         pytest.param(["--lambda-min", "nan"], id="nan-lambda-min"),

@@ -1,4 +1,7 @@
+import heapq
+import itertools
 import math
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -17,7 +20,6 @@ from diskpack.geometry import (
     RingWidthError,
     Side,
     _blocking_constraints,
-    _smallest_feasible_angle,
     center_penetration,
     inscribed_disk_after_two,
     normalize_angle,
@@ -339,7 +341,7 @@ def test_placement_invariants(radii, floor):
 
 
 # ---------------------------------------------------------------------------
-# the sorted-sweep kernel against the quadratic oracle
+# the kernel's queries against the quadratic oracle
 
 
 def same_angle(a, b):
@@ -353,165 +355,12 @@ THETAS = st.one_of(
     st.floats(0.0, 1e-9),
     st.floats(TWO_PI - 1e-9, TWO_PI),
 )
-SEPS = st.one_of(
-    st.floats(0.0, math.pi),
-    st.floats(0.0, 1e-9),
-    st.floats(math.pi - 1e-9, math.pi),
-    st.sampled_from([0.0, 1e-12, math.pi / 2, math.pi]),
-)
 FLOORS = st.one_of(
     st.floats(0.0, TWO_PI),
     st.floats(0.0, 1e-9),
     st.floats(TWO_PI - 1e-9, TWO_PI),
     st.sampled_from([0.0, -0.0, math.pi, TWO_PI]),
 )
-
-
-@st.composite
-def constraint_sets(draw):
-    """Random arcs; duplicated arcs and duplicate thetas; and chains of arcs
-    whose edges touch exactly, which may cover the whole circle."""
-    kind = draw(st.sampled_from(["random", "duplicates", "chain"]))
-    n = draw(st.integers(0, 24))
-    if kind == "random":
-        return [(draw(THETAS), draw(SEPS)) for _ in range(n)]
-    if kind == "duplicates":
-        thetas = draw(st.lists(THETAS, min_size=1, max_size=3))
-        seps = draw(st.lists(SEPS, min_size=1, max_size=3))
-        return [
-            (draw(st.sampled_from(thetas)), draw(st.sampled_from(seps)))
-            for _ in range(n)
-        ]
-    theta = draw(THETAS)
-    sep = draw(st.floats(1e-3, 1.0))
-    cons = [(theta, sep)]
-    for _ in range(n):
-        nxt = draw(st.floats(1e-3, 1.0))
-        theta = math.fmod(theta + sep + nxt, TWO_PI)
-        sep = nxt
-        cons.append((theta, sep))
-    return cons
-
-
-def swept(floor, cons):
-    """The sweep over cons with nothing left to pull."""
-    return _smallest_feasible_angle(floor, cons, lambda w: ([], math.inf))
-
-
-def arc_start(floor, theta, sep):
-    """Where the sweep's arc of (theta, sep) starts: its upper edge, shifted
-    into [floor, floor + 2*pi) as the sweep shifts it, less 2 * sep."""
-    base = theta + sep
-    edge = base + TWO_PI * math.ceil((floor - base) / TWO_PI)
-    if edge < floor:
-        edge += TWO_PI
-    return edge - 2.0 * sep
-
-
-def fed_by_pull(floor, cons):
-    """The sweep over cons fed the way the index feeds it: first the
-    constraints whose arc, as the sweep computes it, starts less than
-    2 * BOUND_MARGIN above the floor, then the others in order of their
-    start, each one pulled once a candidate comes within 2 * BOUND_MARGIN of
-    it. Checks that pull is called only when the next candidate lies past the
-    limit it returned last."""
-    first, later = [], []
-    for theta, sep in cons:
-        gap = arc_start(floor, theta, sep) - floor - 2.0 * geometry.BOUND_MARGIN
-        (first if gap <= 0.0 else later).append((gap, (theta, sep)))
-    later.sort(reverse=True)
-    limits = [-math.inf]
-
-    def pull(w):
-        assert w > limits[-1]
-        more = []
-        while later and later[-1][0] <= w:
-            more.append(later.pop()[1])
-        limits.append(later[-1][0] if later else math.inf)
-        return more, limits[-1]
-
-    return _smallest_feasible_angle(floor, [c for _, c in first], pull)
-
-
-@given(floor=FLOORS, cons=constraint_sets())
-@settings(max_examples=800, derandomize=True)
-def test_kernel_sweep_matches_quadratic_oracle(floor, cons):
-    got = swept(floor, cons)
-    assert same_angle(got, quadratic_feasible_angle(floor, cons))
-    # The answer does not depend on the order of the constraints.
-    assert same_angle(got, swept(floor, cons[::-1]))
-    # Nor on holding constraints back until the sweep comes near their arcs.
-    assert same_angle(got, fed_by_pull(floor, cons))
-
-
-def test_kernel_tangent_edges_and_blocked_circle():
-    # Edges touching exactly: the upper edge of one arc is the lower edge of
-    # the next, so the first arc's edge is blocked only by the slack.
-    cons = [(1.0, 0.5), (2.0, 0.5)]
-    got = swept(0.5, cons)
-    assert same_angle(got, quadratic_feasible_angle(0.5, cons))
-    assert same_angle(got, fed_by_pull(0.5, cons))
-    # Four overlapping arcs cover the circle: no angle is feasible.
-    full = [(k * math.pi / 2, 0.8) for k in range(4)]
-    assert swept(0.3, full) is None
-    assert fed_by_pull(0.3, full) is None
-    assert quadratic_feasible_angle(0.3, full) is None
-    # A half-width of pi leaves only the antipode.
-    assert swept(0.0, [(1.0, math.pi)]) == 1.0 + math.pi
-
-
-def test_kernel_arcs_pulled_next_to_the_candidate():
-    # The floor lies deep inside arc A = [0, 1], so the next candidate is its
-    # upper edge 1.0, and arc B is pulled only then. Either B ends a hair
-    # below 1.0, within A's slack, and the sweep goes back to B's edge; or B
-    # starts a hair below 1.0, too close for the skip, and 1.0 fails B's
-    # exact test.
-    a = (0.5, 0.5)
-    cases = [((0.9, 0.1 - 1e-13), 0.9 + (0.1 - 1e-13)), ((1.05, 0.05 + 1e-10), 1.1000000001)]
-    for b, want in cases:
-        assert quadratic_feasible_angle(0.1, [a, b]) == want
-        assert fed_by_pull(0.1, [a, b]) == want
-        assert swept(0.1, [a, b]) == want
-
-
-def full_list_angle(center, anchor, r, disks, floor):
-    """The quadratic oracle over the reference arcs of every disk: the
-    kernel's angle without an index."""
-    cons, blocked = reference_constraints(center, anchor, r, list(disks))
-    return None if blocked else quadratic_feasible_angle(floor, cons)
-
-
-def test_kernel_matches_oracle_on_packing_traffic(monkeypatch):
-    """Every angle choice that real packings make agrees with the oracle over
-    the arcs of the full near list. The disks come from the entries the
-    packer computed for them."""
-    free_angle = NearDisks.free_angle
-    disk_of = {}
-    sizes = []
-
-    def recorded(center, q):
-        entry = polar_entry(center, q)
-        disk_of[entry] = q
-        return entry
-
-    def checked(near, anchor, r, floor):
-        got = free_angle(near, anchor, r, floor)
-        disks = [disk_of[entry] for entry in near.entries()]
-        want = full_list_angle(near.center, anchor, r, disks, floor)
-        assert same_angle(got, want)
-        sizes.append(len(near))
-        return got
-
-    monkeypatch.setattr(engine, "polar_entry", recorded)
-    monkeypatch.setattr(NearDisks, "free_angle", checked)
-    for seed in range(4):
-        ratio = 10.0 ** -(1 + seed % 3)
-        pack(gen_random_area(300, math.pi / 2, seed, min_radius_ratio=ratio))
-    assert len(sizes) > 1000 and max(sizes) > 50
-
-
-# ---------------------------------------------------------------------------
-# the polar index against the full-list oracle
 
 
 def polar_disk(center, theta, dq, radius):
@@ -525,6 +374,13 @@ def nudge(x, steps):
     return x
 
 
+def full_list_angle(center, anchor, r, disks, floor):
+    """The quadratic oracle over the reference arcs of every disk: the
+    kernel's angle without an index."""
+    cons, blocked = reference_constraints(center, anchor, r, list(disks))
+    return None if blocked else quadratic_feasible_angle(floor, cons)
+
+
 @st.composite
 def index_queries(draw):
     """(center, anchor, r, r_max, disks, floor) for one kernel query.
@@ -532,9 +388,12 @@ def index_queries(draw):
     Kinds: random disks; disks whose keep-out arc is at its widest (the
     anchor circle's tangent sight line), with the floor a few ulps off the
     arc's bounded edge, below or above it; wide disks, and disks that
-    block every angle; chains of exactly touching disks placed along the
-    anchor circle by the oracle, which can fill the circle (NO_FIT) or leave
-    the only gap just below the floor (the full circle)."""
+    block every angle; chains of disks placed along the anchor circle by the
+    oracle, each touching the last, or with its keep-out arc starting at the
+    last one's upper edge or less than SWEEP_MARGIN below it, which can fill
+    the circle (NO_FIT) or leave the only gap just below the floor (the full
+    circle); copies of a few disks, and disks of other radii at the same
+    centers (equal arcs, and arcs about the same theta_q)."""
     center = Point(draw(st.sampled_from([0.0, 0.25])), draw(st.sampled_from([0.0, -0.125])))
     anchor = draw(st.floats(0.05, 1.0))
     r = draw(st.floats(1e-3, 0.1))
@@ -546,7 +405,7 @@ def index_queries(draw):
         for _ in range(draw(st.integers(0, 16)))
     ]
     floor = draw(FLOORS)
-    kind = draw(st.sampled_from(["random", "tangent", "wide", "chain"]))
+    kind = draw(st.sampled_from(["random", "tangent", "wide", "chain", "duplicates"]))
     if kind == "tangent":
         # dq^2 = anchor^2 + g^2: this anchor sees the disk's gap circle under
         # the largest angle, asin(g/dq), the bound less its margin.
@@ -569,49 +428,239 @@ def index_queries(draw):
             disks.append(polar_disk(center, draw(THETAS), dq, rq))
     elif kind == "chain":
         rq = draw(st.floats(0.02, 0.5)) * anchor
-        start = theta = draw(FLOORS)
-        for _ in range(draw(st.integers(1, 40))):
-            beta = full_list_angle(center, anchor, rq, disks, theta)
-            if beta is None:
-                break
-            disks.append(polar_disk(center, beta, anchor, rq))
-            theta = normalize_angle(beta)
         r = min(r, rq)
         r_max = max(r_max, r)
+        # Placed at the free angle for rq, a disk touches the last one. Placed
+        # sep past the free angle for r, its arc for r (half-width sep, up to
+        # rounding) starts at the last arc's upper edge, or a hair below.
+        c = 1.0 - (r + rq) ** 2 / (2.0 * anchor * anchor)
+        rho, offset = draw(st.sampled_from([
+            (rq, 0.0),
+            (r, math.acos(max(c, -1.0))),
+            (r, math.acos(max(c, -1.0)) - draw(st.sampled_from([1e-11, 3e-10]))),
+        ]))
+        start = theta = draw(FLOORS)
+        for _ in range(draw(st.integers(1, 40))):
+            beta = full_list_angle(center, anchor, rho, disks, theta)
+            if beta is None:
+                break
+            theta = normalize_angle(beta + offset)
+            disks.append(polar_disk(center, theta, anchor, rq))
         floor = draw(st.sampled_from([floor, start, theta]))
+    elif kind == "duplicates":
+        spots = [
+            polar_disk(center, draw(THETAS), draw(st.floats(1e-6, 1.5)), 0.0).center
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+        radii = draw(st.lists(st.floats(1e-4, 0.25), min_size=1, max_size=3))
+        for _ in range(draw(st.integers(1, 12))):
+            disks.append(disk(draw(st.sampled_from(radii)), *draw(st.sampled_from(spots))))
     return center, anchor, r, r_max, disks, floor
 
 
-def checked_query(near, disks, anchor, r, floor):
+def sweep_arc(floor, theta, sep):
+    """The sweep's arc of (theta, sep), (start, upper edge): the edge shifted
+    into [floor, floor + 2*pi) as the sweep shifts it, the start 2 * sep
+    below."""
+    base = theta + sep
+    edge = base + TWO_PI * math.ceil((floor - base) / TWO_PI)
+    if edge < floor:
+        edge += TWO_PI
+    return edge - 2.0 * sep, edge
+
+
+def swept(center, anchor, r, disks, floor):
+    """The sweep over the arcs of every disk at once: an index for radii up
+    to infinity holds every disk as wide, so its query has nothing to walk."""
+    return index(center, math.inf, disks).free_angle(anchor, r, floor)
+
+
+def checked_query(near, disks, anchor, r, floor, reached=None):
     """near.free_angle(anchor, r, floor) for the index of disks, checking the
-    pull rule: after each pull, every disk not yet given to
-    `_blocking_constraints` has its keep-out arc, as the kernel computes it,
-    starting above floor + limit, so no candidate the sweep examines before
-    the next pull and no exact test can depend on it."""
-    left = list(disks)
-    disk_of = dict(zip(entries_of(near.center, disks), disks))
-    sweep = geometry._smallest_feasible_angle
+    walk. The query calls `_blocking_constraints` once, and the disks it does
+    not pass there never block. Whenever the sweep drops a candidate, either
+    the candidate lies deeper than SWEEP_MARGIN / 2 inside an arc the sweep
+    holds, or every disk whose arc it does not hold yet has that arc, as the
+    kernel computes it, starting more than 0.9 * BOUND_MARGIN above the
+    candidate: no exact test and no smaller candidate can depend on such a
+    disk. `reached`, when given, maps each candidate the sweep pushes to the
+    smallest candidate it held just before."""
+    center = near.center
+    entries = entries_of(center, disks)
+    passed, held = [], Counter()
+    arcs = []  # each disk's sweep_arc, None when it has no arc
+    for q in disks:
+        cons, _ = reference_constraints(center, anchor, r, [q])
+        arcs.append(sweep_arc(floor, *cons[0]) if cons else None)
 
     def recorded(*args):
-        for entry in args[3]:
-            left.remove(disk_of[entry])
+        passed.append(Counter(args[3]))
         return _blocking_constraints(*args)
 
-    def checked_sweep(angle_floor, cons, pull):
-        def checked_pull(w):
-            more, limit = pull(w)
-            assert limit > w
-            rest, blocked = reference_constraints(near.center, anchor, r, left)
-            assert not blocked
-            for theta, sep in rest:
-                assert arc_start(floor, theta, sep) - floor > limit
-            return more, limit
+    def push(heap, item):
+        if isinstance(item, tuple):
+            held[item] += 1
+        elif reached is not None:
+            reached[item] = heap[0] if heap else None
+        heapq.heappush(heap, item)
 
-        return sweep(angle_floor, cons, checked_pull)
+    def pop(heap):
+        beta = heapq.heappop(heap)
+        if isinstance(beta, tuple):
+            return beta
+        margin = geometry.SWEEP_MARGIN / 2.0
+        if any(s < beta - margin and e > beta + margin for s, e in held):
+            return beta
+        left = held.copy()
+        for arc in filter(None, arcs):
+            if left[arc] > 0:
+                left[arc] -= 1
+            else:
+                assert arc[0] - beta > 0.9 * geometry.BOUND_MARGIN
+        return beta
 
     with mock.patch.object(geometry, "_blocking_constraints", recorded), \
-            mock.patch.object(geometry, "_smallest_feasible_angle", checked_sweep):
-        return near.free_angle(anchor, r, floor)
+            mock.patch.object(geometry, "heappush", push), \
+            mock.patch.object(geometry, "heappop", pop):
+        got = near.free_angle(anchor, r, floor)
+    (first,) = passed
+    rest = []
+    for q, entry in zip(disks, entries):
+        if first[entry] > 0:
+            first[entry] -= 1
+        else:
+            rest.append(q)
+    assert not reference_constraints(center, anchor, r, rest)[1]
+    return got
+
+
+@given(query=index_queries())
+@settings(max_examples=800, derandomize=True, deadline=None)
+def test_kernel_sweep_matches_quadratic_oracle(query):
+    center, anchor, r, r_max, disks, floor = query
+    got = swept(center, anchor, r, disks, floor)
+    assert same_angle(got, full_list_angle(center, anchor, r, disks, floor))
+    # The answer does not depend on the order of the disks.
+    assert same_angle(got, swept(center, anchor, r, disks[::-1], floor))
+    # Nor on holding disks back until the sweep comes near their arcs.
+    assert same_angle(got, checked_query(index(center, r_max, disks), disks, anchor, r, floor))
+
+
+def both_ways(center, anchor, r, disks, floor):
+    """The oracle's angle, checked against the sweep over every arc at once
+    and against the walked index."""
+    want = full_list_angle(center, anchor, r, disks, floor)
+    assert same_angle(swept(center, anchor, r, disks, floor), want)
+    assert same_angle(checked_query(index(center, r, disks), disks, anchor, r, floor), want)
+    return want
+
+
+def arc_disk(center, anchor, r, theta, sep):
+    """A disk on the anchor circle at theta whose keep-out arc for radius r
+    has half-width sep, up to rounding: gap = 2 * anchor * sin(sep / 2)."""
+    return polar_disk(center, theta, anchor, 2.0 * anchor * math.sin(sep / 2.0) - r)
+
+
+def test_kernel_tangent_edges_and_blocked_circle():
+    center, anchor, r = Point(0.0, 0.0), 0.5, 0.02
+    # Edges touching exactly: each arc starts where the last one ends, up to
+    # rounding, so the first arc's upper edge is blocked only by the slack.
+    touching = [arc_disk(center, anchor, r, 0.5 + 0.2 * k + 0.1, 0.1) for k in range(5)]
+    assert abs(both_ways(center, anchor, r, touching, 0.6) - 0.7) < 1e-12
+    # Eight overlapping arcs of narrow disks cover the circle: no angle is
+    # free, which the walk learns only at its last disk.
+    full = [arc_disk(center, anchor, r, k * math.pi / 4, 0.45) for k in range(8)]
+    assert len(index(center, r, full)._narrow) == 8
+    assert both_ways(center, anchor, r, full, 0.3) is None
+    # A half-width of pi leaves only the antipode: anchor + dq = gap.
+    assert both_ways(center, anchor, 0.25, [disk(0.75, 0.5, 0.0)], 0.0) == math.pi
+
+
+def test_kernel_arcs_pulled_next_to_the_candidate():
+    # The floor lies deep inside arc A = [0, 1], so the next candidate is its
+    # upper edge 1.0, and arc B is walked only then. Either B ends a hair
+    # below 1.0, within A's slack, and the sweep goes back to B's edge; or B
+    # starts a hair below 1.0, too close for the skip, and 1.0 fails B's
+    # exact test. Either way the angle is B's upper edge. Turned by 2*pi -
+    # 0.95, A's edge lies past 2*pi and B's polar angle just above 0.
+    center, anchor, r = Point(0.0, 0.0), 0.5, 0.01
+    cases = [(0.9, 0.1 - 1e-13), (1.05, 0.05 + 1e-10)]
+    for turn, (theta, sep) in itertools.product([0.0, TWO_PI - 0.95], cases):
+        floor = 0.1 + turn
+        a = arc_disk(center, anchor, r, 0.5 + turn, 0.5)
+        b = arc_disk(center, anchor, r, theta + turn, sep)
+        (arc_a, arc_b), _ = reference_constraints(center, anchor, r, [a, b])
+        edge_a, edge_b = sweep_arc(floor, *arc_a)[1], sweep_arc(floor, *arc_b)[1]
+        assert abs(edge_a - (1.0 + turn)) < 1e-14
+        assert abs(edge_b - (theta + sep + turn)) < 1e-14
+        reached = {}
+        near = index(center, r, [a, b])
+        assert checked_query(near, [a, b], anchor, r, floor, reached) == edge_b
+        assert reached[edge_b] == edge_a
+        assert same_angle(edge_b, full_list_angle(center, anchor, r, [a, b], floor))
+        assert same_angle(edge_b, swept(center, anchor, r, [a, b], floor))
+
+
+def test_kernel_walks_a_disk_as_soon_as_it_is_due():
+    # Q is the only narrow disk, its arc for r = r_max as wide as its bound
+    # allows less BOUND_MARGIN (the tangent sight line). The floor lies deep
+    # inside the wide arc P, whose upper edge lies 0.8 * BOUND_MARGIN below
+    # the start of Q's arc: within Q's bound of Q's angle, so Q adds its arc
+    # once the sweep reaches P's edge, and not before.
+    center, anchor, r, rq = Point(0.0, 0.0), 0.5, 0.01, 0.02
+    g = r + rq
+    dq = math.hypot(anchor, g)
+    q = polar_disk(center, 2.0, dq, rq)
+    top_p = 2.0 - math.asin(g / dq) - 0.8 * geometry.BOUND_MARGIN
+    p = arc_disk(center, anchor, r, top_p - 0.6, 0.6)
+    floor = top_p - 0.6
+    near = index(center, r, [p, q])
+    assert [entry[2] for entry in near.entries()] == [p.radius, rq]  # P wide, Q narrow
+    (arc_p, arc_q), _ = reference_constraints(center, anchor, r, [p, q])
+    edge_p, edge_q = sweep_arc(floor, *arc_p)[1], sweep_arc(floor, *arc_q)[1]
+    assert abs(edge_p - top_p) < 1e-15
+    reached = {}
+    assert checked_query(near, [p, q], anchor, r, floor, reached) == edge_p
+    assert reached[edge_q] == edge_p
+    assert same_angle(edge_p, full_list_angle(center, anchor, r, [p, q], floor))
+
+
+def test_kernel_matches_oracle_on_packing_traffic(monkeypatch):
+    """Every angle choice that real packings make agrees with the oracle over
+    the arcs of the full near list. The disks come from the entries the
+    packer computed for them. The traffic includes queries that land more
+    than pi above their floor, after their ring has wrapped past 2*pi, and
+    queries with no free angle (NO_FIT)."""
+    free_angle = NearDisks.free_angle
+    disk_of = {}
+    sizes = []
+    paths = Counter()
+
+    def recorded(center, q):
+        entry = polar_entry(center, q)
+        disk_of[entry] = q
+        return entry
+
+    def checked(near, anchor, r, floor):
+        got = free_angle(near, anchor, r, floor)
+        disks = [disk_of[entry] for entry in near.entries()]
+        want = full_list_angle(near.center, anchor, r, disks, floor)
+        assert same_angle(got, want)
+        sizes.append(len(near))
+        paths["no_fit" if got is None else "far" if got - floor > math.pi else "near"] += 1
+        return got
+
+    monkeypatch.setattr(engine, "polar_entry", recorded)
+    monkeypatch.setattr(NearDisks, "free_angle", checked)
+    for seed in range(4):
+        ratio = 10.0 ** -(1 + seed % 3)
+        pack(gen_random_area(300, math.pi / 2, seed, min_radius_ratio=ratio))
+    assert len(sizes) > 1000 and max(sizes) > 50
+    assert paths["far"] > 0 and paths["no_fit"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the polar index against the full-list oracle
 
 
 @given(query=index_queries())
