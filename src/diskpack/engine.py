@@ -71,12 +71,15 @@ class PackingState:
     unplaced: List[float] = field(default_factory=list)
     trace: List[dict] = field(default_factory=list)
 
-    def place(self, disk: PlacedDisk) -> Tuple[float, float, float]:
-        """Record a placement; returns its entry about the container's center."""
+    def place(self, disk: PlacedDisk, near: NearDisks) -> float:
+        """Record the placement of the head pending disk and add it to the
+        index near; returns its polar angle about the container's center."""
         entry = polar_entry(self.container.center, disk)
         self.placed.append(disk)
         self.polar.append(entry)
-        return entry
+        near.add(entry)
+        self.pending.pop(0)
+        return entry[0]
 
     def log(self, event: str, **data) -> None:
         rec = {"event": event}
@@ -114,10 +117,7 @@ def boundary_packing(state: PackingState, threshold: float) -> int:
         disk = place_tangent(c, r, angle_floor=floor, prev=near)
         if disk is None:
             break
-        entry = state.place(disk)
-        near.add(entry)
-        floor = max(floor, entry[0])
-        state.pending.pop(0)
+        floor = max(floor, state.place(disk, near))
         count += 1
     return count
 
@@ -153,10 +153,7 @@ def ring_packing(state: PackingState, ring: RingShape) -> bool:
         if disk is None:
             state.log("ring_state", state="full", r_out=ring.r_out, r_in=ring.r_in)
             return False
-        entry = state.place(disk)
-        near.add(entry)
-        floor = max(floor, entry[0])
-        state.pending.pop(0)
+        floor = max(floor, state.place(disk, near))
         r_prev = disk.radius
     return False
 
@@ -178,28 +175,21 @@ def _open_ring(state: PackingState, r_out: float, r_in: float, **extra) -> Optio
 
 def _phase1_recursion(state: PackingState) -> None:
     """Phase 1: while the two largest pending disks are >= 0.495*C, pack both
-    adjacent to C's boundary and recurse on the largest disk that still fits."""
+    adjacent to C's boundary by Boundary Packing and recurse on the largest
+    disk that still fits. Boundary Packing places at most two disks this
+    large: adjacent ones lie 2*asin(0.495/0.505) > 2*pi/3 apart about C's
+    center, so a third finds no room."""
     while (
         len(state.pending) >= 2
-        and state.pending[0] >= RECURSION_RATIO * state.container.radius
         and state.pending[1] >= RECURSION_RATIO * state.container.radius
     ):
         c = state.container
-        if state.pending[0] > c.radius:
+        placed = boundary_packing(state, RECURSION_RATIO * c.radius)
+        if placed < 2:
+            if placed:
+                state.log("phase1_partial", placed_radius=state.placed[-1].radius)
             return
-        near = NearDisks(c.center, state.pending[0], state.polar)
-        first = place_tangent(c, state.pending[0], angle_floor=0.0, prev=near)
-        if first is None:
-            return
-        entry = state.place(first)
-        near.add(entry)
-        state.pending.pop(0)
-        second = place_tangent(c, state.pending[0], angle_floor=entry[0], prev=near)
-        if second is None:
-            state.log("phase1_partial", placed_radius=first.radius)
-            return
-        state.place(second)
-        state.pending.pop(0)
+        first, second = state.placed[-2:]
         new_c = inscribed_disk_after_two(c, first, second)
         state.container = new_c
         # The one move of the container's center: key every entry afresh.

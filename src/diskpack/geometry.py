@@ -25,14 +25,14 @@ candidate against every arc, whatever the arcs' order.
 The index also caches an upper bound on each disk's keep-out half-width that
 holds for every anchor and every radius up to its r_max: asin((r_max + r_q) /
 dq) + BOUND_MARGIN, since a center at any distance from the fixed center sees
-the disk's gap circle under at most that angle. A disk whose bound exceeds
-WIDE_ARC, or that may block every angle (dq <= r_max + r_q), is wide and
-checked by every query; the others are narrow and kept sorted by theta_q. One
-`_blocking_constraints` call gives a query its first arcs: those of the wide
-disks and of the narrow ones whose bounded arc covers the floor from below.
-Only these can block every angle. The loop then walks the other narrow disks
-in order of their angle above the floor (2*pi less the distance below it, for
-the ones below) and computes each one's arc inline when the sweep needs it:
+the disk's gap circle under at most that angle. A disk that may block every
+angle (dq <= r_max + r_q) is wide and checked by every query; the others are
+narrow and kept sorted by theta_q with their bound. One `_blocking_constraints`
+call gives a query its first arcs: those of the wide disks and of the narrow
+ones whose bounded arc covers the floor from below. Only these can block every
+angle. The loop then walks the other narrow disks in order of their angle
+above the floor (2*pi less the distance below it, for the ones below) and
+computes each one's arc inline when the sweep needs it:
 before the sweep examines a candidate, every disk within the index's largest
 bound of it has added its arc.
 
@@ -73,9 +73,6 @@ SWEEP_MARGIN = 1e-9
 # Slack added to a narrow disk's keep-out bound; it dwarfs the rounding of
 # the bound, of the half-width acos(c) and of the angles compared with it.
 BOUND_MARGIN = 1e-9
-
-# Keep-out bound above which a disk is wide: every query checks it.
-WIDE_ARC = 0.5
 
 
 class GeometryDomainError(ValueError):
@@ -204,10 +201,10 @@ class NearDisks:
         """Index a disk by its entry about `center`."""
         theta, dq, rq = entry
         g = self.r_max + rq
-        bound = math.asin(g / dq) + BOUND_MARGIN if dq > g else math.inf
-        if bound > WIDE_ARC:
+        if dq <= g:  # it may block every angle
             self._wide.append(entry)
             return
+        bound = math.asin(g / dq) + BOUND_MARGIN
         i = bisect_left(self._thetas, theta)
         self._thetas.insert(i, theta)
         self._bounds.insert(i, bound)

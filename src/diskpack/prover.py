@@ -602,10 +602,10 @@ def _run_cell(
             failures = _bounds(lo[:0], hi[:0])
             if n_open[c]:
                 failures = _open_boxes(splits, undecided & (owner == c), lo, hi)
-            if with_certificate:
-                nan = np.full(len(failures), np.nan)
-                cell, failed = np.full(len(failures), c), np.full(len(failures), _UNDECIDED)
-                _write_lines(config, texts, cell, failures, failed, (nan, nan))
+                if with_certificate:
+                    nan = np.full(len(failures), np.nan)
+                    cell, failed = np.full(len(failures), c), np.full(len(failures), _UNDECIDED)
+                    _write_lines(config, texts, cell, failures, failed, (nan, nan))
             record = {
                 "cell": c,
                 "proven": int(proven[c]),

@@ -7,7 +7,7 @@ that `geometry.polar_entry` computed once, when the disk was placed, and a
 `NearDisks` index holds. It must give the identical floats.
 
 `smallest_feasible_angle` is the independent oracle for
-`geometry._smallest_feasible_angle`: it checks every candidate angle against
+`geometry.NearDisks.free_angle`: it checks every candidate angle against
 every constraint, in O(k^2), with the same candidate set and the same exact
 acceptance test. The sorted sweep must return the identical float.
 """

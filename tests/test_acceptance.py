@@ -176,9 +176,11 @@ def test_criterion_2_traces_pinned_across_commits():
 
 def family_instances():
     """The non-random families: the critical pair and its inflation, the
-    three-disk pocket, the three near-threshold edges, and k disks of radius
-    0.1. Between them they place next to wide disks, fill rings to NO_FIT
-    and give disks up."""
+    three-disk pocket, the three near-threshold edges, k disks of radius 0.1,
+    and three Phase-1 paths: a chain of three recursions, a pair whose second
+    disk does not fit (phase1_partial), and a disk filling the container
+    (placed concentric with it). Between them they place next to wide disks,
+    fill rings to NO_FIT and give disks up."""
     families = {
         "worst_case_0": gen_worst_case(0.0),
         "worst_case_0.01": gen_worst_case(0.01),
@@ -188,11 +190,18 @@ def family_instances():
         families[f"near_threshold_{edge.value}"] = gen_near_threshold(edge)
     for k in (10, 40, 49, 50, 80):
         families[f"radius_0.1_x{k}"] = InstanceSpec.of([0.1] * k)
+    families["recursion_chain_3"] = InstanceSpec.of(
+        [0.5, 0.5, 1 / 6, 1 / 6, 1 / 18, 1 / 18, 0.01, 0.01]
+    )
+    families["phase1_partial_0.6_0.5"] = InstanceSpec.of([0.6, 0.5, 0.1])
+    families["whole_container_1.0"] = InstanceSpec.of([1.0, 0.5])
     return families
 
 
 # SHA-256 of each family's packing document (UTF-8) followed by json.dumps of
-# its phase trace, as commit d5e12d2 produced them, before the polar index.
+# its phase trace, as commit d5e12d2 produced them, before the polar index;
+# the three Phase-1 paths as commit 2682a6e produced them, before Phase 1 went
+# through boundary_packing.
 FAMILY_SHA256 = {
     "worst_case_0": "9f97738aa9aae3d55775f7495775bc3a7fe2eb9d9aac4d63858e767341586788",
     "worst_case_0.01": "d8de9e7e13b16343533469ddb738295717690a130f55ec11dcfb8482b7fdd05a",
@@ -205,6 +214,9 @@ FAMILY_SHA256 = {
     "radius_0.1_x49": "c85170db307ba31ca30fbd4ed7f702e9997a7a67d6590bea0c55f3f6b867f838",
     "radius_0.1_x50": "efec32b2a8aab09792371130b416570396f4b0ec0884830b48da3c8e158ad254",
     "radius_0.1_x80": "045546e07b0a22d60e74b1a64af12ec5c19aa2645c09b8bf6d4868853337c62a",
+    "recursion_chain_3": "39b86b9239eaabb3e4066de20a3289f99ada09b8a8ab24de046f4918a1638cda",
+    "phase1_partial_0.6_0.5": "fd383e2609cc2d8d8b2451dfa74e457577dd23c147ecc5e7e47ee958d822b065",
+    "whole_container_1.0": "29a8006039d9fed7cb8705e1598e349bcffd5ebc659c328b3e460a4109499d88",
 }
 
 

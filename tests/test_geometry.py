@@ -604,17 +604,21 @@ def test_kernel_arcs_pulled_next_to_the_candidate():
 def test_kernel_walks_a_disk_as_soon_as_it_is_due():
     # Q is the only narrow disk, its arc for r = r_max as wide as its bound
     # allows less BOUND_MARGIN (the tangent sight line). The floor lies deep
-    # inside the wide arc P, whose upper edge lies 0.8 * BOUND_MARGIN below
-    # the start of Q's arc: within Q's bound of Q's angle, so Q adds its arc
-    # once the sweep reaches P's edge, and not before.
+    # inside the arc of P, which is wide: on the anchor circle, a half-width
+    # of 1.2 > pi/3 takes a gap r + r_p above dq. P's upper edge lies
+    # 0.8 * BOUND_MARGIN below the start of Q's arc: within Q's bound of Q's
+    # angle, so Q adds its arc once the sweep reaches P's edge, and not before.
     center, anchor, r, rq = Point(0.0, 0.0), 0.5, 0.01, 0.02
     g = r + rq
     dq = math.hypot(anchor, g)
     q = polar_disk(center, 2.0, dq, rq)
     top_p = 2.0 - math.asin(g / dq) - 0.8 * geometry.BOUND_MARGIN
-    p = arc_disk(center, anchor, r, top_p - 0.6, 0.6)
-    floor = top_p - 0.6
+    p = arc_disk(center, anchor, r, top_p - 1.2, 1.2)
+    floor = top_p - 1.2
     near = index(center, r, [p, q])
+    entry_p, entry_q = entries_of(center, [p, q])
+    assert entry_p[1] <= r + p.radius and entry_q[1] > r + rq
+    assert near._wide == [entry_p] and near._narrow == [entry_q]
     assert [entry[2] for entry in near.entries()] == [p.radius, rq]  # P wide, Q narrow
     (arc_p, arc_q), _ = reference_constraints(center, anchor, r, [p, q])
     edge_p, edge_q = sweep_arc(floor, *arc_p)[1], sweep_arc(floor, *arc_q)[1]
