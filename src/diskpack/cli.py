@@ -100,6 +100,15 @@ def _cmd_verify(args) -> int:
             print("error: packing digest does not match the instance", file=sys.stderr)
             return EXIT_ERROR
         instance_radii = inst_file.normalized_radii()
+        # Every instance radius is placed or listed unplaced, and nothing else.
+        accounted = [r for r, _, _ in packing.placements] + list(packing.unplaced)
+        if sorted(accounted) != sorted(instance_radii):
+            print(
+                f"error: the packing's {len(accounted)} placed and unplaced radii "
+                f"are not the instance's {len(instance_radii)} radii",
+                file=sys.stderr,
+            )
+            return EXIT_ERROR
     placements = [(r, (x, y)) for r, x, y in packing.placements]
     report = verify(placements, instance_radii, epsilon=args.epsilon)
     sys.stdout.write(dumps_report(report))

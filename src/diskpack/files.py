@@ -3,6 +3,15 @@
 Serialization is canonical: fixed key order, two-space indentation, floats
 printed with 17 significant digits (exact double round-trip), UTF-8, trailing
 newline. parse(serialize(x)) == x bit-exactly.
+
+Radii, coordinates and unplaced radii are checked by whole columns. A column
+whose values are all floats, whose C-level sum is finite (so is every value)
+and, for radii, whose least value is positive is taken as `json.loads` gave
+it. Any other column is scanned value by value with `_number`, which names
+the first bad value, turns JSON integers into floats, and accepts finite
+values whose sum overflows. So parsing gives the same values and the same
+errors either way, and only floats. `dumps_instance` checks its radii the
+same way, once, before formatting them.
 """
 
 from __future__ import annotations
@@ -10,8 +19,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from itertools import chain
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .engine import PackingResult
 from .verifier import VerificationReport
@@ -44,6 +55,54 @@ def _number(v, what: str, positive: bool = False) -> float:
         qualifier = "positive finite" if positive else "finite"
         raise FileFormatError(f"{what} must be {qualifier}, got {v!r}")
     return f
+
+
+def _floats_only(values: Iterable) -> bool:
+    """Whether every value is a float (not an int, a bool or a string), in
+    one C-level pass."""
+    return {float}.issuperset(map(type, values))
+
+
+def _numbers(values: list, what: str, positive: bool = False) -> Tuple[float, ...]:
+    """`_number` of each value. A column of floats whose sum is finite (so is
+    every value) and, when asked, whose least value is positive is taken as
+    it is; any other column is scanned value by value."""
+    if (
+        _floats_only(values)
+        and math.isfinite(sum(values))
+        and (not positive or min(values, default=1.0) > 0.0)
+    ):
+        return tuple(values)
+    return tuple(_number(v, what, positive) for v in values)
+
+
+def _placements(items: list) -> Tuple[Tuple[float, float, float], ...]:
+    """Each item's (radius, x, y), by `_number`. The triples come out of one
+    itemgetter map and are taken as they are when every value is a float,
+    their sum is finite and the least radius is positive; otherwise, a
+    malformed item too, the items are scanned one by one."""
+    try:
+        rows = tuple(map(operator.itemgetter("radius", "x", "y"), items))
+    except (TypeError, KeyError):
+        rows = None
+    if (
+        rows is not None
+        and _floats_only(chain.from_iterable(rows))
+        and math.isfinite(sum(chain.from_iterable(rows)))
+        and min(map(operator.itemgetter(0), rows), default=1.0) > 0.0
+    ):
+        return rows
+    placements = []
+    for item in items:
+        try:
+            placements.append((
+                _number(item["radius"], "radius", positive=True),
+                _number(item["x"], "x"),
+                _number(item["y"], "y"),
+            ))
+        except (TypeError, KeyError) as exc:
+            raise FileFormatError(f"malformed placement: {item!r}") from exc
+    return tuple(placements)
 
 
 def _check_version(doc: dict, expected: int, what: str) -> None:
@@ -79,13 +138,30 @@ def _array_items(items) -> list:
     return [f"    {item}," for item in items[:-1]] + [f"    {item}" for item in items[-1:]]
 
 
+def _number_items(values: Sequence) -> str:
+    """The lines `_array_items` makes of the values as `_fmt` writes them.
+    The values are checked once, by the finiteness of their sum, and written
+    by one '%.17g' template, the bytes `_fmt` writes; values that fail the
+    check go through `_fmt` one by one, which raises on the first it cannot
+    write."""
+    try:
+        floats = tuple(map(float, values))
+        if math.isfinite(sum(floats)):
+            return ("    %.17g,\n" * (len(floats) - 1) + "    %.17g") % floats
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return "\n".join(_array_items([_fmt(v) for v in values]))
+
+
 def dumps_instance(inst: InstanceFile) -> str:
+    if not inst.radii:
+        raise FileFormatError("radii must be a nonempty list")
     lines = [
         "{",
         f'  "format_version": {INSTANCE_FORMAT_VERSION},',
         f'  "container_radius": {_fmt(inst.container_radius)},',
         '  "radii": [',
-        *_array_items([_fmt(r) for r in inst.radii]),
+        _number_items(inst.radii),
         "  ]",
         "}",
     ]
@@ -108,7 +184,7 @@ def parse_instance(text: str) -> InstanceFile:
     radii = doc.get("radii")
     if not isinstance(radii, list) or not radii:
         raise FileFormatError("radii must be a nonempty list")
-    out = tuple(_number(r, "radius", positive=True) for r in radii)
+    out = _numbers(radii, "radius", positive=True)
     cr = _number(doc.get("container_radius", 1.0), "container_radius", positive=True)
     return InstanceFile(radii=out, container_radius=cr)
 
@@ -172,20 +248,13 @@ def parse_packing(text: str) -> PackingFile:
     items, unplaced = doc.get("placements", []), doc.get("unplaced", [])
     if not isinstance(items, list) or not isinstance(unplaced, list):
         raise FileFormatError("placements and unplaced must be lists")
-    placements = []
-    for item in items:
-        try:
-            placements.append((
-                _number(item["radius"], "radius", positive=True),
-                _number(item["x"], "x"),
-                _number(item["y"], "y"),
-            ))
-        except (TypeError, KeyError) as exc:
-            raise FileFormatError(f"malformed placement: {item!r}") from exc
-    unplaced = tuple(_number(v, "unplaced radius", positive=True) for v in unplaced)
+    placements = _placements(items)
+    unplaced = _numbers(unplaced, "unplaced radius", positive=True)
     complete = doc.get("complete")
     if not isinstance(complete, bool):
         raise FileFormatError("complete must be a boolean")
+    if complete != (not unplaced):
+        raise FileFormatError("complete must be true exactly when unplaced is empty")
     trace = doc.get("trace")
     if trace is not None:
         if not isinstance(trace, list):
@@ -200,7 +269,7 @@ def parse_packing(text: str) -> PackingFile:
         trace = tuple(trace)
     return PackingFile(
         instance_digest=digest,
-        placements=tuple(placements),
+        placements=placements,
         complete=complete,
         unplaced=unplaced,
         trace=trace,

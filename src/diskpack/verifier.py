@@ -13,12 +13,17 @@ accepts is a candidate, once the right edge is widened to cover rounding
 at most PAIR_CHUNK pairs (or one disk's row), so memory is linear in n plus
 one batch, and the report is the one that testing every pair gives: the
 brute-force O(n^2) pass, kept as the test oracle `tests/oracle_verifier.py`.
+
+The radius multiset is matched by rank in group, in numpy: the placed radii
+are stably sorted, a placement's rank is its position among the placements
+of its value in index order, and it matches iff the sorted instance holds
+its value more than rank times. That is the oracle's greedy, which gives
+each instance value to its earliest placements.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Tuple
@@ -93,15 +98,20 @@ def verify(
 
     if instance_radii is not None:
         # Exact match expected: placements copy instance radii bit-for-bit.
-        # Each radius value matches its earliest placements.
-        available = Counter(float(v) for v in instance_radii)
-        for i, ri in enumerate(r.tolist()):
-            if available[ri]:
-                available[ri] -= 1
-            else:
-                violations.append(
-                    Violation(ViolationKind.RADIUS_MISMATCH, (int(keep[i]),), ri)
-                )
+        # Each radius value matches its earliest placements: the k-th
+        # placement of a value (k = 0, 1, ...) matches iff the instance holds
+        # the value more than k times.
+        held = np.sort(np.asarray(instance_radii, dtype=float))
+        by_value = np.argsort(r, kind="stable")
+        placed = r[by_value]
+        rank = np.arange(n) - np.searchsorted(placed, placed, side="left")
+        count = np.searchsorted(held, placed, side="right") - np.searchsorted(
+            held, placed, side="left"
+        )
+        for i in by_value[rank >= count].tolist():
+            violations.append(
+                Violation(ViolationKind.RADIUS_MISMATCH, (int(keep[i]),), float(r[i]))
+            )
 
     violations.sort(key=lambda v: (v.kind.value, v.indices))
     density = float(np.sum(r * r)) if n else 0.0

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -76,27 +77,42 @@ def test_parse_rejects_malformed():
         parse_packing('{"format_version": 1}')
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        '{"format_version": 1, "radii": [true]}',
-        '{"format_version": 1, "radii": ["0.5"]}',
-        '{"format_version": 1, "radii": [Infinity]}',
-        '{"format_version": 1, "radii": [NaN]}',
-        '{"format_version": 1, "radii": [1e400]}',
-        pytest.param(
-            '{"format_version": 1, "radii": [1%s]}' % ("0" * 400), id="int-past-float"
-        ),
-        '{"format_version": true, "radii": [0.5]}',
-        '{"format_version": 1.0, "radii": [0.5]}',
-        '{"format_version": "1", "radii": [0.5]}',
+BIG_INT = "1" + "0" * 400  # a JSON integer past the largest float
+
+
+INSTANCE_NUMBER_ERRORS = [
+    ('{"format_version": 1, "radii": [true]}', "radius must be a number, got True"),
+    ('{"format_version": 1, "radii": ["0.5"]}', "radius must be a number, got '0.5'"),
+    ('{"format_version": 1, "radii": [Infinity]}', "radius must be positive finite, got inf"),
+    ('{"format_version": 1, "radii": [NaN]}', "radius must be positive finite, got nan"),
+    ('{"format_version": 1, "radii": [1e400]}', "radius must be positive finite, got inf"),
+    (
+        '{"format_version": 1, "radii": [%s]}' % BIG_INT,
+        f"radius must be positive finite, got {BIG_INT}",
+    ),
+    ('{"format_version": true, "radii": [0.5]}', "unsupported instance format_version: True"),
+    ('{"format_version": 1.0, "radii": [0.5]}', "unsupported instance format_version: 1.0"),
+    ('{"format_version": "1", "radii": [0.5]}', "unsupported instance format_version: '1'"),
+    (
         '{"format_version": 1, "radii": [0.5], "container_radius": "2"}',
+        "container_radius must be a number, got '2'",
+    ),
+    (
         '{"format_version": 1, "radii": [0.5], "container_radius": true}',
-    ],
+        "container_radius must be a number, got True",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    INSTANCE_NUMBER_ERRORS,
+    ids=["int-past-float" if BIG_INT in text else text for text, _ in INSTANCE_NUMBER_ERRORS],
 )
-def test_parse_instance_takes_only_finite_json_numbers(text):
-    with pytest.raises(FileFormatError):
+def test_parse_instance_takes_only_finite_json_numbers(text, message):
+    with pytest.raises(FileFormatError) as exc:
         parse_instance(text)
+    assert str(exc.value) == message
 
 
 def test_parse_instance_takes_json_integers():
@@ -111,43 +127,97 @@ def packing_text(format_version=1, unplaced=(), placements=None, **placement):
     return json.dumps({
         "format_version": format_version,
         "instance_digest": "0" * 64,
-        "complete": True,
+        "complete": not unplaced,
         "placements": [item] if placements is None else placements,
         "unplaced": unplaced,
     })
 
 
+PACKING_NUMBER_ERRORS = [
+    ({"radius": True}, "radius must be a number, got True"),
+    ({"radius": "0.5"}, "radius must be a number, got '0.5'"),
+    ({"radius": 0}, "radius must be positive finite, got 0"),
+    ({"radius": -0.5}, "radius must be positive finite, got -0.5"),
+    ({"radius": math.nan}, "radius must be positive finite, got nan"),
+    ({"radius": math.inf}, "radius must be positive finite, got inf"),
+    ({"x": math.nan}, "x must be finite, got nan"),
+    ({"y": -math.inf}, "y must be finite, got -inf"),
+    ({"x": False}, "x must be a number, got False"),
+    ({"y": "0"}, "y must be a number, got '0'"),
+    ({"format_version": True}, "unsupported packing format_version: True"),
+    ({"unplaced": [math.nan]}, "unplaced radius must be positive finite, got nan"),
+    ({"unplaced": [True]}, "unplaced radius must be a number, got True"),
+    ({"unplaced": [0.0]}, "unplaced radius must be positive finite, got 0.0"),
+    ({"unplaced": 0.5}, "placements and unplaced must be lists"),
+    ({"placements": 5}, "placements and unplaced must be lists"),
+    ({"placements": {"radius": 0.5}}, "placements and unplaced must be lists"),
+]
+
+
 @pytest.mark.parametrize(
-    "fields",
-    [
-        {"radius": True},
-        {"radius": "0.5"},
-        {"radius": 0},
-        {"radius": -0.5},
-        {"radius": math.nan},
-        {"radius": math.inf},
-        {"x": math.nan},
-        {"y": -math.inf},
-        {"x": False},
-        {"y": "0"},
-        {"format_version": True},
-        {"unplaced": [math.nan]},
-        {"unplaced": [True]},
-        {"unplaced": [0.0]},
-        {"unplaced": 0.5},
-        {"placements": 5},
-        {"placements": {"radius": 0.5}},
-    ],
+    "fields, message",
+    PACKING_NUMBER_ERRORS,
+    ids=[f"fields{k}" for k in range(len(PACKING_NUMBER_ERRORS))],
 )
-def test_parse_packing_takes_only_finite_json_numbers(fields):
-    with pytest.raises(FileFormatError):
+def test_parse_packing_takes_only_finite_json_numbers(fields, message):
+    with pytest.raises(FileFormatError) as exc:
         parse_packing(packing_text(**fields))
+    assert str(exc.value) == message
 
 
 def test_parse_packing_takes_json_integers():
     doc = parse_packing(packing_text(radius=1, x=0, y=0, unplaced=[1]))
     assert doc.placements == ((1.0, 0.0, 0.0),) and doc.unplaced == (1.0,)
     assert all(type(v) is float for v in doc.placements[0] + doc.unplaced)
+
+
+def test_parse_takes_finite_values_whose_sum_overflows():
+    doc = parse_packing(packing_text(radius=1e308, x=1e308, y=1e308))
+    assert doc.placements == ((1e308, 1e308, 1e308),)
+    inst = parse_instance('{"format_version": 1, "radii": [1e308, 1e308]}')
+    assert inst.radii == (1e308, 1e308)
+    assert parse_instance(dumps_instance(inst)) == inst
+
+
+@pytest.mark.parametrize("v", [0.25, 1])
+def test_parse_gives_floats_and_keeps_the_sign_of_zero(v):
+    # With v an int every column is scanned value by value; with v a float
+    # each is taken whole.
+    placements = [{"radius": 0.5, "x": -0.0, "y": v}, {"radius": v, "x": 0.5, "y": -0.0}]
+    doc = parse_packing(packing_text(placements=placements, unplaced=[0.125, v]))
+    assert doc.placements == ((0.5, 0.0, v), (v, 0.5, 0.0)) and doc.unplaced == (0.125, v)
+    assert math.copysign(1.0, doc.placements[0][1]) == math.copysign(1.0, doc.placements[1][2]) == -1.0
+    inst = parse_instance('{"format_version": 1, "radii": [0.5, %r]}' % v)
+    assert inst.radii == (0.5, v)
+    values = [*doc.placements[0], *doc.placements[1], *doc.unplaced, *inst.radii]
+    assert all(type(x) is float for x in values)
+
+
+def test_dumps_instance_writes_each_radius_as_17_digits():
+    rng = random.Random(3)
+    radii = GNARLY + [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e22]
+    while len(radii) < 2000:
+        r = abs(struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0])
+        if math.isfinite(r) and r > 0.0:
+            radii.append(r)
+    want = "".join(
+        ['{\n  "format_version": 1,\n  "container_radius": 1,\n  "radii": [\n',
+         ",\n".join(f"    {format(r, '.17g')}" for r in radii),
+         "\n  ]\n}\n"])
+    assert dumps_instance(InstanceFile(radii=tuple(radii))) == want
+    with pytest.raises(FileFormatError) as exc:
+        dumps_instance(InstanceFile(radii=(0.5, math.nan, math.inf)))
+    assert str(exc.value) == "non-finite number not serializable: nan"
+
+
+def test_an_empty_instance_is_neither_written_nor_parsed():
+    with pytest.raises(FileFormatError) as exc:
+        dumps_instance(InstanceFile(radii=()))
+    assert str(exc.value) == "radii must be a nonempty list"
+    text = '{\n  "format_version": 1,\n  "container_radius": 1,\n  "radii": [\n  ]\n}\n'
+    with pytest.raises(FileFormatError) as exc:
+        parse_instance(text)
+    assert str(exc.value) == "radii must be a nonempty list"
 
 
 def test_digest_binds_instance():
@@ -295,6 +365,44 @@ def test_cli_verify_rejects_a_nan_packing(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize("complete, unplaced", [(True, [0.01]), (False, [])])
+@pytest.mark.parametrize("command", ["verify", "render"])
+def test_cli_refuses_complete_contradicting_unplaced(tmp_path, capsys, command, complete, unplaced):
+    doc = json.loads(packing_text())
+    doc.update(complete=complete, unplaced=unplaced)
+    path = tmp_path / "packing.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli([command, os.fspath(path)], capsys=capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: complete must be true exactly when unplaced is empty\n"
+
+
+def test_cli_verify_instance_refuses_a_packing_that_drops_a_disk(tmp_path, capsys):
+    inst = os.fspath(tmp_path / "inst.json")
+    packing = tmp_path / "pack.json"
+    assert main(["gen", "--kind", "random-area", "--n", "5", "-o", inst]) == 0
+    assert main(["pack", inst, "-o", os.fspath(packing)]) == 0
+    doc = json.loads(packing.read_text(encoding="utf-8"))
+    assert doc["complete"] and len(doc["placements"]) == 5
+    del doc["placements"][2]
+    packing.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["verify", os.fspath(packing), "--instance", inst], capsys=capsys)
+    assert code == 1
+    assert out == ""
+    assert "4 placed and unplaced radii" in err and "instance's 5 radii" in err
+
+
+def test_cli_verify_instance_counts_the_unplaced_radii(tmp_path, capsys):
+    inst = os.fspath(tmp_path / "inst.json")
+    packing = os.fspath(tmp_path / "pack.json")
+    assert main(["gen", "--kind", "worst-case", "--inflate", "1e-3", "-o", inst]) == 0
+    assert main(["pack", inst, "-o", packing]) == 0
+    code, out, _ = run_cli(["verify", packing, "--instance", inst], capsys=capsys)
+    assert code == 0
+    assert '"valid": true' in out
 
 
 def test_cli_pack_warns_on_incomplete(tmp_path, capsys, monkeypatch):

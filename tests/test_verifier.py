@@ -66,6 +66,14 @@ def test_multiset_matching_allows_duplicates():
     placements = [(0.2, (0.8, 0.0)), (0.2, (-0.8, 0.0))]
     assert verify(placements, [0.2, 0.2, 0.2]).valid  # subset of the instance
     assert not verify(placements + [(0.2, (0.0, 0.8))], [0.2, 0.2]).valid
+    # 0.2 placed 3 times, held twice: the earliest two placements match, and
+    # the third by index is the mismatch, wherever it sorts.
+    three = [(0.2, (0.0, 0.8)), (0.1, (0.0, 0.0)), *placements]
+    report = verify(three, [0.2, 0.1, 0.2])
+    assert [(v.kind, v.indices, v.magnitude) for v in report.violations] == [
+        (ViolationKind.RADIUS_MISMATCH, (3,), 0.2)
+    ]
+    assert report_tuple(report) == report_tuple(oracle_verifier.verify(three, [0.2, 0.1, 0.2]))
 
 
 def test_epsilon_tolerance():
@@ -219,8 +227,12 @@ def verifier_inputs(draw):
             disk = [r, draw(COORDS), draw(COORDS)]
             disk[draw(st.integers(0, 2))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
             placements.append((disk[0], (disk[1], disk[2])))
+    # The instance may hold a placed value fewer times than it is placed, a
+    # NaN, and an int.
     radii = [p[0] for p in placements if math.isfinite(p[0])]
-    instance = draw(st.one_of(st.none(), st.lists(st.sampled_from(radii + [0.25, 1e-3]))))
+    instance = draw(
+        st.one_of(st.none(), st.lists(st.sampled_from(radii + [0.25, 1e-3, math.nan, 1])))
+    )
     return placements, instance, epsilon
 
 
