@@ -186,7 +186,8 @@ def test_parse_gives_floats_and_keeps_the_sign_of_zero(v):
     placements = [{"radius": 0.5, "x": -0.0, "y": v}, {"radius": v, "x": 0.5, "y": -0.0}]
     doc = parse_packing(packing_text(placements=placements, unplaced=[0.125, v]))
     assert doc.placements == ((0.5, 0.0, v), (v, 0.5, 0.0)) and doc.unplaced == (0.125, v)
-    assert math.copysign(1.0, doc.placements[0][1]) == math.copysign(1.0, doc.placements[1][2]) == -1.0
+    assert math.copysign(1.0, doc.placements[0][1]) == -1.0
+    assert math.copysign(1.0, doc.placements[1][2]) == -1.0
     inst = parse_instance('{"format_version": 1, "radii": [0.5, %r]}' % v)
     assert inst.radii == (0.5, v)
     values = [*doc.placements[0], *doc.placements[1], *doc.unplaced, *inst.radii]
