@@ -39,7 +39,7 @@ from .prover import (
     prove_case,
 )
 from .render import render_svg
-from .verifier import verify
+from .verifier import ViolationKind, verify
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -100,7 +100,13 @@ def _cmd_verify(args) -> int:
             print("error: packing digest does not match the instance", file=sys.stderr)
             return EXIT_ERROR
         instance_radii = inst_file.normalized_radii()
-        # Every instance radius is placed or listed unplaced, and nothing else.
+    placements = [(r, (x, y)) for r, x, y in packing.placements]
+    report = verify(placements, instance_radii, epsilon=args.epsilon)
+    if instance_radii is not None and not any(
+        v.kind is ViolationKind.RADIUS_MISMATCH for v in report.violations
+    ):
+        # Every placed radius is an instance radius, so the report names none;
+        # the unplaced radii must be the rest of the instance, and nothing else.
         accounted = [r for r, _, _ in packing.placements] + list(packing.unplaced)
         if sorted(accounted) != sorted(instance_radii):
             print(
@@ -109,8 +115,6 @@ def _cmd_verify(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_ERROR
-    placements = [(r, (x, y)) for r, x, y in packing.placements]
-    report = verify(placements, instance_radii, epsilon=args.epsilon)
     sys.stdout.write(dumps_report(report))
     return EXIT_OK if report.valid else EXIT_INVALID
 

@@ -57,40 +57,35 @@ def _number(v, what: str, positive: bool = False) -> float:
     return f
 
 
-def _floats_only(values: Iterable) -> bool:
-    """Whether every value is a float (not an int, a bool or a string), in
-    one C-level pass."""
-    return {float}.issuperset(map(type, values))
+def _whole(rows: Sequence[Sequence], radii: Iterable) -> bool:
+    """Whether rows of values can be taken as `json.loads` gave them: every
+    value is a float (not an int, a bool or a string), their C-level sum is
+    finite (so is every value), and the least of the radii is positive."""
+    return (
+        {float}.issuperset(map(type, chain.from_iterable(rows)))
+        and math.isfinite(sum(chain.from_iterable(rows)))
+        and min(radii, default=1.0) > 0.0
+    )
 
 
 def _numbers(values: list, what: str, positive: bool = False) -> Tuple[float, ...]:
-    """`_number` of each value. A column of floats whose sum is finite (so is
-    every value) and, when asked, whose least value is positive is taken as
-    it is; any other column is scanned value by value."""
-    if (
-        _floats_only(values)
-        and math.isfinite(sum(values))
-        and (not positive or min(values, default=1.0) > 0.0)
-    ):
+    """`_number` of each value: the column as it is when `_whole` takes it,
+    with its values as radii when asked to be positive; otherwise scanned
+    value by value."""
+    if _whole((values,), values if positive else ()):
         return tuple(values)
     return tuple(_number(v, what, positive) for v in values)
 
 
 def _placements(items: list) -> Tuple[Tuple[float, float, float], ...]:
     """Each item's (radius, x, y), by `_number`. The triples come out of one
-    itemgetter map and are taken as they are when every value is a float,
-    their sum is finite and the least radius is positive; otherwise, a
-    malformed item too, the items are scanned one by one."""
+    itemgetter map and are taken as they are when `_whole` takes them;
+    otherwise, a malformed item too, the items are scanned one by one."""
     try:
         rows = tuple(map(operator.itemgetter("radius", "x", "y"), items))
     except (TypeError, KeyError):
         rows = None
-    if (
-        rows is not None
-        and _floats_only(chain.from_iterable(rows))
-        and math.isfinite(sum(chain.from_iterable(rows)))
-        and min(map(operator.itemgetter(0), rows), default=1.0) > 0.0
-    ):
+    if rows is not None and _whole(rows, map(operator.itemgetter(0), rows)):
         return rows
     placements = []
     for item in items:

@@ -396,6 +396,25 @@ def test_cli_verify_instance_refuses_a_packing_that_drops_a_disk(tmp_path, capsy
     assert "4 placed and unplaced radii" in err and "instance's 5 radii" in err
 
 
+def test_cli_verify_instance_reports_a_changed_radius(tmp_path, capsys):
+    # A placed radius the instance does not hold is a report finding (exit 2),
+    # not an accounting error (exit 1).
+    inst = os.fspath(tmp_path / "inst.json")
+    packing = tmp_path / "pack.json"
+    assert main(["gen", "--kind", "random-area", "--n", "5", "-o", inst]) == 0
+    assert main(["pack", inst, "-o", os.fspath(packing)]) == 0
+    doc = json.loads(packing.read_text(encoding="utf-8"))
+    doc["placements"][2]["radius"] *= 0.5
+    packing.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["verify", os.fspath(packing), "--instance", inst], capsys=capsys)
+    assert code == 2
+    assert err == ""
+    report = json.loads(out)
+    assert not report["valid"]
+    assert [v["kind"] for v in report["violations"]] == ["radius_mismatch"]
+    assert report["violations"][0]["indices"] == [2]
+
+
 def test_cli_verify_instance_counts_the_unplaced_radii(tmp_path, capsys):
     inst = os.fspath(tmp_path / "inst.json")
     packing = os.fspath(tmp_path / "pack.json")
